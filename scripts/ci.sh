@@ -46,6 +46,10 @@
 #     throughput-retention bars itself), with per-tenant Chrome-trace
 #     processes (--require-tenant-tracks), tenant-tagged incident dumps in
 #     <build>/artifacts/fr-fleet/, and BENCH_baseline_fleet.json.
+#
+# The baseline gates (nvmgc_bench_*_gate) and incident validation
+# (nvmgc_*flight_record_check) are ctest tests over each preset's
+# <build>/artifacts/, so no second gate pass follows ctest.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,19 +62,6 @@ for preset in default sanitize; do
   echo "=== [${preset}] test ==="
   ctest --preset "${preset}" -j "$(nproc)"
 done
-
-echo "=== bench regression gates (default build artifacts) ==="
-python3 scripts/bench_gate.py \
-  --baseline BENCH_baseline.json=build/artifacts/smoke.json \
-  --baseline BENCH_baseline_adaptive.json=build/artifacts/adaptive.json \
-  --baseline BENCH_baseline_durability.json=build/artifacts/durability.json \
-  --baseline BENCH_baseline_generational.json=build/artifacts/generational.json \
-  --baseline BENCH_baseline_flightrec.json=build/artifacts/flightrec.json \
-  --baseline BENCH_baseline_fleet.json=build/artifacts/fleet.json
-
-echo "=== flight-recorder incident validation ==="
-python3 scripts/fr_analyze.py build/artifacts/fr --validate
-python3 scripts/fr_analyze.py build/artifacts/fr-fleet --validate
 
 echo "=== retained bench artifacts ==="
 ls -l build*/artifacts/ 2>/dev/null || true

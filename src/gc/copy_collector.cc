@@ -306,31 +306,14 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   }
 
   // --- Assemble cycle statistics. ---
+  // Worker locals and persist_stats hold only summed counters; prefetch hits
+  // are counted by each worker's queue instead.
   GcCycleStats cycle;
   for (uint32_t i = 0; i < n; ++i) {
-    Worker& w = workers_[i];
-    const GcCycleStats& l = w.local;
-    cycle.objects_copied += l.objects_copied;
-    cycle.bytes_copied += l.bytes_copied;
-    cycle.objects_promoted += l.objects_promoted;
-    cycle.bytes_promoted += l.bytes_promoted;
-    cycle.refs_processed += l.refs_processed;
-    cycle.steals += l.steals;
-    cycle.cache_bytes_staged += l.cache_bytes_staged;
-    cycle.cache_overflow_bytes += l.cache_overflow_bytes;
-    cycle.regions_flushed_sync += l.regions_flushed_sync;
-    cycle.regions_flushed_async += l.regions_flushed_async;
-    cycle.regions_steal_tainted += l.regions_steal_tainted;
-    cycle.cache_fault_denials += l.cache_fault_denials;
-    cycle.cache_fallback_workers += l.cache_fallback_workers;
-    cycle.cache_fallback_bytes += l.cache_fallback_bytes;
-    cycle.survivor_overflow_bytes += l.survivor_overflow_bytes;
-    cycle.prefetches_issued += l.prefetches_issued;
-    cycle.prefetch_hits += w.prefetch.hits();
-    cycle.persist_flush_lines += l.persist_flush_lines;
-    cycle.persist_fences += l.persist_fences;
-    cycle.persist_ns += l.persist_ns;
+    cycle.Accumulate(workers_[i].local);
+    cycle.prefetch_hits += workers_[i].prefetch.hits();
   }
+  cycle.Accumulate(persist_stats);
   if (site_profiler_ != nullptr) {
     // Fold the worker-local site deltas into the profiler (control thread):
     // survivals per birth site, from which it infers this pause's deaths.
@@ -343,11 +326,6 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
     }
     site_profiler_->OnCycleEnd(merged, kind == GcKind::kMajor);
   }
-  cycle.persist_flush_lines += persist_stats.persist_flush_lines;
-  cycle.persist_fences += persist_stats.persist_fences;
-  cycle.persist_ns += persist_stats.persist_ns;
-  cycle.persist_redo_entries = persist_stats.persist_redo_entries;
-  cycle.persist_commit_bytes = persist_stats.persist_commit_bytes;
   cycle.degraded_mode = degraded ? 1 : 0;
   cycle.is_major = kind == GcKind::kMajor ? 1 : 0;
   cycle.young_cset_bytes = young_cset_bytes;

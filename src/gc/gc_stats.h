@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace nvmgc {
@@ -73,7 +74,94 @@ struct GcCycleStats {
   uint64_t persist_ns = 0;            // Simulated time in flushes + fences.
   uint64_t persist_redo_entries = 0;  // In-place-update redo log entries.
   uint64_t persist_commit_bytes = 0;  // Commit record payload bytes written.
+
+  // Folds `other` into this cycle, field by field, under each field's
+  // kGcCycleFields merge rule.
+  void Accumulate(const GcCycleStats& other);
 };
+
+// How a field folds when cycles (or worker-local partial cycles) combine.
+enum class FieldMerge : uint8_t {
+  kSum,   // Counters and durations add.
+  kLast,  // A per-cycle setting: the latest value wins.
+  kNone,  // A timestamp: meaningless in a total, left untouched.
+};
+
+struct GcCycleField {
+  const char* metric;  // Stable dotted per-pause metric name; nullptr if not exported.
+  uint64_t GcCycleStats::* member;
+  FieldMerge merge;
+};
+
+// The single list of GcCycleStats fields. Totals, worker merges, per-pause
+// metric snapshots and their name list (src/obs/metrics.cc) all iterate it,
+// so a field cannot be dropped from one of them by a forgotten edit.
+inline constexpr GcCycleField kGcCycleFields[] = {
+    {nullptr, &GcCycleStats::start_ns, FieldMerge::kNone},
+    {"gc.pause_ns", &GcCycleStats::pause_ns, FieldMerge::kSum},
+    {"gc.read_phase_ns", &GcCycleStats::read_phase_ns, FieldMerge::kSum},
+    {"gc.writeback_phase_ns", &GcCycleStats::writeback_phase_ns, FieldMerge::kSum},
+    {"gc.major_pauses", &GcCycleStats::is_major, FieldMerge::kSum},
+    {"gen.young_cset_bytes", &GcCycleStats::young_cset_bytes, FieldMerge::kSum},
+    {"gen.old_cset_bytes", &GcCycleStats::old_cset_bytes, FieldMerge::kSum},
+    {"gen.survivor_overflow_bytes", &GcCycleStats::survivor_overflow_bytes, FieldMerge::kSum},
+    {nullptr, &GcCycleStats::tenure_threshold_used, FieldMerge::kLast},
+    {"gc.objects_copied", &GcCycleStats::objects_copied, FieldMerge::kSum},
+    {"gc.bytes_copied", &GcCycleStats::bytes_copied, FieldMerge::kSum},
+    {"gc.objects_promoted", &GcCycleStats::objects_promoted, FieldMerge::kSum},
+    {"gc.bytes_promoted", &GcCycleStats::bytes_promoted, FieldMerge::kSum},
+    {"gc.refs_processed", &GcCycleStats::refs_processed, FieldMerge::kSum},
+    {"gc.steals", &GcCycleStats::steals, FieldMerge::kSum},
+    {"cache.bytes_staged", &GcCycleStats::cache_bytes_staged, FieldMerge::kSum},
+    {"cache.overflow_bytes", &GcCycleStats::cache_overflow_bytes, FieldMerge::kSum},
+    {"cache.regions_flushed_sync", &GcCycleStats::regions_flushed_sync, FieldMerge::kSum},
+    {"cache.regions_flushed_async", &GcCycleStats::regions_flushed_async, FieldMerge::kSum},
+    {"cache.regions_steal_tainted", &GcCycleStats::regions_steal_tainted, FieldMerge::kSum},
+    {"hm.installs", &GcCycleStats::header_map_installs, FieldMerge::kSum},
+    {"hm.overflows", &GcCycleStats::header_map_overflows, FieldMerge::kSum},
+    {"hm.hits", &GcCycleStats::header_map_hits, FieldMerge::kSum},
+    {"cache.fault_denials", &GcCycleStats::cache_fault_denials, FieldMerge::kSum},
+    {"cache.fallback_workers", &GcCycleStats::cache_fallback_workers, FieldMerge::kSum},
+    {"cache.fallback_bytes", &GcCycleStats::cache_fallback_bytes, FieldMerge::kSum},
+    {"gc.degraded_pauses", &GcCycleStats::degraded_mode, FieldMerge::kSum},
+    {"hm.fault_probes", &GcCycleStats::header_map_fault_probes, FieldMerge::kSum},
+    {"device.heap.read_bytes", &GcCycleStats::device_read_bytes, FieldMerge::kSum},
+    {"device.heap.write_bytes", &GcCycleStats::device_write_bytes, FieldMerge::kSum},
+    {"prefetch.issued", &GcCycleStats::prefetches_issued, FieldMerge::kSum},
+    {"prefetch.hits", &GcCycleStats::prefetch_hits, FieldMerge::kSum},
+    {"persist.flush_lines", &GcCycleStats::persist_flush_lines, FieldMerge::kSum},
+    {"persist.fences", &GcCycleStats::persist_fences, FieldMerge::kSum},
+    {"persist.ns", &GcCycleStats::persist_ns, FieldMerge::kSum},
+    {"persist.redo_entries", &GcCycleStats::persist_redo_entries, FieldMerge::kSum},
+    {"persist.commit_bytes", &GcCycleStats::persist_commit_bytes, FieldMerge::kSum},
+};
+
+// One row per field: a field added without a row, or a row deleted, fails
+// here; a member listed twice fails the check below.
+static_assert(sizeof(GcCycleStats) == std::size(kGcCycleFields) * sizeof(uint64_t),
+              "every GcCycleStats field needs exactly one kGcCycleFields row");
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kGcCycleFields); ++i) {
+        for (size_t j = i + 1; j < std::size(kGcCycleFields); ++j) {
+          if (kGcCycleFields[i].member == kGcCycleFields[j].member) {
+            return false;
+          }
+        }
+      }
+      return true;
+    }(),
+    "a GcCycleStats field appears in two kGcCycleFields rows");
+
+inline void GcCycleStats::Accumulate(const GcCycleStats& other) {
+  for (const GcCycleField& f : kGcCycleFields) {
+    if (f.merge == FieldMerge::kSum) {
+      this->*f.member += other.*f.member;
+    } else if (f.merge == FieldMerge::kLast) {
+      this->*f.member = other.*f.member;
+    }
+  }
+}
 
 class GcStats {
  public:
@@ -81,16 +169,6 @@ class GcStats {
 
   const std::vector<GcCycleStats>& cycles() const { return cycles_; }
   size_t gc_count() const { return cycles_.size(); }
-
-  // Cycles that ran with async flushing and non-temporal stores disabled
-  // because the fault injector reported sustained throttling.
-  uint64_t degraded_cycles() const {
-    uint64_t n = 0;
-    for (const auto& c : cycles_) {
-      n += c.degraded_mode;
-    }
-    return n;
-  }
 
   uint64_t total_pause_ns() const {
     uint64_t total = 0;
@@ -100,46 +178,11 @@ class GcStats {
     return total;
   }
 
+  // Every field folded under its kGcCycleFields merge rule.
   GcCycleStats Totals() const {
     GcCycleStats t;
     for (const auto& c : cycles_) {
-      t.pause_ns += c.pause_ns;
-      t.read_phase_ns += c.read_phase_ns;
-      t.writeback_phase_ns += c.writeback_phase_ns;
-      t.is_major += c.is_major;
-      t.young_cset_bytes += c.young_cset_bytes;
-      t.old_cset_bytes += c.old_cset_bytes;
-      t.survivor_overflow_bytes += c.survivor_overflow_bytes;
-      // tenure_threshold_used is a per-cycle value, not a sum; keep the last.
-      t.tenure_threshold_used = c.tenure_threshold_used;
-      t.objects_copied += c.objects_copied;
-      t.bytes_copied += c.bytes_copied;
-      t.objects_promoted += c.objects_promoted;
-      t.bytes_promoted += c.bytes_promoted;
-      t.refs_processed += c.refs_processed;
-      t.steals += c.steals;
-      t.cache_bytes_staged += c.cache_bytes_staged;
-      t.cache_overflow_bytes += c.cache_overflow_bytes;
-      t.regions_flushed_sync += c.regions_flushed_sync;
-      t.regions_flushed_async += c.regions_flushed_async;
-      t.regions_steal_tainted += c.regions_steal_tainted;
-      t.header_map_installs += c.header_map_installs;
-      t.header_map_overflows += c.header_map_overflows;
-      t.header_map_hits += c.header_map_hits;
-      t.cache_fault_denials += c.cache_fault_denials;
-      t.cache_fallback_workers += c.cache_fallback_workers;
-      t.cache_fallback_bytes += c.cache_fallback_bytes;
-      t.degraded_mode += c.degraded_mode;
-      t.header_map_fault_probes += c.header_map_fault_probes;
-      t.device_read_bytes += c.device_read_bytes;
-      t.device_write_bytes += c.device_write_bytes;
-      t.prefetches_issued += c.prefetches_issued;
-      t.prefetch_hits += c.prefetch_hits;
-      t.persist_flush_lines += c.persist_flush_lines;
-      t.persist_fences += c.persist_fences;
-      t.persist_ns += c.persist_ns;
-      t.persist_redo_entries += c.persist_redo_entries;
-      t.persist_commit_bytes += c.persist_commit_bytes;
+      t.Accumulate(c);
     }
     return t;
   }

@@ -116,17 +116,12 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
 
   TenantCounters& tc = tenant_counters_[tenant];
   if (d.op == AccessOp::kRead) {
-    read_bytes_.fetch_add(d.bytes, std::memory_order_relaxed);
-    read_ops_.fetch_add(1, std::memory_order_relaxed);
     tc.read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
     tc.read_ops.fetch_add(1, std::memory_order_relaxed);
   } else {
-    write_bytes_.fetch_add(d.bytes, std::memory_order_relaxed);
-    write_ops_.fetch_add(1, std::memory_order_relaxed);
     tc.write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
     tc.write_ops.fetch_add(1, std::memory_order_relaxed);
     if (d.non_temporal) {
-      nt_write_bytes_.fetch_add(d.bytes, std::memory_order_relaxed);
       tc.nt_write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
     }
   }
@@ -135,11 +130,9 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
 
 DeviceCounters MemoryDevice::counters() const {
   DeviceCounters c;
-  c.read_bytes = read_bytes_.load(std::memory_order_relaxed);
-  c.write_bytes = write_bytes_.load(std::memory_order_relaxed);
-  c.nt_write_bytes = nt_write_bytes_.load(std::memory_order_relaxed);
-  c.read_ops = read_ops_.load(std::memory_order_relaxed);
-  c.write_ops = write_ops_.load(std::memory_order_relaxed);
+  for (uint8_t t = 0; t < kMaxTenants; ++t) {
+    c += tenant_counters(t);
+  }
   return c;
 }
 

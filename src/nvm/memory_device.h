@@ -38,6 +38,14 @@ struct DeviceCounters {
   uint64_t read_ops = 0;
   uint64_t write_ops = 0;
 
+  DeviceCounters& operator+=(const DeviceCounters& rhs) {
+    read_bytes += rhs.read_bytes;
+    write_bytes += rhs.write_bytes;
+    nt_write_bytes += rhs.nt_write_bytes;
+    read_ops += rhs.read_ops;
+    write_ops += rhs.write_ops;
+    return *this;
+  }
   DeviceCounters operator-(const DeviceCounters& rhs) const {
     return DeviceCounters{read_bytes - rhs.read_bytes, write_bytes - rhs.write_bytes,
                           nt_write_bytes - rhs.nt_write_bytes, read_ops - rhs.read_ops,
@@ -75,9 +83,8 @@ class MemoryDevice {
   // does the cross-tenant contention term enter CostNs, so single-Vm devices
   // behave exactly as before.
   bool multi_tenant() const { return multi_tenant_.load(std::memory_order_relaxed); }
-  // Lifetime traffic attributed to `tenant`. The regression invariant a
-  // shared device must keep: summing tenant_counters over all tenants equals
-  // counters().
+  // Lifetime traffic attributed to `tenant`. These slots are the only
+  // traffic counters: counters() is their sum over all tenants.
   DeviceCounters tenant_counters(uint8_t tenant) const;
 
   // Fault injection: attach a (non-owned) injector whose plan perturbs every
@@ -98,6 +105,7 @@ class MemoryDevice {
     return t == 0 ? 1 : t;
   }
 
+  // Lifetime traffic over all tenants.
   DeviceCounters counters() const;
 
   // Time-series recording (bandwidth figures). The recorder is created by
@@ -159,11 +167,6 @@ class MemoryDevice {
   PersistOrderingLedger persist_;
 
   std::atomic<uint32_t> active_threads_{0};
-  std::atomic<uint64_t> read_bytes_{0};
-  std::atomic<uint64_t> write_bytes_{0};
-  std::atomic<uint64_t> nt_write_bytes_{0};
-  std::atomic<uint64_t> read_ops_{0};
-  std::atomic<uint64_t> write_ops_{0};
 
   TenantRange tenant_ranges_[kMaxTenantRanges];
   std::atomic<uint32_t> tenant_range_count_{0};

@@ -285,7 +285,7 @@ std::string FlightRecorder::SerializeIncident(const FrTriggerInfo& trigger,
     AppendU64(&out, "read_phase_ns", p.stats.read_phase_ns);
     AppendU64(&out, "writeback_phase_ns", p.stats.writeback_phase_ns);
     out += "\"counters\":{";
-    // The stable dotted names (metrics.h kCycleFields) + the pause's DRAM
+    // The stable dotted names (gc_stats.h kGcCycleFields) + the pause's DRAM
     // traffic, exactly what the per-pause MetricsRegistry snapshot carries.
     PauseSnapshot snap = SnapshotFromCycle(p.pause_id, p.stats);
     snap.values["device.dram.read_bytes"] = p.dram_read_bytes;

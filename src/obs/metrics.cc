@@ -106,60 +106,13 @@ void MetricsRegistry::RecordPause(PauseSnapshot snapshot) {
   pauses_.push_back(std::move(snapshot));
 }
 
-namespace {
-
-// (name, field pointer) table: single source of truth for the cycle→metric
-// mapping, so the name list and the snapshot contents cannot drift apart.
-struct CycleField {
-  const char* name;
-  uint64_t GcCycleStats::* field;
-};
-
-constexpr CycleField kCycleFields[] = {
-    {"gc.pause_ns", &GcCycleStats::pause_ns},
-    {"gc.read_phase_ns", &GcCycleStats::read_phase_ns},
-    {"gc.writeback_phase_ns", &GcCycleStats::writeback_phase_ns},
-    {"gc.objects_copied", &GcCycleStats::objects_copied},
-    {"gc.bytes_copied", &GcCycleStats::bytes_copied},
-    {"gc.objects_promoted", &GcCycleStats::objects_promoted},
-    {"gc.bytes_promoted", &GcCycleStats::bytes_promoted},
-    {"gc.refs_processed", &GcCycleStats::refs_processed},
-    {"gc.steals", &GcCycleStats::steals},
-    {"gc.degraded_pauses", &GcCycleStats::degraded_mode},
-    {"gc.major_pauses", &GcCycleStats::is_major},
-    {"gen.young_cset_bytes", &GcCycleStats::young_cset_bytes},
-    {"gen.old_cset_bytes", &GcCycleStats::old_cset_bytes},
-    {"gen.survivor_overflow_bytes", &GcCycleStats::survivor_overflow_bytes},
-    {"cache.bytes_staged", &GcCycleStats::cache_bytes_staged},
-    {"cache.overflow_bytes", &GcCycleStats::cache_overflow_bytes},
-    {"cache.regions_flushed_sync", &GcCycleStats::regions_flushed_sync},
-    {"cache.regions_flushed_async", &GcCycleStats::regions_flushed_async},
-    {"cache.regions_steal_tainted", &GcCycleStats::regions_steal_tainted},
-    {"cache.fault_denials", &GcCycleStats::cache_fault_denials},
-    {"cache.fallback_workers", &GcCycleStats::cache_fallback_workers},
-    {"cache.fallback_bytes", &GcCycleStats::cache_fallback_bytes},
-    {"hm.installs", &GcCycleStats::header_map_installs},
-    {"hm.overflows", &GcCycleStats::header_map_overflows},
-    {"hm.hits", &GcCycleStats::header_map_hits},
-    {"hm.fault_probes", &GcCycleStats::header_map_fault_probes},
-    {"device.heap.read_bytes", &GcCycleStats::device_read_bytes},
-    {"device.heap.write_bytes", &GcCycleStats::device_write_bytes},
-    {"prefetch.issued", &GcCycleStats::prefetches_issued},
-    {"prefetch.hits", &GcCycleStats::prefetch_hits},
-    {"persist.flush_lines", &GcCycleStats::persist_flush_lines},
-    {"persist.fences", &GcCycleStats::persist_fences},
-    {"persist.ns", &GcCycleStats::persist_ns},
-    {"persist.redo_entries", &GcCycleStats::persist_redo_entries},
-    {"persist.commit_bytes", &GcCycleStats::persist_commit_bytes},
-};
-
-}  // namespace
-
 const std::vector<std::string>& GcPauseMetricNames() {
   static const std::vector<std::string>* names = [] {
     auto* v = new std::vector<std::string>;
-    for (const CycleField& f : kCycleFields) {
-      v->push_back(f.name);
+    for (const GcCycleField& f : kGcCycleFields) {
+      if (f.metric != nullptr) {
+        v->push_back(f.metric);
+      }
     }
     return v;
   }();
@@ -170,8 +123,10 @@ PauseSnapshot SnapshotFromCycle(uint64_t id, const GcCycleStats& cycle) {
   PauseSnapshot snap;
   snap.id = id;
   snap.start_ns = cycle.start_ns;
-  for (const CycleField& f : kCycleFields) {
-    snap.values[f.name] = cycle.*(f.field);
+  for (const GcCycleField& f : kGcCycleFields) {
+    if (f.metric != nullptr) {
+      snap.values[f.metric] = cycle.*f.member;
+    }
   }
   return snap;
 }

@@ -195,16 +195,18 @@ size_t PolicyEngine::OnPauseEnd(const PolicySignals& s) {
 }
 
 bool PolicyEngine::MaybeRetreat(const PolicySignals& s) {
-  const bool dram_pressure = s.cache_fault_denials > 0 || s.cache_fallback_workers > 0;
+  const bool degraded = s.cycle.degraded_mode != 0;
+  const bool dram_pressure =
+      s.cycle.cache_fault_denials > 0 || s.cycle.cache_fallback_workers > 0;
   const bool persist_stall = options_.durability.enabled && tuning_.async_flush &&
-                             s.persist_ns > 0 &&
+                             s.cycle.persist_ns > 0 &&
                              s.persist_stall_fraction() > kPersistRetreatStallFraction;
-  if (!s.degraded && !dram_pressure && !persist_stall) {
+  if (!degraded && !dram_pressure && !persist_stall) {
     return false;
   }
   ++retreats_;
   retreat_until_ = current_pause_ + options_.adaptive.cooldown_pauses + 1;
-  const char* cause = s.degraded      ? "degraded pause (sustained throttle window)"
+  const char* cause = degraded        ? "degraded pause (sustained throttle window)"
                       : dram_pressure ? "DRAM pressure (pair denials / worker fallback)"
                                       : "fence stalls dominate the pause (per-region SFENCEs)";
   if (tuning_.async_flush) {
@@ -241,20 +243,20 @@ void PolicyEngine::DecideWriteCache(const PolicySignals& s) {
     }
     return;
   }
-  if (s.cache_overflow_bytes == 0 &&
-      static_cast<double>(s.cache_bytes_staged) <
+  if (s.cycle.cache_overflow_bytes == 0 &&
+      static_cast<double>(s.cycle.cache_bytes_staged) <
           static_cast<double>(cur) * kCacheShrinkOccupancy) {
     size_t next = std::max(min_cache_bytes_,
                            cur - static_cast<size_t>(static_cast<double>(cur) * f));
     // Never shrink below twice what the pause actually staged — that would
     // manufacture the very overflow the grow rule reacts to.
-    next = std::max(next, static_cast<size_t>(s.cache_bytes_staged) * 2);
+    next = std::max(next, static_cast<size_t>(s.cycle.cache_bytes_staged) * 2);
     next = std::min(next, cur);
     if (next != cur) {
       tuning_.write_cache_capacity_bytes = next;
       Decide(PolicyKnob::kWriteCacheBytes, cur, next, /*retreat=*/false,
              Format("staged %.1f%% of capacity with no overflow - shrink",
-                    static_cast<double>(s.cache_bytes_staged) /
+                    static_cast<double>(s.cycle.cache_bytes_staged) /
                         static_cast<double>(cur) * 100.0));
     }
   }
@@ -277,7 +279,7 @@ void PolicyEngine::DecideHeaderMap(const PolicySignals& s) {
   }
   const size_t cur = tuning_.header_map_entries;
   const double overflow = s.hm_overflow_rate();
-  const uint64_t forwardings = s.hm_installs + s.hm_overflows;
+  const uint64_t forwardings = s.cycle.header_map_installs + s.cycle.header_map_overflows;
   if (forwardings == 0) {
     return;  // Header map saw no traffic this pause; nothing to learn.
   }
@@ -292,14 +294,15 @@ void PolicyEngine::DecideHeaderMap(const PolicySignals& s) {
     return;
   }
   if (overflow < kHmShrinkOverflowRate &&
-      static_cast<double>(s.hm_installs) <
+      static_cast<double>(s.cycle.header_map_installs) <
           static_cast<double>(cur) * kHmShrinkOccupancy &&
       cur > min_hm_entries_) {
     const size_t next = std::max(min_hm_entries_, cur / 2);
     tuning_.header_map_entries = next;
     Decide(PolicyKnob::kHeaderMapEntries, cur, next, /*retreat=*/false,
            Format("occupancy %.2f%% with no overflow - halve the table",
-                  static_cast<double>(s.hm_installs) / static_cast<double>(cur) * 100.0));
+                  static_cast<double>(s.cycle.header_map_installs) /
+                      static_cast<double>(cur) * 100.0));
   }
 }
 
@@ -307,7 +310,7 @@ void PolicyEngine::DecideAsyncFlush(const PolicySignals& s) {
   if (!Ready(PolicyKnob::kAsyncFlush)) {
     return;
   }
-  if (s.regions_flushed_sync + s.regions_flushed_async == 0) {
+  if (s.cycle.regions_flushed_sync + s.cycle.regions_flushed_async == 0) {
     return;  // No flush traffic to judge by.
   }
   const double taint = s.steal_taint_fraction();
@@ -396,7 +399,7 @@ void PolicyEngine::DecideGcThreads(const PolicySignals& s) {
 
 void PolicyEngine::DecidePrefetch(const PolicySignals& s) {
   if (!Ready(PolicyKnob::kPrefetchWindow) ||
-      s.prefetches_issued < kPrefetchMinSamples) {
+      s.cycle.prefetches_issued < kPrefetchMinSamples) {
     return;
   }
   const uint32_t cur = tuning_.prefetch_window;
@@ -419,7 +422,7 @@ void PolicyEngine::DecidePrefetch(const PolicySignals& s) {
 }
 
 void PolicyEngine::DecideGenerational(const PolicySignals& s) {
-  if (s.is_major) {
+  if (s.cycle.is_major != 0) {
     return;  // Major cycles copy old->old; their volumes would skew the rules.
   }
   // Tenure threshold: overflow means the survivor semispace cannot hold the
@@ -428,12 +431,12 @@ void PolicyEngine::DecideGenerational(const PolicySignals& s) {
   // hold them in DRAM one more cycle.
   if (Ready(PolicyKnob::kTenureThreshold)) {
     const uint32_t cur = tuning_.tenure_threshold;
-    if (s.survivor_overflow_bytes > 0 && cur > 1) {
+    if (s.cycle.survivor_overflow_bytes > 0 && cur > 1) {
       tuning_.tenure_threshold = cur - 1;
       Decide(PolicyKnob::kTenureThreshold, cur, cur - 1, /*retreat=*/false,
              Format("survivor overflow %.0f KB promoted early - tenure one age sooner",
-                    static_cast<double>(s.survivor_overflow_bytes) / 1e3));
-    } else if (s.survivor_overflow_bytes == 0 && cur < 15 &&
+                    static_cast<double>(s.cycle.survivor_overflow_bytes) / 1e3));
+    } else if (s.cycle.survivor_overflow_bytes == 0 && cur < 15 &&
                s.promoted_fraction() > kTenureRaisePromotedFraction &&
                current_pause_ >= retreat_until_) {
       tuning_.tenure_threshold = cur + 1;
@@ -448,7 +451,7 @@ void PolicyEngine::DecideGenerational(const PolicySignals& s) {
   // objects have time to die; more eden regions push the pause later. Trade
   // back toward write-cache staging space when survival is negligible.
   if (max_eden_quota_ == 0 || !Ready(PolicyKnob::kEdenQuota) ||
-      s.young_cset_bytes == 0) {
+      s.cycle.young_cset_bytes == 0) {
     return;
   }
   const uint32_t cur = tuning_.eden_quota_regions;

@@ -8,77 +8,56 @@ double Ratio(uint64_t num, uint64_t den) {
 }
 }  // namespace
 
-double PolicySignals::steal_rate() const { return Ratio(steals, refs_processed); }
+double PolicySignals::steal_rate() const { return Ratio(cycle.steals, cycle.refs_processed); }
 
 double PolicySignals::flush_stall_fraction() const {
-  return Ratio(writeback_phase_ns, pause_ns);
+  return Ratio(cycle.writeback_phase_ns, cycle.pause_ns);
 }
 
 double PolicySignals::cache_overflow_fraction() const {
-  return Ratio(cache_overflow_bytes, cache_bytes_staged + cache_overflow_bytes);
+  return Ratio(cycle.cache_overflow_bytes,
+               cycle.cache_bytes_staged + cycle.cache_overflow_bytes);
 }
 
 double PolicySignals::steal_taint_fraction() const {
-  return Ratio(regions_steal_tainted, regions_flushed_sync + regions_flushed_async);
+  return Ratio(cycle.regions_steal_tainted,
+               cycle.regions_flushed_sync + cycle.regions_flushed_async);
 }
 
 double PolicySignals::hm_overflow_rate() const {
-  return Ratio(hm_overflows, hm_installs + hm_overflows);
+  return Ratio(cycle.header_map_overflows,
+               cycle.header_map_installs + cycle.header_map_overflows);
 }
 
 double PolicySignals::prefetch_hit_rate() const {
-  return Ratio(prefetch_hits, prefetches_issued);
+  return Ratio(cycle.prefetch_hits, cycle.prefetches_issued);
 }
 
 double PolicySignals::bandwidth_utilization() const {
   return read_model_mbps <= 0.0 ? 0.0 : read_total_mbps / read_model_mbps;
 }
 
-double PolicySignals::persist_stall_fraction() const { return Ratio(persist_ns, pause_ns); }
+double PolicySignals::persist_stall_fraction() const {
+  return Ratio(cycle.persist_ns, cycle.pause_ns);
+}
 
 double PolicySignals::fleet_stall_fraction() const {
   return Ratio(fleet_stall_ns, fleet_interval_ns);
 }
 
 double PolicySignals::promoted_fraction() const {
-  return Ratio(bytes_promoted, bytes_copied);
+  return Ratio(cycle.bytes_promoted, cycle.bytes_copied);
 }
 
 double PolicySignals::young_survival_fraction() const {
-  return Ratio(bytes_copied, young_cset_bytes);
+  return Ratio(cycle.bytes_copied, cycle.young_cset_bytes);
 }
 
 PolicySignals CollectPolicySignals(const GcCycleStats& cycle, uint64_t pause_id,
                                    const DeviceTimeline* timeline) {
   PolicySignals s;
   s.pause_id = pause_id;
-  s.pause_ns = cycle.pause_ns;
-  s.read_phase_ns = cycle.read_phase_ns;
-  s.writeback_phase_ns = cycle.writeback_phase_ns;
-  s.bytes_copied = cycle.bytes_copied;
-  s.objects_copied = cycle.objects_copied;
-  s.bytes_promoted = cycle.bytes_promoted;
-  s.refs_processed = cycle.refs_processed;
-  s.steals = cycle.steals;
-  s.is_major = cycle.is_major != 0;
-  s.young_cset_bytes = cycle.young_cset_bytes;
-  s.survivor_overflow_bytes = cycle.survivor_overflow_bytes;
-  s.cache_bytes_staged = cycle.cache_bytes_staged;
-  s.cache_overflow_bytes = cycle.cache_overflow_bytes;
-  s.cache_fallback_bytes = cycle.cache_fallback_bytes;
-  s.cache_fallback_workers = cycle.cache_fallback_workers;
-  s.cache_fault_denials = cycle.cache_fault_denials;
-  s.regions_flushed_sync = cycle.regions_flushed_sync;
-  s.regions_flushed_async = cycle.regions_flushed_async;
-  s.regions_steal_tainted = cycle.regions_steal_tainted;
-  s.degraded = cycle.degraded_mode != 0;
-  s.hm_installs = cycle.header_map_installs;
-  s.hm_overflows = cycle.header_map_overflows;
-  s.hm_hits = cycle.header_map_hits;
-  s.prefetches_issued = cycle.prefetches_issued;
-  s.prefetch_hits = cycle.prefetch_hits;
-  s.persist_ns = cycle.persist_ns;
-  s.persist_fences = cycle.persist_fences;
+  s.cycle = cycle;
   if (timeline != nullptr) {
     const DeviceTimeline::PhaseAverages avg =
         timeline->AveragePhase(pause_id, GcPhaseKind::kRead);

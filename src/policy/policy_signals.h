@@ -22,46 +22,9 @@ namespace nvmgc {
 struct PolicySignals {
   uint64_t pause_id = 0;  // 1-based GC cycle ordinal.
 
-  // Durations.
-  uint64_t pause_ns = 0;
-  uint64_t read_phase_ns = 0;
-  uint64_t writeback_phase_ns = 0;
-
-  // Copy volume.
-  uint64_t bytes_copied = 0;
-  uint64_t objects_copied = 0;
-  uint64_t bytes_promoted = 0;
-  uint64_t refs_processed = 0;
-  uint64_t steals = 0;
-
-  // Generational (all zero outside generational mode).
-  bool is_major = false;
-  uint64_t young_cset_bytes = 0;
-  uint64_t survivor_overflow_bytes = 0;
-
-  // Write cache.
-  uint64_t cache_bytes_staged = 0;
-  uint64_t cache_overflow_bytes = 0;
-  uint64_t cache_fallback_bytes = 0;
-  uint64_t cache_fallback_workers = 0;
-  uint64_t cache_fault_denials = 0;
-  uint64_t regions_flushed_sync = 0;
-  uint64_t regions_flushed_async = 0;
-  uint64_t regions_steal_tainted = 0;
-  bool degraded = false;
-
-  // Header map (per-pause deltas).
-  uint64_t hm_installs = 0;
-  uint64_t hm_overflows = 0;
-  uint64_t hm_hits = 0;
-
-  // Prefetching.
-  uint64_t prefetches_issued = 0;
-  uint64_t prefetch_hits = 0;
-
-  // Durability (all zero outside durability mode).
-  uint64_t persist_ns = 0;
-  uint64_t persist_fences = 0;
+  // The merged cycle the pause produced (header-map counters are per-pause
+  // deltas; generational, durability and fault fields are zero when off).
+  GcCycleStats cycle;
 
   // Fleet arbitration (all zero outside a FleetManager). Stall the bandwidth
   // arbiter injected into this tenant since the previous pause, over the

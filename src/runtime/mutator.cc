@@ -92,20 +92,6 @@ Address Mutator::AllocateLargeObject(const Klass& klass, uint64_t array_length, 
   NVMGC_CHECK(false);  // No region available for a large-object allocation.
 }
 
-Address Mutator::AllocateRegular(KlassId klass) {
-  return Allocate(AllocRequest{klass, 0, false});
-}
-
-Address Mutator::AllocateRefArray(KlassId klass, uint64_t length) {
-  NVMGC_DCHECK(vm_->heap_->klasses().Get(klass).kind == KlassKind::kRefArray);
-  return Allocate(AllocRequest{klass, length, false});
-}
-
-Address Mutator::AllocateByteArray(KlassId klass, uint64_t length) {
-  NVMGC_DCHECK(vm_->heap_->klasses().Get(klass).kind == KlassKind::kByteArray);
-  return Allocate(AllocRequest{klass, length, false});
-}
-
 void Mutator::WriteRef(Address object, size_t slot_index, Address value) {
   const Klass& klass = vm_->heap_->klasses().Get(obj::KlassIdOf(object));
   const Address slot = obj::RefSlot(object, klass, slot_index);

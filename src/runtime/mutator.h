@@ -41,14 +41,6 @@ class Mutator {
   // request), or a humongous region (above region_bytes / 2).
   Address Allocate(const AllocRequest& request);
 
-  // Deprecated shims, kept for one release: thin wrappers over
-  // Allocate(AllocRequest).
-  [[deprecated("use Allocate(AllocRequest) instead")]] Address AllocateRegular(KlassId klass);
-  [[deprecated("use Allocate(AllocRequest) instead")]] Address AllocateRefArray(
-      KlassId klass, uint64_t length);
-  [[deprecated("use Allocate(AllocRequest) instead")]] Address AllocateByteArray(
-      KlassId klass, uint64_t length);
-
   // --- Field access (charged; WriteRef applies the write barrier) ---
   void WriteRef(Address object, size_t slot_index, Address value);
   Address ReadRef(Address object, size_t slot_index);

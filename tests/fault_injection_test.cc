@@ -306,7 +306,7 @@ TEST(FaultDegradedModeTest, ThrottleDisablesAsyncAndNtStoresThenRecovers) {
   EXPECT_GT(delta.nt_write_bytes, 0u);  // Non-temporal write-back resumed.
   workload.VerifyAll();
   ExpectHeapValid(&vm);
-  EXPECT_EQ(vm.gc_stats().degraded_cycles(), 1u);
+  EXPECT_EQ(vm.gc_stats().Totals().degraded_mode, 1u);
 }
 
 TEST(FaultWriteCacheFallbackTest, DramPressureDegradesWorkersToDirectCopy) {

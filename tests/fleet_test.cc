@@ -647,13 +647,13 @@ PolicySignals ThrottledPauseSignals(uint64_t pause_id, const PolicyEngine& engin
                                     uint64_t stall_ns, uint64_t interval_ns) {
   PolicySignals s;
   s.pause_id = pause_id;
-  s.pause_ns = 1'000'000;
-  s.read_phase_ns = 800'000;
-  s.writeback_phase_ns = 200'000;
-  s.bytes_copied = 4 * 1024 * 1024;
-  s.objects_copied = 1000;
-  s.refs_processed = 3000;
-  s.cache_bytes_staged = engine.tuning().write_cache_capacity_bytes / 2;
+  s.cycle.pause_ns = 1'000'000;
+  s.cycle.read_phase_ns = 800'000;
+  s.cycle.writeback_phase_ns = 200'000;
+  s.cycle.bytes_copied = 4 * 1024 * 1024;
+  s.cycle.objects_copied = 1000;
+  s.cycle.refs_processed = 3000;
+  s.cycle.cache_bytes_staged = engine.tuning().write_cache_capacity_bytes / 2;
   s.fleet_stall_ns = stall_ns;
   s.fleet_interval_ns = interval_ns;
   return s;

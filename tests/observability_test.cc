@@ -83,12 +83,18 @@ TEST(MetricsRegistryTest, SnapshotFromCycleUsesTheStableNames) {
   cycle.cache_bytes_staged = 4096;
   cycle.header_map_installs = 7;
   cycle.device_read_bytes = 8192;
+  cycle.degraded_mode = 1;
+  cycle.tenure_threshold_used = 6;
   const PauseSnapshot snap = SnapshotFromCycle(3, cycle);
   EXPECT_EQ(snap.id, 3u);
   EXPECT_EQ(snap.start_ns, 42u);
   // The snapshot keys are exactly GcPauseMetricNames() — the documented
-  // stable scheme consumers (bench JSON, CI checker) rely on.
+  // stable scheme consumers (bench JSON, CI checker) rely on: every field but
+  // start_ns (the snapshot's own timestamp) and tenure_threshold_used (a
+  // gauge), each name once.
   const std::vector<std::string>& names = GcPauseMetricNames();
+  EXPECT_EQ(names.size(), 35u);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size());
   ASSERT_EQ(snap.values.size(), names.size());
   for (const std::string& name : names) {
     EXPECT_TRUE(snap.values.count(name)) << name;
@@ -97,6 +103,39 @@ TEST(MetricsRegistryTest, SnapshotFromCycleUsesTheStableNames) {
   EXPECT_EQ(snap.values.at("cache.bytes_staged"), 4096u);
   EXPECT_EQ(snap.values.at("hm.installs"), 7u);
   EXPECT_EQ(snap.values.at("device.heap.read_bytes"), 8192u);
+  EXPECT_EQ(snap.values.at("gc.degraded_pauses"), 1u);
+  EXPECT_EQ(snap.values.at("gc.major_pauses"), 0u);
+}
+
+// A cycle whose fields hold distinct values, set through the field table.
+GcCycleStats DistinctCycle(uint64_t base) {
+  GcCycleStats cycle;
+  uint64_t v = base;
+  for (const GcCycleField& f : kGcCycleFields) {
+    cycle.*f.member = v++;
+  }
+  return cycle;
+}
+
+TEST(GcStatsTest, TotalsFollowEachFieldsMergeRule) {
+  const GcCycleStats a = DistinctCycle(10);
+  const GcCycleStats b = DistinctCycle(1000);
+  GcStats stats;
+  stats.Add(a);
+  stats.Add(b);
+  const GcCycleStats t = stats.Totals();
+  for (const GcCycleField& f : kGcCycleFields) {
+    const uint64_t sum = a.*f.member + b.*f.member;
+    const uint64_t last = b.*f.member;
+    const uint64_t want =
+        f.merge == FieldMerge::kSum ? sum : f.merge == FieldMerge::kLast ? last : 0;
+    EXPECT_EQ(t.*f.member, want) << (f.metric != nullptr ? f.metric : "(no metric)");
+  }
+  EXPECT_EQ(t.pause_ns, a.pause_ns + b.pause_ns);
+  EXPECT_EQ(t.persist_commit_bytes, a.persist_commit_bytes + b.persist_commit_bytes);
+  EXPECT_EQ(t.tenure_threshold_used, b.tenure_threshold_used);  // Last value.
+  EXPECT_EQ(t.start_ns, 0u);                                     // Not a total.
+  EXPECT_EQ(stats.total_pause_ns(), t.pause_ns);
 }
 
 TEST(MetricsRegistryTest, RecordGcCycleAppendsSnapshotAndHistograms) {

@@ -35,13 +35,13 @@ PolicyEngine MakeEngine(const GcOptions& options = EngineOptions()) {
 PolicySignals CalmSignals(uint64_t pause_id, const PolicyEngine& engine) {
   PolicySignals s;
   s.pause_id = pause_id;
-  s.pause_ns = 1'000'000;
-  s.read_phase_ns = 800'000;
-  s.writeback_phase_ns = 200'000;
-  s.bytes_copied = 4 * 1024 * 1024;
-  s.objects_copied = 1000;
-  s.refs_processed = 3000;
-  s.cache_bytes_staged = engine.tuning().write_cache_capacity_bytes / 2;
+  s.cycle.pause_ns = 1'000'000;
+  s.cycle.read_phase_ns = 800'000;
+  s.cycle.writeback_phase_ns = 200'000;
+  s.cycle.bytes_copied = 4 * 1024 * 1024;
+  s.cycle.objects_copied = 1000;
+  s.cycle.refs_processed = 3000;
+  s.cycle.cache_bytes_staged = engine.tuning().write_cache_capacity_bytes / 2;
   return s;
 }
 
@@ -59,6 +59,42 @@ TEST(PolicyKnobTest, EveryKnobHasAName) {
   for (size_t i = 0; i < kPolicyKnobCount; ++i) {
     EXPECT_STRNE(PolicyKnobName(static_cast<PolicyKnob>(i)), "?");
   }
+}
+
+TEST(PolicySignalsTest, DerivedRatesComeFromTheCycle) {
+  GcCycleStats cycle;
+  cycle.pause_ns = 1000;
+  cycle.writeback_phase_ns = 250;
+  cycle.persist_ns = 100;
+  cycle.steals = 30;
+  cycle.refs_processed = 120;
+  cycle.cache_bytes_staged = 300;
+  cycle.cache_overflow_bytes = 100;
+  cycle.regions_flushed_sync = 6;
+  cycle.regions_flushed_async = 2;
+  cycle.regions_steal_tainted = 2;
+  cycle.header_map_installs = 90;
+  cycle.header_map_overflows = 10;
+  cycle.prefetches_issued = 200;
+  cycle.prefetch_hits = 150;
+  cycle.bytes_copied = 400;
+  cycle.bytes_promoted = 100;
+  cycle.young_cset_bytes = 1600;
+  const PolicySignals s = CollectPolicySignals(cycle, 7, /*timeline=*/nullptr);
+  EXPECT_EQ(s.pause_id, 7u);
+  EXPECT_EQ(s.cycle.header_map_installs, 90u);
+  EXPECT_DOUBLE_EQ(s.steal_rate(), 30.0 / 120.0);
+  EXPECT_DOUBLE_EQ(s.flush_stall_fraction(), 250.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(s.persist_stall_fraction(), 100.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(s.cache_overflow_fraction(), 100.0 / 400.0);
+  EXPECT_DOUBLE_EQ(s.steal_taint_fraction(), 2.0 / 8.0);
+  EXPECT_DOUBLE_EQ(s.hm_overflow_rate(), 10.0 / 100.0);
+  EXPECT_DOUBLE_EQ(s.prefetch_hit_rate(), 150.0 / 200.0);
+  EXPECT_DOUBLE_EQ(s.promoted_fraction(), 100.0 / 400.0);
+  EXPECT_DOUBLE_EQ(s.young_survival_fraction(), 400.0 / 1600.0);
+  // No timeline and no fleet: those signals stay at zero, not NaN.
+  EXPECT_EQ(s.bandwidth_utilization(), 0.0);
+  EXPECT_EQ(s.fleet_stall_fraction(), 0.0);
 }
 
 TEST(PolicyEngineTest, InitialTuningReproducesStaticConfiguration) {
@@ -91,7 +127,7 @@ TEST(PolicyEngineTest, WarmupPausesMakeNoDecisions) {
   PolicyEngine engine = MakeEngine(options);
   PolicySignals s = CalmSignals(1, engine);
   // Even an alarming signal makes no (non-retreat) decision during warmup.
-  s.cache_overflow_bytes = s.cache_bytes_staged;
+  s.cycle.cache_overflow_bytes = s.cycle.cache_bytes_staged;
   EXPECT_EQ(engine.OnPauseEnd(s), 0u);
   EXPECT_TRUE(engine.decisions().empty());
 }
@@ -102,7 +138,7 @@ TEST(PolicyEngineTest, GrowsWriteCacheOnOverflow) {
   uint64_t pause = Warmup(engine, options);
   const size_t before = engine.tuning().write_cache_capacity_bytes;
   PolicySignals s = CalmSignals(pause, engine);
-  s.cache_overflow_bytes = s.cache_bytes_staged;  // 50% overflow.
+  s.cycle.cache_overflow_bytes = s.cycle.cache_bytes_staged;  // 50% overflow.
   EXPECT_GT(engine.OnPauseEnd(s), 0u);
   EXPECT_GT(engine.tuning().write_cache_capacity_bytes, before);
   bool found = false;
@@ -124,12 +160,12 @@ TEST(PolicyEngineTest, ShrinksIdleWriteCacheButNotBelowDemand) {
   uint64_t pause = Warmup(engine, options);
   const size_t before = engine.tuning().write_cache_capacity_bytes;
   PolicySignals s = CalmSignals(pause, engine);
-  s.cache_bytes_staged = before / 10;  // Well under the 25% occupancy bar.
+  s.cycle.cache_bytes_staged = before / 10;  // Well under the 25% occupancy bar.
   EXPECT_GT(engine.OnPauseEnd(s), 0u);
   const size_t after = engine.tuning().write_cache_capacity_bytes;
   EXPECT_LT(after, before);
   EXPECT_GE(after, engine.min_cache_bytes());
-  EXPECT_GE(after, s.cache_bytes_staged * 2);  // Never shrink below 2x demand.
+  EXPECT_GE(after, s.cycle.cache_bytes_staged * 2);  // Never shrink below 2x demand.
 }
 
 TEST(PolicyEngineTest, CooldownHoldsAKnobStill) {
@@ -137,19 +173,19 @@ TEST(PolicyEngineTest, CooldownHoldsAKnobStill) {
   PolicyEngine engine = MakeEngine(options);
   uint64_t pause = Warmup(engine, options);
   PolicySignals grow = CalmSignals(pause, engine);
-  grow.cache_overflow_bytes = grow.cache_bytes_staged;
+  grow.cycle.cache_overflow_bytes = grow.cycle.cache_bytes_staged;
   EXPECT_GT(engine.OnPauseEnd(grow), 0u);
   const size_t grown = engine.tuning().write_cache_capacity_bytes;
 
   // The very next pause overflows too, but the knob is cooling down.
   PolicySignals again = CalmSignals(pause + 1, engine);
-  again.cache_overflow_bytes = again.cache_bytes_staged;
+  again.cycle.cache_overflow_bytes = again.cycle.cache_bytes_staged;
   engine.OnPauseEnd(again);
   EXPECT_EQ(engine.tuning().write_cache_capacity_bytes, grown);
 
   // One pause later the cooldown has passed.
   PolicySignals later = CalmSignals(pause + 2, engine);
-  later.cache_overflow_bytes = later.cache_bytes_staged;
+  later.cycle.cache_overflow_bytes = later.cycle.cache_bytes_staged;
   engine.OnPauseEnd(later);
   EXPECT_GT(engine.tuning().write_cache_capacity_bytes, grown);
 }
@@ -162,8 +198,8 @@ TEST(PolicyEngineTest, RetreatsOnDegradedPauseAndBlocksRegrowth) {
 
   // DRAM pressure: the guardrail fires even though the knobs are cooling.
   PolicySignals bad = CalmSignals(pause, engine);
-  bad.cache_fault_denials = 3;
-  bad.cache_fallback_workers = 1;
+  bad.cycle.cache_fault_denials = 3;
+  bad.cycle.cache_fallback_workers = 1;
   const size_t cache_before = engine.tuning().write_cache_capacity_bytes;
   EXPECT_GT(engine.OnPauseEnd(bad), 0u);
   EXPECT_EQ(engine.retreats(), 1u);
@@ -177,7 +213,7 @@ TEST(PolicyEngineTest, RetreatsOnDegradedPauseAndBlocksRegrowth) {
   // Growth stays blocked inside the retreat window even under overflow.
   ++pause;
   PolicySignals overflow = CalmSignals(pause, engine);
-  overflow.cache_overflow_bytes = overflow.cache_bytes_staged;
+  overflow.cycle.cache_overflow_bytes = overflow.cycle.cache_bytes_staged;
   const size_t after_retreat = engine.tuning().write_cache_capacity_bytes;
   engine.OnPauseEnd(overflow);
   EXPECT_EQ(engine.tuning().write_cache_capacity_bytes, after_retreat);
@@ -185,7 +221,7 @@ TEST(PolicyEngineTest, RetreatsOnDegradedPauseAndBlocksRegrowth) {
   // Past the window the controller grows again.
   ++pause;
   PolicySignals recover = CalmSignals(pause, engine);
-  recover.cache_overflow_bytes = recover.cache_bytes_staged;
+  recover.cycle.cache_overflow_bytes = recover.cycle.cache_bytes_staged;
   engine.OnPauseEnd(recover);
   EXPECT_GT(engine.tuning().write_cache_capacity_bytes, after_retreat);
 }
@@ -198,15 +234,15 @@ TEST(PolicyEngineTest, ResizesHeaderMapFromOverflowRate) {
   const size_t before = engine.tuning().header_map_entries;
 
   PolicySignals s = CalmSignals(pause, engine);
-  s.hm_installs = 700;
-  s.hm_overflows = 300;  // 30% overflow rate.
+  s.cycle.header_map_installs = 700;
+  s.cycle.header_map_overflows = 300;  // 30% overflow rate.
   EXPECT_GT(engine.OnPauseEnd(s), 0u);
   EXPECT_EQ(engine.tuning().header_map_entries, before * 2);
 
   // Near-empty map with no overflow halves back after the cooldown.
   pause += 2;
   PolicySignals idle = CalmSignals(pause, engine);
-  idle.hm_installs = 4;
+  idle.cycle.header_map_installs = 4;
   EXPECT_GT(engine.OnPauseEnd(idle), 0u);
   EXPECT_EQ(engine.tuning().header_map_entries, before);
 }
@@ -218,24 +254,24 @@ TEST(PolicyEngineTest, AsyncFlushHysteresisOnStealTaint) {
   ASSERT_TRUE(engine.tuning().async_flush);
 
   PolicySignals tainted = CalmSignals(pause, engine);
-  tainted.regions_flushed_async = 10;
-  tainted.regions_steal_tainted = 6;  // 60% > off threshold.
+  tainted.cycle.regions_flushed_async = 10;
+  tainted.cycle.regions_steal_tainted = 6;  // 60% > off threshold.
   EXPECT_GT(engine.OnPauseEnd(tainted), 0u);
   EXPECT_FALSE(engine.tuning().async_flush);
 
   // 30% taint is inside the hysteresis band: stays off.
   pause += 2;
   PolicySignals band = CalmSignals(pause, engine);
-  band.regions_flushed_sync = 10;
-  band.regions_steal_tainted = 3;
+  band.cycle.regions_flushed_sync = 10;
+  band.cycle.regions_steal_tainted = 3;
   engine.OnPauseEnd(band);
   EXPECT_FALSE(engine.tuning().async_flush);
 
   // 10% taint re-enables it.
   pause += 2;
   PolicySignals clean = CalmSignals(pause, engine);
-  clean.regions_flushed_sync = 10;
-  clean.regions_steal_tainted = 1;
+  clean.cycle.regions_flushed_sync = 10;
+  clean.cycle.regions_steal_tainted = 1;
   EXPECT_GT(engine.OnPauseEnd(clean), 0u);
   EXPECT_TRUE(engine.tuning().async_flush);
 }
@@ -288,15 +324,15 @@ TEST(PolicyEngineTest, PrefetchWindowNarrowsAndWidens) {
   ASSERT_EQ(engine.tuning().prefetch_window, 64u);
 
   PolicySignals perfect = CalmSignals(pause, engine);
-  perfect.prefetches_issued = 1000;
-  perfect.prefetch_hits = 1000;  // 100% hit rate: the distance is excessive.
+  perfect.cycle.prefetches_issued = 1000;
+  perfect.cycle.prefetch_hits = 1000;  // 100% hit rate: the distance is excessive.
   EXPECT_GT(engine.OnPauseEnd(perfect), 0u);
   EXPECT_EQ(engine.tuning().prefetch_window, 32u);
 
   pause += 2;
   PolicySignals missing = CalmSignals(pause, engine);
-  missing.prefetches_issued = 1000;
-  missing.prefetch_hits = 200;  // 20% hit rate: too shallow.
+  missing.cycle.prefetches_issued = 1000;
+  missing.cycle.prefetch_hits = 200;  // 20% hit rate: too shallow.
   EXPECT_GT(engine.OnPauseEnd(missing), 0u);
   EXPECT_EQ(engine.tuning().prefetch_window, 64u);
 }
