@@ -87,9 +87,9 @@ BENCHMARK(BM_HeaderMapGetMiss);
 
 void BM_TaskQueuePushPop(benchmark::State& state) {
   TaskQueue queue;
-  Address slot = 0;
+  GcTask slot;
   for (auto _ : state) {
-    queue.Push(0x1000);
+    queue.Push({0x1000, 0});
     queue.Pop(&slot);
     benchmark::DoNotOptimize(slot);
   }
@@ -98,17 +98,17 @@ BENCHMARK(BM_TaskQueuePushPop);
 
 void BM_TaskQueueStealHalf(benchmark::State& state) {
   TaskQueue queue;
-  std::vector<Address> buffer;
+  std::vector<GcTask> buffer;
   for (auto _ : state) {
     state.PauseTiming();
     for (int i = 0; i < 64; ++i) {
-      queue.Push(static_cast<Address>(i));
+      queue.Push({static_cast<Address>(i), 0});
     }
     buffer.clear();
     state.ResumeTiming();
     benchmark::DoNotOptimize(queue.StealHalf(&buffer));
     state.PauseTiming();
-    Address slot;
+    GcTask slot;
     while (queue.Pop(&slot)) {
     }
     state.ResumeTiming();

@@ -8,19 +8,17 @@ direction-aware tolerance:
 
   total_ns / gc_ns / app_ns    fail only when the candidate is SLOWER than
                                baseline * (1 + tol); speedups always pass
-                               (times vary with host thread scheduling, so
-                               the default tolerance is generous)
   gc_bandwidth_mbps            fail only when it DROPS below
                                baseline * (1 - tol)
-  gc_count / bytes_allocated   fail on any move beyond the (tight) tolerance
-                               in either direction — these are allocation-
-                               driven and deterministic per seed
+  gc_count / bytes_allocated   fail on any move beyond the tolerance in
+                               either direction
 
-Tiny runs have unbounded *relative* noise (a single sub-millisecond pause can
-swing several-fold with work-steal scheduling), so time metrics additionally
-need an absolute move beyond --floor-ns (default 2 ms) to fail, and
-gc_bandwidth_mbps is not gated at all when the baseline's gc_ns measurement
-window is below that floor.
+Simulated results are deterministic per seed (the collector steps its GC
+workers in simulated-clock order on one host thread), so the time and count
+tolerances are tight. With --floor-ns NS, time metrics additionally need an
+absolute move beyond NS to fail, and gc_bandwidth_mbps is not gated at all
+when the baseline's gc_ns measurement window is below NS (default 0: every
+run is gated).
 
 Exit code 0 when every metric of every gated pair is within tolerance, 1
 otherwise.
@@ -52,15 +50,14 @@ LOWER_IS_BETTER = {"total_ns", "gc_ns", "app_ns"}
 HIGHER_IS_BETTER = {"gc_bandwidth_mbps"}
 NEUTRAL = {"gc_count", "bytes_allocated"}
 
-# Default tolerances in percent. Simulated times are deterministic per seed
-# only up to work-steal scheduling, which shifts pause boundaries; counts and
-# allocation volume are exact.
+# Default tolerances in percent. Two runs of one build agree exactly; the
+# tolerances leave room only for small intended model changes.
 DEFAULT_TOLERANCE = {
-    "total_ns": 50.0,
-    "gc_ns": 50.0,
-    "app_ns": 50.0,
+    "total_ns": 2.0,
+    "gc_ns": 2.0,
+    "app_ns": 2.0,
     "gc_bandwidth_mbps": 50.0,
-    "gc_count": 25.0,
+    "gc_count": 0.0,
     "bytes_allocated": 1.0,
 }
 
@@ -99,7 +96,7 @@ def check_metric(metric, base, cand, tol_pct, floor_ns):
     if metric in LOWER_IS_BETTER:
         regression = max(0.0, delta_pct)
         if metric.endswith("_ns") and cand - base <= floor_ns:
-            return True, regression  # Within the absolute noise floor.
+            return True, regression  # Within the absolute floor.
     elif metric in HIGHER_IS_BETTER:
         regression = max(0.0, -delta_pct)
     else:
@@ -183,11 +180,11 @@ def main():
                          "gated independently in one invocation")
     ap.add_argument("--tolerance", action="append", default=[], metavar="NAME=PCT",
                     help="override one metric's tolerance, e.g. gc_ns=30")
-    ap.add_argument("--floor-ns", type=float, default=2_000_000.0, metavar="NS",
-                    help="absolute noise floor: a time metric must also move "
+    ap.add_argument("--floor-ns", type=float, default=0.0, metavar="NS",
+                    help="absolute floor: a time metric must also move "
                          "by more than NS to fail, and gc_bandwidth_mbps is "
                          "ungated when the baseline gc_ns window is below NS "
-                         "(default: 2ms)")
+                         "(default: 0)")
     ap.add_argument("--inject-regression", type=float, default=None, metavar="PCT",
                     help="self-test: inflate candidate time metrics by PCT "
                          "before gating (the gate must then fail)")

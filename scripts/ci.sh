@@ -14,7 +14,11 @@
 #     the smoke artifacts against the nvmgc.bench.v2 schema, including the
 #     NVM bandwidth counter tracks in the trace;
 #   - nvmgc_bench_gate (+ its WILL_FAIL selftest): scripts/bench_gate.py
-#     comparing the smoke run against the checked-in BENCH_baseline.json;
+#     comparing the smoke run against the checked-in BENCH_baseline.json
+#     (2% on simulated times, 0% on pause counts);
+#   - nvmgc_bench_determinism: the smoke bench run twice at its default
+#     thread count, every result metric identical
+#     (scripts/bench_diff.py --fail-any-change);
 #   - nvmgc_bench_adaptive_smoke / _artifacts_check / _gate: the adaptive
 #     policy engine's phase-shifting bench (which enforces its own acceptance
 #     criteria), its policy.* counter tracks, and its regression baseline

@@ -21,9 +21,12 @@ HeaderMap::HeaderMap(size_t capacity_bytes, uint32_t search_bound, MemoryDevice*
   NVMGC_CHECK(search_bound >= 2);
   size_t entries = capacity_bytes / sizeof(Entry);
   NVMGC_CHECK(entries >= 16);
-  entries = std::bit_floor(entries);
+  AllocateEntries(std::bit_floor(entries));
+}
+
+void HeaderMap::AllocateEntries(size_t entries) {
+  entries_ = MakeAlignedArray<Entry>(entries, 64);
   mask_ = entries - 1;
-  entries_ = std::make_unique<Entry[]>(entries);
 }
 
 void HeaderMap::ChargeProbe(SimClock* clock, PrefetchQueue* prefetch,
@@ -164,8 +167,7 @@ void HeaderMap::ResizeEntries(size_t entries) {
     return;
   }
   NVMGC_DCHECK(OccupiedEntries() == 0);  // Between pauses the map is empty.
-  mask_ = entries - 1;
-  entries_ = std::make_unique<Entry[]>(entries);
+  AllocateEntries(entries);
 }
 
 void HeaderMap::ExportMetrics(MetricsRegistry* metrics) const {

@@ -21,6 +21,7 @@
 #include "src/nvm/memory_device.h"
 #include "src/nvm/prefetch_queue.h"
 #include "src/nvm/sim_clock.h"
+#include "src/util/aligned_buffer.h"
 
 namespace nvmgc {
 
@@ -64,6 +65,13 @@ class HeaderMap {
   // GC pauses" at any map size.
   void ClearJournal(std::vector<uint32_t>* journal, SimClock* clock);
 
+  // Hashes keys by their offset from `origin` instead of by host address, so
+  // which keys collide, and so every probe count and probe cost, does not
+  // depend on where the host placed the heap. The collector passes
+  // Heap::heap_base(), the origin of both the NVM arena and the DRAM arena
+  // (young regions in generational and eden-on-DRAM runs).
+  void set_key_origin(Address origin) { key_origin_ = origin; }
+
   size_t capacity() const { return mask_ + 1; }
   size_t OccupiedEntries() const;
 
@@ -96,17 +104,23 @@ class HeaderMap {
   };
 
   size_t IndexFor(Address old_addr) const {
-    // Fibonacci hashing over the 8-byte-aligned address.
-    return static_cast<size_t>((old_addr >> 3) * 0x9e3779b97f4a7c15ULL >> 32) & mask_;
+    // Fibonacci hashing over the 8-byte-aligned offset from the key origin.
+    const uint64_t key = old_addr - key_origin_;
+    return static_cast<size_t>((key >> 3) * 0x9e3779b97f4a7c15ULL >> 32) & mask_;
   }
 
   void ChargeProbe(SimClock* clock, PrefetchQueue* prefetch, Address probe_addr) const;
+
+  // Allocates `entries` slots starting on a cache line, so which entries
+  // share a probe line does not depend on the host allocator.
+  void AllocateEntries(size_t entries);
 
   MemoryDevice* dram_;
   GcTracer* tracer_ = nullptr;
   uint32_t search_bound_;
   size_t mask_;
-  std::unique_ptr<Entry[]> entries_;
+  AlignedArray<Entry> entries_;
+  Address key_origin_ = 0;
 
   mutable std::atomic<uint64_t> installs_{0};
   mutable std::atomic<uint64_t> overflows_{0};

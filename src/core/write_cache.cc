@@ -139,29 +139,27 @@ void WriteCache::MaybeAsyncFlush(Region* twin, SimClock* clock, GcCycleStats* st
   }
 }
 
-void WriteCache::FlushRemaining(uint32_t worker, uint32_t total_workers, SimClock* clock,
-                                GcCycleStats* stats, PersistBatch* batch) {
-  size_t count = 0;
+size_t WriteCache::pause_twin_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pause_twins_.size();
+}
+
+void WriteCache::FlushPauseTwin(size_t index, SimClock* clock, GcCycleStats* stats,
+                                PersistBatch* batch) {
+  Region* twin = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    count = pause_twins_.size();
+    twin = pause_twins_[index];
   }
-  for (size_t idx = worker; idx < count; idx += total_workers) {
-    Region* twin = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      twin = pause_twins_[idx];
-    }
-    Region* cache = twin->cache_twin();
-    if (cache == nullptr) {
-      continue;  // Already flushed asynchronously.
-    }
-    if (cache->steal_tainted()) {
-      stats->regions_steal_tainted += 1;
-    }
-    if (cache->ClaimFlush()) {
-      FlushPair(twin, clock, stats, /*async=*/false, batch);
-    }
+  Region* cache = twin->cache_twin();
+  if (cache == nullptr) {
+    return;  // Already flushed asynchronously.
+  }
+  if (cache->steal_tainted()) {
+    stats->regions_steal_tainted += 1;
+  }
+  if (cache->ClaimFlush()) {
+    FlushPair(twin, clock, stats, /*async=*/false, batch);
   }
 }
 

@@ -78,14 +78,16 @@ class WriteCache {
   // worker; at most one caller wins the flush.
   void MaybeAsyncFlush(Region* twin, SimClock* clock, GcCycleStats* stats);
 
-  // Synchronous write-back of every still-unflushed pair; workers call this
-  // concurrently and split the list by striding (worker, total_workers), so
-  // the per-worker simulated cost is host-scheduling independent. In
+  // Synchronous write-back, one pair per call: flushes the `index`-th twin
+  // created this pause (of pause_twin_count()) unless it was already flushed
+  // asynchronously. The collector's workers take every n-th index, so each
+  // worker's simulated cost does not depend on the order of their steps. In
   // durability mode the caller passes its per-worker PersistBatch: each
   // drained run is flushed into the batch and the caller fences once at the
   // batch boundary (one SFENCE per worker per write-back phase).
-  void FlushRemaining(uint32_t worker, uint32_t total_workers, SimClock* clock,
-                      GcCycleStats* stats, PersistBatch* batch = nullptr);
+  size_t pause_twin_count() const;
+  void FlushPauseTwin(size_t index, SimClock* clock, GcCycleStats* stats,
+                      PersistBatch* batch = nullptr);
 
   // End-of-pause bookkeeping; returns twins created this pause (survivors).
   std::vector<Region*> TakePauseTwins();
@@ -146,7 +148,7 @@ class WriteCache {
   std::atomic<bool> degraded_{false};
   std::atomic<size_t> staged_bytes_{0};
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::vector<Region*> pause_twins_;  // Twins created during this pause.
 };
 

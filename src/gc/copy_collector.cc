@@ -1,9 +1,7 @@
 #include "src/gc/copy_collector.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "src/nvm/fault_injector.h"
 #include "src/util/check.h"
@@ -22,16 +20,14 @@ constexpr uint64_t kFenceNs = 120;    // sfence after non-temporal write-back.
 constexpr uint64_t kPauseFixedOverheadNs = 40'000;
 }  // namespace
 
-CopyCollector::CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool* pool)
-    : heap_(heap), options_(options), tuning_(DefaultGcTuning(options)), pool_(pool) {
-  NVMGC_CHECK(heap != nullptr && pool != nullptr);
-  NVMGC_CHECK(pool->thread_count() == options.gc_threads);
+CopyCollector::CopyCollector(Heap* heap, const GcOptions& options)
+    : heap_(heap), options_(options), tuning_(DefaultGcTuning(options)) {
+  NVMGC_CHECK(heap != nullptr && options.gc_threads >= 1);
   workers_.resize(options.gc_threads);
   for (uint32_t i = 0; i < options.gc_threads; ++i) {
     workers_[i].id = i;
   }
   queues_ = std::make_unique<TaskQueueSet>(options.gc_threads);
-  published_clock_ = std::make_unique<std::atomic<uint64_t>[]>(options.gc_threads);
   if (options_.use_write_cache) {
     write_cache_ = std::make_unique<WriteCache>(heap_, options_);
   }
@@ -40,6 +36,7 @@ CopyCollector::CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool*
                                                         : heap_->heap_arena_bytes() / 32;
     header_map_ = std::make_unique<HeaderMap>(bytes, options_.header_map_search_bound,
                                               heap_->dram_device());
+    header_map_->set_key_origin(heap_->heap_base());
   }
   if (options_.durability.enabled) {
     commit_layout_ = ComputeCommitLayout(heap_->config(), options_.durability);
@@ -153,12 +150,12 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   size_t qi = 0;
   const uint32_t n = tuning_.active_gc_threads;
   for (Address* root : roots) {
-    queues_->queue(qi++ % n).Push(reinterpret_cast<Address>(root));
+    queues_->queue(qi++ % n).Push({reinterpret_cast<Address>(root), t0});
   }
   if (kind == GcKind::kMinor) {
     for (Region* r : cset) {
       for (Address slot : r->remset().Take()) {
-        queues_->queue(qi++ % n).Push(slot);
+        queues_->queue(qi++ % n).Push({slot, t0});
       }
     }
   } else {
@@ -183,7 +180,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
         for (size_t i = 0; i < nslots; ++i) {
           const Address slot = obj::RefSlot(a, klass, i);
           if (obj::LoadRef(slot) != kNullAddress) {
-            queues_->queue(qi++ % n).Push(slot);
+            queues_->queue(qi++ % n).Push({slot, t0});
           }
         }
       });
@@ -193,51 +190,30 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   const DeviceCounters before = heap_->heap_device()->counters();
 
   // --- Read-mostly sub-phase: parallel copy-and-traverse. ---
-  idle_workers_.store(0, std::memory_order_relaxed);
   for (uint32_t i = 0; i < n; ++i) {
-    published_clock_[i].store(t0, std::memory_order_relaxed);
+    Worker& w = workers_[i];
+    w.local = GcCycleStats{};
+    w.clock.SetTime(t0);
+    w.prefetch.SetWindow(tuning_.prefetch_window);
+    w.hm_prefetch.SetWindow(tuning_.prefetch_window);
+    w.prefetch.Reset();
+    w.hm_prefetch.Reset();
+    w.cache_state = WriteCacheWorkerState{};
+    w.direct_survivor = nullptr;
+    w.old_target = nullptr;
+    w.site_local.assign(
+        site_profiler_ != nullptr ? site_profiler_->site_count() : 0, SiteWorkerDelta{});
   }
   {
     ScopedDeviceActivity heap_activity(heap_->heap_device(), n);
     ScopedDeviceActivity dram_activity(heap_->dram_device(), n);
-    pool_->RunParallel(n, [&](uint32_t id) {
-      Worker& w = workers_[id];
-      w.local = GcCycleStats{};
-      w.clock.SetTime(t0);
-      w.prefetch.SetWindow(tuning_.prefetch_window);
-      w.hm_prefetch.SetWindow(tuning_.prefetch_window);
-      w.prefetch.Reset();
-      w.hm_prefetch.Reset();
-      w.cache_state = WriteCacheWorkerState{};
-      w.direct_survivor = nullptr;
-      w.old_target = nullptr;
-      w.site_local.assign(
-          site_profiler_ != nullptr ? site_profiler_->site_count() : 0, SiteWorkerDelta{});
-      if (tracer_ != nullptr) {
-        tracer_->BindThread(id);
-      }
-      TraceSpan read_span(tracer_, &w.clock, "gc.read_phase", "gc");
-      DrainWorker(&w);
-    });
+    RunStepped(n, [this](Worker* w) { return CopyStep(w); });
   }
   uint64_t read_end = t0;
   for (uint32_t i = 0; i < n; ++i) {
     read_end = std::max(read_end, workers_[i].clock.now_ns());
   }
-  if (std::getenv("NVMGC_GC_DEBUG") != nullptr) {
-    uint64_t sum = 0;
-    uint64_t max_objs = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      sum += workers_[i].clock.now_ns() - t0;
-      max_objs = std::max(max_objs, workers_[i].local.objects_copied);
-    }
-    std::fprintf(stderr,
-                 "[gc %llu] read phase max=%.2fms avg=%.2fms max_worker_objs=%llu\n",
-                 static_cast<unsigned long long>(gc_epoch_),
-                 static_cast<double>(read_end - t0) / 1e6,
-                 static_cast<double>(sum) / n / 1e6,
-                 static_cast<unsigned long long>(max_objs));
-  }
+  EmitWorkerSpans(n, "gc.read_phase", t0);
 
   // A throttle window that opened mid-pause still degrades the write-back:
   // whatever was not already flushed asynchronously goes back synchronously
@@ -255,35 +231,20 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   if (write_cache_ != nullptr || HeaderMapActive()) {
     ScopedDeviceActivity heap_activity(heap_->heap_device(), n);
     ScopedDeviceActivity dram_activity(heap_->dram_device(), n);
-    pool_->RunParallel(n, [&](uint32_t id) {
-      Worker& w = workers_[id];
+    for (uint32_t i = 0; i < n; ++i) {
+      Worker& w = workers_[i];
       w.clock.SetTime(read_end);
-      if (tracer_ != nullptr) {
-        tracer_->BindThread(id);
-      }
-      TraceSpan writeback_span(tracer_, &w.clock, "gc.writeback_phase", "gc");
-      if (write_cache_ != nullptr) {
-        // Close this worker's open pair so the shared flush pass picks it up.
-        w.cache_state.cache_region = nullptr;
-        w.cache_state.twin_region = nullptr;
-        // Durability: each drained run is CLWB'd into this worker's batch and
-        // one SFENCE at the batch boundary makes the whole write-back
-        // durable (no-ops when the persistence ledger is unconfigured).
-        PersistBatch batch(&heap_->heap_device()->persist());
-        write_cache_->FlushRemaining(id, n, &w.clock, &w.local, &batch);
-        batch.Fence(&w.clock);
-        w.local.persist_flush_lines += batch.flush_lines();
-        w.local.persist_fences += batch.fences();
-        w.local.persist_ns += batch.persist_ns();
-        w.clock.Advance(kFenceNs);  // Single ordering fence before GC ends.
-      }
-      if (HeaderMapActive()) {
-        header_map_->ClearJournal(&w.hm_journal, &w.clock);
-      }
-    });
+      // Close this worker's open pair so the shared flush pass picks it up.
+      w.cache_state.cache_region = nullptr;
+      w.cache_state.twin_region = nullptr;
+      w.flush_cursor = i;
+      w.batch.emplace(&heap_->heap_device()->persist());
+    }
+    RunStepped(n, [this, n](Worker* w) { return WritebackStep(w, n); });
     for (uint32_t i = 0; i < n; ++i) {
       pause_end = std::max(pause_end, workers_[i].clock.now_ns());
     }
+    EmitWorkerSpans(n, "gc.writeback_phase", read_end);
   }
 
   // --- Epilogue: reclaim the collection set. ---
@@ -406,68 +367,96 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   return cycle;
 }
 
-void CopyCollector::DrainWorker(Worker* w) {
+template <typename StepFn>
+void CopyCollector::RunStepped(uint32_t n, StepFn step) {
+  std::vector<bool> idle(n, false);
+  uint32_t idle_count = 0;
+  while (idle_count < n) {
+    Worker* w = nullptr;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (!idle[i] && (w == nullptr || workers_[i].clock.now_ns() < w->clock.now_ns())) {
+        w = &workers_[i];
+      }
+    }
+    if (tracer_ != nullptr) {
+      tracer_->BindThread(w->id);
+    }
+    if (!step(w)) {
+      idle[w->id] = true;
+      ++idle_count;
+    } else if (idle_count > 0 && !queues_->queue(w->id).empty()) {
+      // Only the stepped worker's queue can have grown: idle workers may
+      // steal from it again.
+      idle.assign(n, false);
+      idle_count = 0;
+    }
+  }
+}
+
+bool CopyCollector::CopyStep(Worker* w) {
   TaskQueue& own = queues_->queue(w->id);
-  Address slot = kNullAddress;
-  std::vector<Address> steal_buffer;
-  const uint32_t n = tuning_.active_gc_threads;
-  // A worker may run at most this far (simulated) ahead of the slowest
-  // non-idle worker before parking.
-  constexpr uint64_t kLockstepWindowNs = 100'000;
-  auto throttle = [&] {
-    published_clock_[w->id].store(w->clock.now_ns(), std::memory_order_relaxed);
-    while (true) {
-      uint64_t min_clock = UINT64_MAX;
-      for (uint32_t i = 0; i < n; ++i) {
-        min_clock = std::min(min_clock, published_clock_[i].load(std::memory_order_relaxed));
-      }
-      if (min_clock == UINT64_MAX || w->clock.now_ns() <= min_clock + kLockstepWindowNs) {
-        return;  // Everyone else idle, or we are within the window.
-      }
-      std::this_thread::yield();  // Laggards will steal from our queue.
-    }
-  };
-  while (true) {
-    while (own.Pop(&slot)) {
-      w->clock.Advance(kQueueOpNs);
-      ProcessSlot(w, slot);
-      throttle();
-    }
+  GcTask task;
+  if (!own.Pop(&task)) {
     uint32_t victim = 0;
-    steal_buffer.clear();
-    if (queues_->StealHalfFor(w->id, &steal_buffer, &victim) > 0) {
-      w->clock.Advance(kStealNs + kQueueOpNs * steal_buffer.size());
-      w->local.steals += steal_buffer.size();
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->EmitInstant("gc.steal", "gc", w->clock.now_ns());
-      }
-      for (Address stolen : steal_buffer) {
-        TaintRegionOfSlot(stolen);
-        own.Push(stolen);
-      }
-      continue;
+    steal_buffer_.clear();
+    if (queues_->StealHalfFor(w->id, &steal_buffer_, &victim) == 0) {
+      return false;  // Every queue is empty.
     }
-    // Termination protocol: exit only when every worker is idle and every
-    // queue is empty; otherwise re-arm and retry stealing. Idle workers stop
-    // participating in the lockstep window (they publish "infinitely far").
-    published_clock_[w->id].store(UINT64_MAX, std::memory_order_relaxed);
-    idle_workers_.fetch_add(1, std::memory_order_acq_rel);
-    bool done = false;
-    while (true) {
-      if (!queues_->AllEmpty()) {
-        break;
-      }
-      if (idle_workers_.load(std::memory_order_acquire) == n) {
-        done = true;
-        break;
-      }
-      std::this_thread::yield();
+    // A thief (or a worker waking from idle) may be behind the victim: it
+    // cannot take the oldest stolen slot before the victim pushed it.
+    w->clock.SyncForwardTo(steal_buffer_.front().ready_ns);
+    w->clock.Advance(kStealNs + kQueueOpNs * steal_buffer_.size());
+    w->local.steals += steal_buffer_.size();
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->EmitInstant("gc.steal", "gc", w->clock.now_ns());
     }
-    if (done) {
-      return;
+    for (const GcTask& stolen : steal_buffer_) {
+      TaintRegionOfSlot(stolen.slot);
+      own.Push(stolen);
     }
-    idle_workers_.fetch_sub(1, std::memory_order_acq_rel);
-    published_clock_[w->id].store(w->clock.now_ns(), std::memory_order_relaxed);
+    // Process one stolen slot now: a worker that only moved work would leave
+    // its clock, and so its turn, unchanged, and two idle workers could pass
+    // the same slot back and forth forever.
+    own.Pop(&task);
+  }
+  // No slot is processed before it was pushed (a no-op for slots the worker
+  // pushed itself, which its clock has already passed).
+  w->clock.SyncForwardTo(task.ready_ns);
+  w->clock.Advance(kQueueOpNs);
+  ProcessSlot(w, task.slot);
+  return true;
+}
+
+bool CopyCollector::WritebackStep(Worker* w, uint32_t n) {
+  if (write_cache_ != nullptr && w->flush_cursor < write_cache_->pause_twin_count()) {
+    write_cache_->FlushPauseTwin(w->flush_cursor, &w->clock, &w->local, &*w->batch);
+    w->flush_cursor += n;
+    return true;
+  }
+  if (write_cache_ != nullptr) {
+    // Durability: each flushed twin was CLWB'd into this worker's batch, and
+    // one SFENCE at the batch boundary makes the whole write-back durable
+    // (no-ops when the persistence ledger is unconfigured).
+    w->batch->Fence(&w->clock);
+    w->local.persist_flush_lines += w->batch->flush_lines();
+    w->local.persist_fences += w->batch->fences();
+    w->local.persist_ns += w->batch->persist_ns();
+    w->clock.Advance(kFenceNs);  // Single ordering fence before GC ends.
+  }
+  if (HeaderMapActive()) {
+    header_map_->ClearJournal(&w->hm_journal, &w->clock);
+  }
+  w->batch.reset();
+  return false;
+}
+
+void CopyCollector::EmitWorkerSpans(uint32_t n, const char* name, uint64_t start_ns) {
+  if (tracer_ == nullptr || !tracer_->enabled()) {
+    return;
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    tracer_->BindThread(i);
+    tracer_->Emit(name, "gc", start_ns, workers_[i].clock.now_ns());
   }
 }
 
@@ -647,8 +636,8 @@ Address CopyCollector::Evacuate(Worker* w, Address old_addr) {
       if (track) {
         phys_region->AddPendingSlots(1);
       }
-      queues_->queue(w->id).Push(fslot);
       w->clock.Advance(kQueueOpNs);
+      queues_->queue(w->id).Push({fslot, w->clock.now_ns()});
     }
   }
   return target.final;

@@ -17,19 +17,23 @@
 // NVM twin provides the final address; the pause then ends with a write-only
 // sub-phase that streams cache regions back to NVM (non-temporal stores when
 // enabled), optionally overlapped via asynchronous region flushing.
+//
+// The GC workers are logical: each has its own simulated clock, and the
+// calling thread steps them one at a time in simulated-clock order (the
+// lowest clock goes next). A pause is therefore a deterministic function of
+// the heap and the options, however many host cores there are.
 
 #ifndef NVMGC_SRC_GC_COPY_COLLECTOR_H_
 #define NVMGC_SRC_GC_COPY_COLLECTOR_H_
 
-#include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/header_map.h"
 #include "src/core/write_cache.h"
 #include "src/gc/gc_options.h"
 #include "src/gc/gc_stats.h"
-#include "src/gc/gc_thread_pool.h"
 #include "src/gc/task_queue.h"
 #include "src/heap/heap.h"
 #include "src/nvm/prefetch_queue.h"
@@ -43,7 +47,7 @@ namespace nvmgc {
 
 class CopyCollector {
  public:
-  CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool* pool);
+  CopyCollector(Heap* heap, const GcOptions& options);
   virtual ~CopyCollector() = default;
 
   CopyCollector(const CopyCollector&) = delete;
@@ -65,7 +69,7 @@ class CopyCollector {
 
   // Installs the per-pause tuning produced by the adaptive policy engine.
   // Only legal between pauses. Values are clamped to what this collector can
-  // honor (thread count to the pool size, feature toggles to constructed
+  // honor (thread count to options().gc_threads, feature toggles to constructed
   // subsystems); capacity changes are applied to the write cache / header map
   // immediately — both are empty between pauses, so nothing is dropped.
   void ApplyTuning(const GcTuning& tuning);
@@ -122,6 +126,10 @@ class CopyCollector {
     // Per-site evacuation deltas (indexed by site id); only sized when a
     // profiler is attached.
     std::vector<SiteWorkerDelta> site_local;
+    // Write-back phase: index of the next pause twin this worker flushes (it
+    // takes every n-th one), and its CLWB batch, fenced after the last.
+    size_t flush_cursor = 0;
+    std::optional<PersistBatch> batch;
   };
 
   struct CopyTarget {
@@ -144,7 +152,21 @@ class CopyCollector {
   void PersistEpilogue(const std::vector<Address*>& roots, uint64_t* pause_end,
                        GcCycleStats* cycle);
 
-  void DrainWorker(Worker* w);
+  // Steps workers [0, n) on the calling thread until all are idle: each
+  // round runs `step` for the non-idle worker with the lowest simulated clock
+  // (ties to the lowest id). `step` returns false when the worker found
+  // nothing to do, which idles it; idle workers wake when a step leaves work
+  // in a queue.
+  template <typename StepFn>
+  void RunStepped(uint32_t n, StepFn step);
+  // One read-phase step: pop one slot and process it, or, with an empty
+  // queue, steal half of a victim's queue and process one stolen slot.
+  bool CopyStep(Worker* w);
+  // One write-back step: flush the worker's next pause twin; after its last,
+  // fence its batch, clear its header-map journal and return false.
+  bool WritebackStep(Worker* w, uint32_t n);
+  // Emits one `name` span per worker, from `start_ns` to its clock.
+  void EmitWorkerSpans(uint32_t n, const char* name, uint64_t start_ns);
   void ProcessSlot(Worker* w, Address slot);
   Address Evacuate(Worker* w, Address old_addr);
   void AllocateTarget(Worker* w, size_t size, bool promote, CopyTarget* out);
@@ -156,7 +178,6 @@ class CopyCollector {
   // The per-pause mutable view of options_: static runs keep DefaultGcTuning
   // forever; adaptive runs rewrite it between pauses via ApplyTuning.
   GcTuning tuning_;
-  GcThreadPool* pool_;
   GcTracer* tracer_ = nullptr;
   DeviceTimeline* timeline_ = nullptr;
   AllocSiteProfiler* site_profiler_ = nullptr;
@@ -165,13 +186,7 @@ class CopyCollector {
   std::unique_ptr<WriteCache> write_cache_;
   std::unique_ptr<TaskQueueSet> queues_;
   std::vector<Worker> workers_;
-  // Published per-worker simulated clocks for lockstep throttling: a worker
-  // that runs far ahead of the slowest active worker in *simulated* time
-  // parks until the others catch up (or go idle), so work stealing and the
-  // bandwidth arbiter see a faithful parallel schedule even when the host
-  // serializes the worker threads.
-  std::unique_ptr<std::atomic<uint64_t>[]> published_clock_;
-  std::atomic<uint32_t> idle_workers_{0};
+  std::vector<GcTask> steal_buffer_;
   uint64_t gc_epoch_ = 0;
   GcKind kind_ = GcKind::kMinor;  // Kind of the pause currently running.
   CommitLayout commit_layout_;  // Durability mode only.
@@ -187,8 +202,7 @@ class CopyCollector {
 // prefetching on by default.
 class G1Collector : public CopyCollector {
  public:
-  G1Collector(Heap* heap, const GcOptions& options, GcThreadPool* pool)
-      : CopyCollector(heap, options, pool) {}
+  G1Collector(Heap* heap, const GcOptions& options) : CopyCollector(heap, options) {}
   const char* name() const override { return "g1"; }
 };
 
@@ -196,8 +210,8 @@ class G1Collector : public CopyCollector {
 // copied directly and bypass the write cache.
 class PsCollector : public CopyCollector {
  public:
-  PsCollector(Heap* heap, const GcOptions& options, GcThreadPool* pool)
-      : CopyCollector(heap, options, pool), lab_bytes_(options.lab_bytes) {}
+  PsCollector(Heap* heap, const GcOptions& options)
+      : CopyCollector(heap, options), lab_bytes_(options.lab_bytes) {}
   const char* name() const override { return "ps"; }
 
  protected:

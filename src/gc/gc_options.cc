@@ -149,12 +149,12 @@ std::string GcOptions::Validate() const {
     }
     if (adaptive.min_gc_threads > gc_threads) {
       return "adaptive.min_gc_threads exceeds gc_threads: the clamp range must fit "
-             "inside the constructed pool (lower min_gc_threads or raise GcThreads "
+             "inside the collector's workers (lower min_gc_threads or raise GcThreads "
              "before AdaptivePolicy(AdaptivePolicyOptions))";
     }
     if (adaptive.max_gc_threads != 0) {
       if (adaptive.max_gc_threads > gc_threads) {
-        return "adaptive.max_gc_threads exceeds gc_threads: the pool only has "
+        return "adaptive.max_gc_threads exceeds gc_threads: the collector only has "
                "gc_threads workers, the controller cannot add more (lower "
                "max_gc_threads or raise GcThreads before "
                "AdaptivePolicy(AdaptivePolicyOptions))";

@@ -37,7 +37,7 @@ struct AdaptivePolicyOptions {
   // (1 + step), shrink by (1 - step).
   double step_fraction = 0.5;
   // Clamp range for the adapted GC thread count. max 0 = gc_threads (the
-  // pool size, which is also the hard upper bound).
+  // number of workers the collector has, which is also the hard upper bound).
   uint32_t min_gc_threads = 1;
   uint32_t max_gc_threads = 0;
   // Clamp range for the adapted write-cache capacity. max 0 = derived from

@@ -1,10 +1,10 @@
 // Per-worker work-stealing task queues.
 //
 // A task is the address of a reference slot awaiting processing (exactly what
-// HotSpot's GC task queues hold during evacuation). The owner pushes/pops at
-// the bottom (LIFO — the depth-first order both the paper's Figure 4 flush
-// tracking and G1's prefetching strategy depend on); thieves steal from the
-// top (FIFO).
+// HotSpot's GC task queues hold during evacuation), stamped with the
+// simulated instant it was pushed. The owner pushes/pops at the bottom (LIFO
+// — the depth-first order both the paper's Figure 4 flush tracking and G1's
+// prefetching strategy depend on); thieves steal from the top (FIFO).
 //
 // A mutex-per-queue implementation is deliberately chosen over Chase-Lev:
 // queue operation *cost* is modeled on the simulated clock, so host-side
@@ -23,31 +23,39 @@
 
 namespace nvmgc {
 
+// A reference slot plus the simulated instant its pusher made it visible: a
+// thief may steal it no earlier than that, however far behind its own clock
+// is.
+struct GcTask {
+  Address slot = kNullAddress;
+  uint64_t ready_ns = 0;
+};
+
 class TaskQueue {
  public:
   TaskQueue() = default;
 
-  void Push(Address slot) {
+  void Push(GcTask task) {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push_back(slot);
+    tasks_.push_back(task);
   }
 
-  bool Pop(Address* slot) {
+  bool Pop(GcTask* task) {
     std::lock_guard<std::mutex> lock(mu_);
     if (tasks_.empty()) {
       return false;
     }
-    *slot = tasks_.back();
+    *task = tasks_.back();
     tasks_.pop_back();
     return true;
   }
 
-  bool Steal(Address* slot) {
+  bool Steal(GcTask* task) {
     std::lock_guard<std::mutex> lock(mu_);
     if (tasks_.empty()) {
       return false;
     }
-    *slot = tasks_.front();
+    *task = tasks_.front();
     tasks_.pop_front();
     return true;
   }
@@ -55,7 +63,7 @@ class TaskQueue {
   // Steals up to half of this queue (oldest first) into `out`; returns the
   // number stolen. Batching steals keeps thieves from ping-ponging one task
   // at a time when a victim holds a deep subtree.
-  size_t StealHalf(std::vector<Address>* out) {
+  size_t StealHalf(std::vector<GcTask>* out) {
     std::lock_guard<std::mutex> lock(mu_);
     const size_t take = (tasks_.size() + 1) / 2;
     for (size_t i = 0; i < take; ++i) {
@@ -74,7 +82,7 @@ class TaskQueue {
 
  private:
   mutable std::mutex mu_;
-  std::deque<Address> tasks_;
+  std::deque<GcTask> tasks_;
 };
 
 // The set of queues for one parallel phase, with steal-victim selection.
@@ -87,11 +95,11 @@ class TaskQueueSet {
 
   // Attempts to steal a task for `thief`, round-robining over victims.
   // Returns the victim id through `victim_out` on success.
-  bool StealFor(uint32_t thief, Address* slot, uint32_t* victim_out) {
+  bool StealFor(uint32_t thief, GcTask* task, uint32_t* victim_out) {
     const uint32_t n = size();
     for (uint32_t i = 1; i < n; ++i) {
       const uint32_t victim = (thief + i) % n;
-      if (queues_[victim].Steal(slot)) {
+      if (queues_[victim].Steal(task)) {
         *victim_out = victim;
         return true;
       }
@@ -101,7 +109,7 @@ class TaskQueueSet {
 
   // Steal-half variant: moves up to half of the first non-empty victim's
   // queue into `out`.
-  size_t StealHalfFor(uint32_t thief, std::vector<Address>* out, uint32_t* victim_out) {
+  size_t StealHalfFor(uint32_t thief, std::vector<GcTask>* out, uint32_t* victim_out) {
     const uint32_t n = size();
     for (uint32_t i = 1; i < n; ++i) {
       const uint32_t victim = (thief + i) % n;

@@ -24,10 +24,18 @@ Heap::Heap(const HeapConfig& config, MemoryDevice* heap_device, MemoryDevice* dr
   // The commit area (durability mode) lives past the regions in the same
   // arena so its writes are charged to the same device and tracked by the
   // same persistence ledger; InHeapArena()/RegionFor() exclude it.
-  heap_arena_ = std::make_unique<uint8_t[]>(heap_bytes_ + config.commit_area_bytes);
-  cache_arena_ = std::make_unique<uint8_t[]>(cache_bytes_ == 0 ? 1 : cache_bytes_);
-  heap_base_ = reinterpret_cast<Address>(heap_arena_.get());
-  cache_base_ = reinterpret_cast<Address>(cache_arena_.get());
+  //
+  // Both arenas share one page-aligned buffer, so every object's offset from
+  // heap_base() — and with it every line-granular cost and header-map
+  // collision — is independent of host placement. The DRAM arena starts on
+  // the first page boundary strictly past the heap arena's end, so the
+  // heap arena's one-past-the-end address is in neither arena.
+  constexpr size_t kPageBytes = 4096;
+  const size_t cache_offset =
+      (heap_bytes_ + config.commit_area_bytes) / kPageBytes * kPageBytes + kPageBytes;
+  arena_ = MakeAlignedArray<uint8_t>(cache_offset + cache_bytes_, kPageBytes);
+  heap_base_ = reinterpret_cast<Address>(arena_.get());
+  cache_base_ = heap_base_ + cache_offset;
 
   heap_region_count_ = config.heap_regions;
   cache_region_count_ = config.dram_cache_regions;

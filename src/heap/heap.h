@@ -20,6 +20,7 @@
 #include "src/heap/object.h"
 #include "src/heap/region.h"
 #include "src/nvm/memory_device.h"
+#include "src/util/aligned_buffer.h"
 
 namespace nvmgc {
 
@@ -133,8 +134,8 @@ class Heap {
   // Total bytes of DRAM currently lent to staging (for cost accounting).
   size_t cache_arena_bytes() const { return cache_bytes_; }
   size_t heap_arena_bytes() const { return heap_bytes_; }
-  // Arena origin: lets tests compare object placement across Vm instances by
-  // arena offset rather than host address.
+  // Arena origin (of both arenas): lets tests compare object placement
+  // across Vm instances by offset rather than host address.
   Address heap_base() const { return heap_base_; }
   // The durability commit area appended past the regions (empty when
   // commit_area_bytes is 0).
@@ -150,8 +151,7 @@ class Heap {
   MemoryDevice* dram_device_;
   KlassTable klasses_;
 
-  std::unique_ptr<uint8_t[]> heap_arena_;
-  std::unique_ptr<uint8_t[]> cache_arena_;
+  AlignedArray<uint8_t> arena_;  // Heap arena, then the DRAM arena.
   Address heap_base_ = 0;
   Address cache_base_ = 0;
   size_t heap_bytes_ = 0;

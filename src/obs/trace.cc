@@ -8,8 +8,8 @@ namespace nvmgc {
 namespace {
 
 // Host-thread → (tracer, ring) binding. A single slot per host thread is
-// enough: a thread serves one tracer at a time (worker threads belong to one
-// pool; bench processes run Vms sequentially).
+// enough: a thread serves one tracer at a time (a pause runs on one thread;
+// bench processes run Vms sequentially).
 struct ThreadBinding {
   const GcTracer* owner = nullptr;
   uint32_t tid = 0;

@@ -7,11 +7,11 @@
 // deterministic and seeds replay identically.
 //
 // Concurrency model: each logical GC thread records into its own fixed-size
-// ring buffer; a host thread binds itself to a logical tid at the start of a
-// parallel phase (GcTracer::BindThread) and subsequent emits are plain
-// unsynchronized writes into that ring. When the ring wraps, the oldest
-// events are overwritten and counted as dropped. Export (SortedEvents /
-// WriteChromeTrace) must only run while no parallel phase is active.
+// ring buffer; a host thread binds itself to a logical tid
+// (GcTracer::BindThread) and subsequent emits are plain unsynchronized writes
+// into that ring. The collector rebinds before every worker step. When the
+// ring wraps, the oldest events are overwritten and counted as dropped.
+// Export (SortedEvents / WriteChromeTrace) must only run between pauses.
 
 #ifndef NVMGC_SRC_OBS_TRACE_H_
 #define NVMGC_SRC_OBS_TRACE_H_
@@ -60,8 +60,8 @@ class GcTracer {
   uint32_t control_tid() const { return gc_threads_; }
 
   // Binds the calling host thread to logical thread `tid` for subsequent
-  // emits. Called by the collector at the start of every parallel phase (and
-  // by the control thread once per pause); rebinding is cheap.
+  // emits. Called by the collector before every worker step (and for the
+  // control thread once per pause); rebinding is cheap.
   void BindThread(uint32_t tid);
 
   // Emits a completed span / an instant event on the bound logical thread.

@@ -87,15 +87,14 @@ Vm::Vm(const VmOptions& options) : options_(options) {
         d.fence_cost_ns >= 0 ? static_cast<uint64_t>(d.fence_cost_ns) : profile.fence_ns);
     heap_->set_durable_quarantine(true);
   }
-  pool_ = std::make_unique<GcThreadPool>(options.gc.gc_threads);
   tracer_ = std::make_unique<GcTracer>(options.gc.gc_threads, options.trace_ring_capacity);
   tracer_->set_enabled(options.trace_gc);
   switch (options.gc.collector) {
     case CollectorKind::kG1:
-      collector_ = std::make_unique<G1Collector>(heap_.get(), options.gc, pool_.get());
+      collector_ = std::make_unique<G1Collector>(heap_.get(), options.gc);
       break;
     case CollectorKind::kParallelScavenge:
-      collector_ = std::make_unique<PsCollector>(heap_.get(), options.gc, pool_.get());
+      collector_ = std::make_unique<PsCollector>(heap_.get(), options.gc);
       break;
   }
   collector_->set_tracer(tracer_.get());
@@ -310,7 +309,6 @@ std::string Vm::DumpFlightRecord(const std::string& dir) {
 void Vm::ExportLifetimeMetrics() {
   heap_device_->ExportMetrics(&metrics_, "device.heap");
   dram_device_->ExportMetrics(&metrics_, "device.dram");
-  pool_->ExportMetrics(&metrics_);
   if (collector_->write_cache() != nullptr) {
     collector_->write_cache()->ExportMetrics(&metrics_);
   }

@@ -1,7 +1,7 @@
 // The virtual machine facade: devices + heap + collector + mutators + roots.
 //
 // A Vm is the analog of one JVM process: it owns the simulated DRAM/NVM
-// devices, the region heap, the GC thread pool and collector, the root-handle
+// devices, the region heap, the collector, the root-handle
 // table, and the single simulated application clock that all mutators share.
 // Workloads allocate through Mutator and read time through now_ns(); every
 // reported number (GC pause, application time, request latency) is simulated.
@@ -17,7 +17,6 @@
 
 #include "src/gc/copy_collector.h"
 #include "src/gc/gc_options.h"
-#include "src/gc/gc_thread_pool.h"
 #include "src/heap/heap.h"
 #include "src/nvm/device_profile.h"
 #include "src/nvm/memory_device.h"
@@ -177,7 +176,6 @@ class Vm {
   MemoryDevice* heap_device_ = nullptr;
   std::unique_ptr<MemoryDevice> dram_device_;
   std::unique_ptr<Heap> heap_;
-  std::unique_ptr<GcThreadPool> pool_;
   std::unique_ptr<CopyCollector> collector_;
   std::unique_ptr<GcTracer> tracer_;
   std::unique_ptr<DeviceTimeline> timeline_;

@@ -287,5 +287,115 @@ INSTANTIATE_TEST_SUITE_P(AllGcConfigs, GcIntegrationTest, ::testing::ValuesIn(Al
                            return info.param.label;
                          });
 
+// Determinism: the collector steps its logical workers in simulated-clock
+// order on one host thread, and hashes header-map keys by arena offset, so a
+// pause is a function of the heap and the options alone. Two Vms alive in one
+// process (different arena addresses) must agree pause by pause.
+VmOptions DeterminismOptions(bool generational) {
+  VmOptions o;
+  o.heap.region_bytes = 64 * 1024;
+  o.heap.heap_regions = 512;
+  o.heap.dram_cache_regions = 128;
+  o.heap.heap_device = DeviceKind::kNvm;
+  if (generational) {
+    o.gc = GenerationalGcOptions(CollectorKind::kG1, 8);
+  } else {
+    o.heap.eden_regions = 64;
+    o.gc = GcOptionsBuilder(AllOptimizationsOptions(CollectorKind::kG1, 8)).AsyncFlush().Build();
+  }
+  return o;
+}
+
+// Seeded churn: a rooted random graph that keeps growing live chains while
+// allocating garbage, with implicit (eden-full) and explicit collections.
+void RunSeededChurn(Vm* vm, uint64_t seed) {
+  GraphWorkload g(vm);
+  Random rng(seed);
+  std::vector<RootHandle> roots;
+  for (int i = 0; i < 64; ++i) {
+    roots.push_back(vm->NewRoot(g.NewNode()));
+  }
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 2000; ++i) {
+      const Address fresh = g.NewNode();
+      const RootHandle r = roots[rng.NextBelow(roots.size())];
+      if (rng.NextBelow(4) == 0) {
+        // Keep it: push the fresh node in front of a root's chain.
+        g.Link(fresh, 0, vm->GetRoot(r));
+        vm->SetRoot(r, fresh);
+      } else if (rng.NextBelow(8) == 0) {
+        g.Link(vm->GetRoot(r), 1, vm->GetRoot(roots[rng.NextBelow(roots.size())]));
+      }
+    }
+    const bool major = vm->options().gc.generational.enabled && round % 4 == 3;
+    vm->CollectNow(major ? GcKind::kMajor : GcKind::kMinor);
+  }
+  for (RootHandle r : roots) {
+    g.VerifyFrom(vm->GetRoot(r));
+  }
+}
+
+class DeterminismTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DeterminismTest, TwoVmsInOneProcessAgreePauseByPause) {
+  Vm a(DeterminismOptions(GetParam()));
+  Vm b(DeterminismOptions(GetParam()));
+  RunSeededChurn(&a, 11);
+  RunSeededChurn(&b, 11);
+  const std::vector<GcCycleStats>& ca = a.gc_stats().cycles();
+  const std::vector<GcCycleStats>& cb = b.gc_stats().cycles();
+  ASSERT_EQ(ca.size(), cb.size());
+  uint64_t steals = 0;
+  for (size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].pause_ns, cb[i].pause_ns) << "pause " << i;
+    EXPECT_EQ(ca[i].read_phase_ns, cb[i].read_phase_ns) << "pause " << i;
+    EXPECT_EQ(ca[i].steals, cb[i].steals) << "pause " << i;
+    steals += ca[i].steals;
+  }
+  EXPECT_GT(steals, 0u);  // The workers did share work.
+  const GcCycleStats ta = a.gc_stats().Totals();
+  const GcCycleStats tb = b.gc_stats().Totals();
+  for (const GcCycleField& f : kGcCycleFields) {
+    EXPECT_EQ(ta.*f.member, tb.*f.member) << (f.metric != nullptr ? f.metric : "unnamed field");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, DeterminismTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "generational" : "all_async";
+                         });
+
+// A pointer chain is serial work: the slot of node k+1 is pushed only once
+// node k is copied, so extra GC threads can steal it but never copy two links
+// at once. A stolen slot is processed no earlier than it was pushed, so eight
+// threads must not finish the chain's read phase faster than one.
+uint64_t ChainReadPhaseNs(CollectorKind collector, uint32_t threads) {
+  VmOptions o;
+  o.heap.region_bytes = 64 * 1024;
+  o.heap.heap_regions = 512;
+  o.heap.eden_regions = 64;
+  o.heap.heap_device = DeviceKind::kNvm;
+  o.gc = VanillaOptions(collector, threads);
+  Vm vm(o);
+  GraphWorkload g(&vm);
+  const RootHandle head = vm.NewRoot(g.NewNode());
+  for (int i = 0; i < 4000; ++i) {
+    const Address fresh = g.NewNode();
+    g.Link(fresh, 0, vm.GetRoot(head));
+    vm.SetRoot(head, fresh);
+  }
+  const GcCycleStats cycle = vm.CollectNow();
+  g.VerifyFrom(vm.GetRoot(head));
+  EXPECT_EQ(vm.gc_stats().cycles().size(), 1u);  // The chain was never split.
+  return cycle.read_phase_ns;
+}
+
+TEST(SteppedWorkersTest, StolenChainLinksRunNoEarlierThanPushed) {
+  const uint64_t one = ChainReadPhaseNs(CollectorKind::kG1, 1);
+  const uint64_t eight = ChainReadPhaseNs(CollectorKind::kG1, 8);
+  EXPECT_GE(eight, one) << "1 thread: " << one << " ns, 8 threads: " << eight << " ns";
+  EXPECT_LT(eight, one * 2) << "1 thread: " << one << " ns, 8 threads: " << eight << " ns";
+}
+
 }  // namespace
 }  // namespace nvmgc

@@ -164,6 +164,31 @@ TEST_F(HeaderMapTest, ConcurrentPutsAgreeOnOneWinner) {
   EXPECT_EQ(map.installs(), static_cast<uint64_t>(kKeys));
 }
 
+// Keys are hashed by their offset from the key origin, so two maps whose
+// heaps sit at different host addresses see the same collisions, overflows
+// and probe costs for keys at the same offsets.
+TEST_F(HeaderMapTest, ArenaOffsetsNotHostAddressesDecideCollisions) {
+  struct Run {
+    uint64_t installs, overflows, clock_ns;
+  };
+  auto run = [&](Address origin) {
+    MemoryDevice dram(MakeDramProfile());
+    HeaderMap map(64 * 16 /* 64 entries */, 4, &dram);
+    map.set_key_origin(origin);
+    SimClock clock;
+    for (uint64_t i = 0; i < 48; ++i) {
+      map.Put(origin + (i * 7919 * 24) % (1 << 20), 0x10, &clock, nullptr);
+    }
+    return Run{map.installs(), map.overflows(), clock.now_ns()};
+  };
+  const Run a = run(0x10000000);
+  const Run b = run(0x7f3a12345670);
+  EXPECT_GT(a.overflows, 0u);  // The window is small enough to overflow.
+  EXPECT_EQ(a.installs, b.installs);
+  EXPECT_EQ(a.overflows, b.overflows);
+  EXPECT_EQ(a.clock_ns, b.clock_ns);
+}
+
 TEST_F(HeaderMapTest, CapacityRoundedToPowerOfTwo) {
   MemoryDevice dram(MakeDramProfile());
   HeaderMap map(1000 /* bytes -> 62 entries -> 32 */, 4, &dram);

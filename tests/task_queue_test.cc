@@ -1,129 +1,91 @@
-// Tests for work-stealing queues and the GC thread pool.
+// Tests for the work-stealing task queues.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <vector>
 
-#include "src/gc/gc_thread_pool.h"
 #include "src/gc/task_queue.h"
 
 namespace nvmgc {
 namespace {
 
+std::vector<Address> Slots(const std::vector<GcTask>& tasks) {
+  std::vector<Address> slots;
+  for (const GcTask& t : tasks) {
+    slots.push_back(t.slot);
+  }
+  return slots;
+}
+
 TEST(TaskQueueTest, LifoOwnerOrder) {
   TaskQueue q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  Address v = 0;
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 3u);
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2u);
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1u);
-  EXPECT_FALSE(q.Pop(&v));
+  q.Push({1, 10});
+  q.Push({2, 20});
+  q.Push({3, 30});
+  GcTask t;
+  ASSERT_TRUE(q.Pop(&t));
+  EXPECT_EQ(t.slot, 3u);
+  EXPECT_EQ(t.ready_ns, 30u);  // The push instant travels with the slot.
+  ASSERT_TRUE(q.Pop(&t));
+  EXPECT_EQ(t.slot, 2u);
+  ASSERT_TRUE(q.Pop(&t));
+  EXPECT_EQ(t.slot, 1u);
+  EXPECT_FALSE(q.Pop(&t));
 }
 
 TEST(TaskQueueTest, StealTakesOldest) {
   TaskQueue q;
-  q.Push(1);
-  q.Push(2);
-  Address v = 0;
-  ASSERT_TRUE(q.Steal(&v));
-  EXPECT_EQ(v, 1u);  // FIFO from the top.
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2u);
+  q.Push({1, 0});
+  q.Push({2, 0});
+  GcTask t;
+  ASSERT_TRUE(q.Steal(&t));
+  EXPECT_EQ(t.slot, 1u);  // FIFO from the top.
+  ASSERT_TRUE(q.Pop(&t));
+  EXPECT_EQ(t.slot, 2u);
 }
 
 TEST(TaskQueueTest, StealHalfTakesOldestHalf) {
   TaskQueue q;
   for (Address i = 1; i <= 10; ++i) {
-    q.Push(i);
+    q.Push({i, 100 * i});
   }
-  std::vector<Address> out;
+  std::vector<GcTask> out;
   EXPECT_EQ(q.StealHalf(&out), 5u);
-  EXPECT_EQ(out, (std::vector<Address>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(Slots(out), (std::vector<Address>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(out.back().ready_ns, 500u);
   EXPECT_EQ(q.size(), 5u);
 }
 
 TEST(TaskQueueTest, StealHalfOfOneTakesIt) {
   TaskQueue q;
-  q.Push(42);
-  std::vector<Address> out;
+  q.Push({42, 0});
+  std::vector<GcTask> out;
   EXPECT_EQ(q.StealHalf(&out), 1u);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(TaskQueueSetTest, StealForSkipsSelfAndFindsVictim) {
   TaskQueueSet set(3);
-  set.queue(2).Push(99);
-  Address v = 0;
+  set.queue(2).Push({99, 0});
+  GcTask t;
   uint32_t victim = 0;
-  EXPECT_TRUE(set.StealFor(0, &v, &victim));
-  EXPECT_EQ(v, 99u);
+  EXPECT_TRUE(set.StealFor(0, &t, &victim));
+  EXPECT_EQ(t.slot, 99u);
   EXPECT_EQ(victim, 2u);
-  EXPECT_FALSE(set.StealFor(0, &v, &victim));
+  EXPECT_FALSE(set.StealFor(0, &t, &victim));
   EXPECT_TRUE(set.AllEmpty());
 }
 
 TEST(TaskQueueSetTest, StealHalfForDrainsVictims) {
   TaskQueueSet set(2);
   for (Address i = 0; i < 8; ++i) {
-    set.queue(1).Push(i);
+    set.queue(1).Push({i, 0});
   }
-  std::vector<Address> out;
+  std::vector<GcTask> out;
   uint32_t victim = 0;
   EXPECT_EQ(set.StealHalfFor(0, &out, &victim), 4u);
   EXPECT_EQ(victim, 1u);
   EXPECT_EQ(set.queue(1).size(), 4u);
-}
-
-TEST(GcThreadPoolTest, RunParallelVisitsEveryWorkerExactlyOnce) {
-  GcThreadPool pool(7);
-  std::vector<std::atomic<int>> visits(7);
-  pool.RunParallel([&](uint32_t id) { visits[id].fetch_add(1); });
-  for (auto& v : visits) {
-    EXPECT_EQ(v.load(), 1);
-  }
-}
-
-TEST(GcThreadPoolTest, SequentialPhasesDoNotOverlap) {
-  GcThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int phase = 0; phase < 20; ++phase) {
-    pool.RunParallel([&](uint32_t) { counter.fetch_add(1); });
-    EXPECT_EQ(counter.load(), (phase + 1) * 4);
-  }
-}
-
-TEST(GcThreadPoolTest, WorkersActuallyRunConcurrentlyByContract) {
-  // All workers must enter the phase before any is allowed to finish
-  // (rendezvous) — verifies the pool dispatches to every thread rather than
-  // running the function n times on one thread.
-  constexpr uint32_t kThreads = 4;
-  GcThreadPool pool(kThreads);
-  std::atomic<uint32_t> arrived{0};
-  pool.RunParallel([&](uint32_t) {
-    arrived.fetch_add(1);
-    while (arrived.load() < kThreads) {
-      std::this_thread::yield();
-    }
-  });
-  EXPECT_EQ(arrived.load(), kThreads);
-}
-
-TEST(GcThreadPoolTest, SingleThreadPool) {
-  GcThreadPool pool(1);
-  int runs = 0;
-  const std::function<void(uint32_t)> fn = [&](uint32_t id) {
-    EXPECT_EQ(id, 0u);
-    ++runs;
-  };
-  pool.RunParallel(fn);
-  pool.RunParallel(fn);
-  EXPECT_EQ(runs, 2);
 }
 
 }  // namespace

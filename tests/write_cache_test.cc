@@ -67,7 +67,8 @@ TEST_F(WriteCacheTest, PhysicalTranslationWhileStagedAndAfterFlush) {
   EXPECT_EQ(WriteCache::Physical(heap_.get(), a.final), a.physical);
   // Write recognizable bytes through the staging copy.
   std::memset(reinterpret_cast<void*>(a.physical), 0xAB, 64);
-  cache.FlushRemaining(0, 1, &clock_, &stats_);
+  ASSERT_EQ(cache.pause_twin_count(), 1u);
+  cache.FlushPauseTwin(0, &clock_, &stats_);
   // After the flush the final address holds the bytes and translation is id.
   EXPECT_EQ(WriteCache::Physical(heap_.get(), a.final), a.final);
   EXPECT_EQ(*reinterpret_cast<uint8_t*>(a.final), 0xAB);
@@ -146,7 +147,7 @@ TEST_F(WriteCacheTest, StealTaintSuppressesAsyncFlush) {
   cache.MaybeAsyncFlush(a.twin_region, &clock_, &stats_);
   EXPECT_EQ(stats_.regions_flushed_async, 0u);
   // The synchronous end-of-pause flush still handles it (and counts taint).
-  cache.FlushRemaining(0, 1, &clock_, &stats_);
+  cache.FlushPauseTwin(0, &clock_, &stats_);
   EXPECT_EQ(stats_.regions_flushed_sync, 1u);
   EXPECT_EQ(stats_.regions_steal_tainted, 1u);
 }
@@ -157,7 +158,7 @@ TEST_F(WriteCacheTest, FlushChargesNonTemporalWrites) {
   WriteCache::Allocation a;
   ASSERT_TRUE(cache.Allocate(&state, 4096, &a, 1, &clock_, &stats_));
   const DeviceCounters before = nvm_.counters();
-  cache.FlushRemaining(0, 1, &clock_, &stats_);
+  cache.FlushPauseTwin(0, &clock_, &stats_);
   const DeviceCounters delta = nvm_.counters() - before;
   EXPECT_EQ(delta.nt_write_bytes, 4096u);
   EXPECT_EQ(delta.write_bytes, 4096u);
@@ -168,7 +169,7 @@ TEST_F(WriteCacheTest, TakePauseTwinsResets) {
   WriteCacheWorkerState state;
   WriteCache::Allocation a;
   ASSERT_TRUE(cache.Allocate(&state, 64, &a, 1, &clock_, &stats_));
-  cache.FlushRemaining(0, 1, &clock_, &stats_);
+  cache.FlushPauseTwin(0, &clock_, &stats_);
   const auto twins = cache.TakePauseTwins();
   EXPECT_EQ(twins.size(), 1u);
   EXPECT_EQ(cache.staged_bytes(), 0u);
