@@ -22,6 +22,11 @@ import sys
 SCHEMAS = ("nvmgc.bench.v1", "nvmgc.bench.v2")
 RESULT_KEYS = {"total_ns", "gc_ns", "app_ns", "gc_count", "bytes_allocated",
                "gc_bandwidth_mbps"}
+# The GcPauseMetricNames() entries this script reads from pause values.
+# ctest nvmgc_script_metric_names checks each against the C++ table, so a
+# rename there fails a test instead of silently emptying a check here.
+PAUSE_METRICS = ("gc.pause_ns",)
+PAUSE_NS = PAUSE_METRICS[0]
 RUN_KEYS = {"label", "workload", "config", "reps", "result", "metrics", "pauses"}
 HISTOGRAM_KEYS = {"count", "p50", "p95", "p99", "max", "mean"}
 TIMELINE_KEYS = {"pause", "phase", "time_ns", "read_mbps", "write_mbps",
@@ -129,8 +134,8 @@ def check_json(path, require_pauses, require_timeline):
             for key in ("id", "start_ns", "values"):
                 if key not in pause:
                     fail(f"{path}: runs[{i}].pauses[{j}] missing {key!r}")
-            if "gc.pause_ns" not in pause["values"]:
-                fail(f"{path}: runs[{i}].pauses[{j}].values lacks gc.pause_ns")
+            if PAUSE_NS not in pause["values"]:
+                fail(f"{path}: runs[{i}].pauses[{j}].values lacks {PAUSE_NS}")
             # Snapshot-vs-aggregate consistency: no pause value may exceed the
             # lifetime counter of the same name.
             for name, value in pause["values"].items():

@@ -27,6 +27,11 @@ import sys
 # Digest output is routinely piped into head/less; die quietly on SIGPIPE.
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
+# The GcPauseMetricNames() entries this script reads from pause counters.
+# ctest nvmgc_script_metric_names checks each against the C++ table, so a
+# rename there fails a test instead of silently emptying a check here.
+PAUSE_METRICS = ("gc.pause_ns", "gc.bytes_copied")
+PAUSE_NS, BYTES_COPIED = PAUSE_METRICS
 TRIGGER_KINDS = {"pause_threshold", "p99_outlier", "degraded", "retreat",
                  "survivor_overflow", "explicit", "crash"}
 TRIGGER_KEYS = {"kind", "pause_id", "observed_ns", "threshold_ns", "detail"}
@@ -98,8 +103,8 @@ def validate_incident(path, doc):
             fail(f"{path}: pauses[{i}] missing keys {sorted(missing)}")
         if not isinstance(p["counters"], dict) or not p["counters"]:
             fail(f"{path}: pauses[{i}].counters missing or empty")
-        if "gc.pause_ns" not in p["counters"]:
-            fail(f"{path}: pauses[{i}].counters lacks gc.pause_ns")
+        if PAUSE_NS not in p["counters"]:
+            fail(f"{path}: pauses[{i}].counters lacks {PAUSE_NS}")
         for j, s in enumerate(p["sites"]):
             missing = PAUSE_SITE_KEYS - s.keys()
             if missing:
@@ -156,7 +161,7 @@ def print_incident(path, doc, top):
         marks = "".join(["*" if p["pause_id"] == trigger["pause_id"] else " ",
                          "D" if p["degraded"] else " ",
                          "R" if p["retreat"] else " "])
-        copied = p["counters"].get("gc.bytes_copied", 0)
+        copied = p["counters"].get(BYTES_COPIED, 0)
         decided = len(p["decisions"])
         print(f"   {marks} GC({p['pause_id']}) {p['kind']:5s} "
               f"{p['pause_ns'] / 1e6:8.3f} ms "

@@ -1,6 +1,7 @@
 #include "src/heap/heap.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/check.h"
 
@@ -11,7 +12,10 @@ Heap::Heap(const HeapConfig& config, MemoryDevice* heap_device, MemoryDevice* dr
   NVMGC_CHECK(heap_device_ != nullptr && dram_device_ != nullptr);
   NVMGC_CHECK(heap_device_->kind() == config.heap_device);
   NVMGC_CHECK(dram_device_->kind() == DeviceKind::kDram);
-  NVMGC_CHECK(config.region_bytes >= 4096 && (config.region_bytes % 8) == 0);
+  NVMGC_CHECK_MSG(config.region_bytes >= 4096 && std::has_single_bit(config.region_bytes),
+                  "HeapConfig::region_bytes must be a power of two of at least 4096 "
+                  "(e.g. 64 * 1024 or 256 * 1024): region lookup shifts, not divides");
+  region_shift_ = static_cast<uint32_t>(std::countr_zero(config.region_bytes));
   NVMGC_CHECK(config.eden_regions <= config.heap_regions);
   if (config.generational) {
     // The whole young generation is DRAM-resident; the arena must hold it.
@@ -212,10 +216,10 @@ void Heap::FreeCacheRegion(Region* region) {
 
 Region* Heap::RegionFor(Address a) {
   if (InHeapArena(a)) {
-    return &heap_regions_[(a - heap_base_) / config_.region_bytes];
+    return &heap_regions_[(a - heap_base_) >> region_shift_];
   }
   if (InCacheArena(a)) {
-    return &cache_regions_[(a - cache_base_) / config_.region_bytes];
+    return &cache_regions_[(a - cache_base_) >> region_shift_];
   }
   return nullptr;
 }

@@ -25,6 +25,7 @@
 namespace nvmgc {
 
 struct HeapConfig {
+  // A power of two of at least 4 KiB: RegionFor shifts instead of dividing.
   size_t region_bytes = 256 * 1024;
   uint32_t heap_regions = 1024;      // G1 default is 2048 regions; scaled down.
   uint32_t dram_cache_regions = 96;  // Staging arena for the write cache.
@@ -156,6 +157,7 @@ class Heap {
   Address cache_base_ = 0;
   size_t heap_bytes_ = 0;
   size_t cache_bytes_ = 0;
+  uint32_t region_shift_ = 0;  // log2(config_.region_bytes).
 
   mutable std::mutex mu_;
   std::unique_ptr<Region[]> heap_regions_;

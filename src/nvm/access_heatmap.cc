@@ -1,28 +1,33 @@
 #include "src/nvm/access_heatmap.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/obs/metrics.h"
+#include "src/util/check.h"
+#include "src/util/single_writer.h"
 
 namespace nvmgc {
 
 void AccessHeatmap::Configure(uint64_t base, uint64_t region_bytes, uint32_t regions) {
   arenas_.clear();
-  slots_.clear();
+  slot_count_ = 0;
   AddArena(base, region_bytes, regions);
 }
 
 uint32_t AccessHeatmap::AddArena(uint64_t base, uint64_t region_bytes, uint32_t regions) {
+  NVMGC_CHECK_MSG(std::has_single_bit(region_bytes),
+                  "heatmap region_bytes must be a power of two");
   Arena arena;
   arena.base = base;
   arena.end = base + region_bytes * regions;
-  arena.region_bytes = region_bytes;
-  arena.slot_offset = slots_.size();
-  arenas_.push_back(arena);
-  for (uint32_t i = 0; i < regions; ++i) {
-    slots_.emplace_back();
-  }
-  return static_cast<uint32_t>(arena.slot_offset);
+  arena.region_shift = static_cast<uint32_t>(std::countr_zero(region_bytes));
+  arena.regions = regions;
+  arena.slot_offset = slot_count_;
+  arena.slots = std::make_unique<Slot[]>(regions);
+  arenas_.push_back(std::move(arena));
+  slot_count_ += regions;
+  return arenas_.back().slot_offset;
 }
 
 void AccessHeatmap::Charge(const AccessDescriptor& d) {
@@ -36,55 +41,59 @@ void AccessHeatmap::Charge(const AccessDescriptor& d) {
   if (arena == nullptr) {
     return;
   }
-  const uint64_t slot_index =
-      arena->slot_offset + (d.address - arena->base) / arena->region_bytes;
-  Slot& slot = slots_[slot_index];
+  Slot& slot = arena->slots[(d.address - arena->base) >> arena->region_shift];
   if (d.op == AccessOp::kRead) {
-    slot.read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    slot.read_ops.fetch_add(1, std::memory_order_relaxed);
+    SingleWriterAdd(&slot.read_bytes, d.bytes);
+    SingleWriterAdd(&slot.read_ops, 1);
     return;
   }
-  slot.write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-  slot.write_ops.fetch_add(1, std::memory_order_relaxed);
+  SingleWriterAdd(&slot.write_bytes, d.bytes);
+  SingleWriterAdd(&slot.write_ops, 1);
   // A write continues the region's stream when it starts exactly where the
-  // previous write into the region ended. The exchange is racy across threads
-  // writing the same region concurrently, which is faithful: interleaved
-  // streams from two writers *are* discontiguous at the device.
-  const uint64_t prev_end =
-      slot.last_write_end.exchange(d.address + d.bytes, std::memory_order_relaxed);
+  // previous write into the region ended. Writes from different logical
+  // threads interleave in simulated-time order on the one host thread, so two
+  // interleaved streams into one region count as discontiguous, as they are
+  // at the device.
+  const uint64_t prev_end = slot.last_write_end.load(std::memory_order_relaxed);
+  slot.last_write_end.store(d.address + d.bytes, std::memory_order_relaxed);
   if (prev_end != 0 && prev_end != d.address) {
-    slot.discontiguous_writes.fetch_add(1, std::memory_order_relaxed);
+    SingleWriterAdd(&slot.discontiguous_writes, 1);
   }
 }
 
 std::vector<RegionHeat> AccessHeatmap::Snapshot() const {
   std::vector<RegionHeat> out;
-  out.reserve(slots_.size());
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    RegionHeat heat;
-    heat.region = static_cast<uint32_t>(i);
-    heat.read_bytes = s.read_bytes.load(std::memory_order_relaxed);
-    heat.write_bytes = s.write_bytes.load(std::memory_order_relaxed);
-    heat.read_ops = s.read_ops.load(std::memory_order_relaxed);
-    heat.write_ops = s.write_ops.load(std::memory_order_relaxed);
-    heat.discontiguous_writes = s.discontiguous_writes.load(std::memory_order_relaxed);
-    out.push_back(heat);
+  out.reserve(slot_count_);
+  for (const Arena& a : arenas_) {
+    for (uint32_t i = 0; i < a.regions; ++i) {
+      const Slot& s = a.slots[i];
+      RegionHeat heat;
+      heat.region = a.slot_offset + i;
+      heat.read_bytes = s.read_bytes.load(std::memory_order_relaxed);
+      heat.write_bytes = s.write_bytes.load(std::memory_order_relaxed);
+      heat.read_ops = s.read_ops.load(std::memory_order_relaxed);
+      heat.write_ops = s.write_ops.load(std::memory_order_relaxed);
+      heat.discontiguous_writes = s.discontiguous_writes.load(std::memory_order_relaxed);
+      out.push_back(heat);
+    }
   }
   return out;
 }
 
 HeatmapTotals AccessHeatmap::Totals() const {
   HeatmapTotals t;
-  for (const Slot& s : slots_) {
-    const uint64_t reads = s.read_ops.load(std::memory_order_relaxed);
-    const uint64_t writes = s.write_ops.load(std::memory_order_relaxed);
-    t.regions_read += reads > 0 ? 1 : 0;
-    t.regions_written += writes > 0 ? 1 : 0;
-    t.write_ops += writes;
-    t.discontiguous_writes += s.discontiguous_writes.load(std::memory_order_relaxed);
-    t.max_region_write_bytes = std::max(t.max_region_write_bytes,
-                                        s.write_bytes.load(std::memory_order_relaxed));
+  for (const Arena& a : arenas_) {
+    for (uint32_t i = 0; i < a.regions; ++i) {
+      const Slot& s = a.slots[i];
+      const uint64_t reads = s.read_ops.load(std::memory_order_relaxed);
+      const uint64_t writes = s.write_ops.load(std::memory_order_relaxed);
+      t.regions_read += reads > 0 ? 1 : 0;
+      t.regions_written += writes > 0 ? 1 : 0;
+      t.write_ops += writes;
+      t.discontiguous_writes += s.discontiguous_writes.load(std::memory_order_relaxed);
+      t.max_region_write_bytes = std::max(t.max_region_write_bytes,
+                                          s.write_bytes.load(std::memory_order_relaxed));
+    }
   }
   return t;
 }

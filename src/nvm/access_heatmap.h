@@ -15,7 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,7 +60,8 @@ struct HeatmapTotals {
   }
 };
 
-// Thread-safe (relaxed atomics — the heatmap feeds evidence, not invariants).
+// Single-writer like its device: one host thread charges it at a time (see
+// src/util/single_writer.h), so a charge is a few relaxed loads and stores.
 // Unconfigured heatmaps ignore every charge; addresses outside the configured
 // arenas are ignored too (mutator handles and other host memory).
 //
@@ -80,13 +81,14 @@ class AccessHeatmap {
 
   // Drops every arena, then covers [base, base + region_bytes * regions) with
   // one slot per region (single-arena compatibility entry point).
+  // `region_bytes` must be a power of two (a charge shifts, not divides).
   void Configure(uint64_t base, uint64_t region_bytes, uint32_t regions);
   // Appends an arena without touching existing ones; returns its first slot
   // index. Used by Heaps binding onto a shared device.
   uint32_t AddArena(uint64_t base, uint64_t region_bytes, uint32_t regions);
   bool configured() const { return !arenas_.empty(); }
   uint32_t arena_count() const { return static_cast<uint32_t>(arenas_.size()); }
-  uint32_t regions() const { return static_cast<uint32_t>(slots_.size()); }
+  uint32_t regions() const { return slot_count_; }
 
   void Charge(const AccessDescriptor& d);
 
@@ -113,14 +115,16 @@ class AccessHeatmap {
   struct Arena {
     uint64_t base = 0;
     uint64_t end = 0;
-    uint64_t region_bytes = 0;
-    size_t slot_offset = 0;
+    uint32_t region_shift = 0;  // log2(region_bytes).
+    uint32_t regions = 0;
+    uint32_t slot_offset = 0;
+    // One heap block per arena: AddArena grows arenas_ without relocating
+    // the slots of earlier arenas.
+    std::unique_ptr<Slot[]> slots;
   };
 
-  // Slots live in a deque: atomics are immovable, and AddArena must grow the
-  // slot store without relocating slots other threads are charging.
   std::vector<Arena> arenas_;
-  std::deque<Slot> slots_;
+  uint32_t slot_count_ = 0;
 };
 
 }  // namespace nvmgc

@@ -4,71 +4,62 @@ namespace nvmgc {
 
 BandwidthLedger::BandwidthLedger(uint64_t bucket_ns) : bucket_ns_(bucket_ns) {}
 
-BandwidthLedger::Bucket* BandwidthLedger::BucketFor(uint64_t epoch) {
-  Bucket& b = ring_[epoch % kRingSize];
-  uint64_t seen = b.epoch.load(std::memory_order_relaxed);
-  if (seen != epoch) {
-    // Claim/reset the slot for this epoch. A benign race may drop a handful of
-    // bytes from another thread straddling the reset; acceptable for a mix
-    // estimator.
-    if (b.epoch.compare_exchange_strong(seen, epoch, std::memory_order_relaxed)) {
-      b.read_bytes.store(0, std::memory_order_relaxed);
-      b.write_bytes.store(0, std::memory_order_relaxed);
-      b.nt_bytes.store(0, std::memory_order_relaxed);
-      for (auto& t : b.tenant_bytes) {
-        t.store(0, std::memory_order_relaxed);
-      }
-    }
+void BandwidthLedger::Counts::Clear() {
+  read_bytes.store(0, std::memory_order_relaxed);
+  write_bytes.store(0, std::memory_order_relaxed);
+  nt_bytes.store(0, std::memory_order_relaxed);
+  for (auto& t : tenant_bytes) {
+    t.store(0, std::memory_order_relaxed);
   }
-  return &b;
+  active_tenants.store(0, std::memory_order_relaxed);
 }
 
-void BandwidthLedger::Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant) {
-  Bucket* b = BucketFor(now_ns / bucket_ns_);
-  if (d.op == AccessOp::kRead) {
-    b->read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-  } else {
-    b->write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    if (d.non_temporal) {
-      b->nt_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    }
+void BandwidthLedger::Recycle(Bucket* b, uint64_t epoch) {
+  // If the running window counts the bytes being dropped, rebuild it at the
+  // next sample.
+  if (InWindow(b->epoch.load(std::memory_order_relaxed))) {
+    window_epoch_.store(kNoEpoch, std::memory_order_relaxed);
   }
-  b->tenant_bytes[tenant % kMaxTenants].fetch_add(d.bytes, std::memory_order_relaxed);
+  b->Clear();
+  b->epoch.store(epoch, std::memory_order_relaxed);
 }
 
-BandwidthLedger::TenantOccupancy BandwidthLedger::SampleTenantOccupancy(
-    uint64_t now_ns, uint8_t tenant, int window_buckets) const {
-  const uint64_t current = now_ns / bucket_ns_;
-  uint64_t per_tenant[kMaxTenants] = {};
-  for (int i = 0; i < window_buckets; ++i) {
-    if (current < static_cast<uint64_t>(i)) {
-      break;
-    }
-    const uint64_t epoch = current - static_cast<uint64_t>(i);
-    const Bucket& b = ring_[epoch % kRingSize];
-    if (b.epoch.load(std::memory_order_relaxed) != epoch) {
+void BandwidthLedger::RebuildWindow(uint64_t epoch) const {
+  window_.Clear();
+  for (uint64_t i = 0; i < kWindowBuckets && i <= epoch; ++i) {
+    const Bucket& b = ring_[(epoch - i) % kRingSize];
+    if (b.epoch.load(std::memory_order_relaxed) != epoch - i) {
       continue;
     }
+    SingleWriterAdd(&window_.read_bytes, b.read_bytes.load(std::memory_order_relaxed));
+    SingleWriterAdd(&window_.write_bytes, b.write_bytes.load(std::memory_order_relaxed));
+    SingleWriterAdd(&window_.nt_bytes, b.nt_bytes.load(std::memory_order_relaxed));
     for (uint32_t t = 0; t < kMaxTenants; ++t) {
-      per_tenant[t] += b.tenant_bytes[t].load(std::memory_order_relaxed);
+      SingleWriterAdd(&window_.tenant_bytes[t], b.tenant_bytes[t].load(std::memory_order_relaxed));
     }
   }
+  uint32_t active = 0;
+  for (const auto& t : window_.tenant_bytes) {
+    active += t.load(std::memory_order_relaxed) > 0 ? 1 : 0;
+  }
+  window_.active_tenants.store(active, std::memory_order_relaxed);
+  window_epoch_.store(epoch, std::memory_order_relaxed);
+}
+
+BandwidthLedger::TenantOccupancy BandwidthLedger::OccupancyAt(uint64_t epoch,
+                                                              uint8_t tenant) const {
+  SyncWindow(epoch);
   TenantOccupancy occ;
-  occ.active_tenants = 0;
-  for (uint32_t t = 0; t < kMaxTenants; ++t) {
-    occ.total_bytes += per_tenant[t];
-    if (per_tenant[t] > 0) {
-      ++occ.active_tenants;
-    }
-  }
-  occ.own_bytes = per_tenant[tenant % kMaxTenants];
+  // Every charged byte lands in exactly one tenant slot, so the tenant bytes
+  // sum to the window's read + write bytes.
+  occ.total_bytes = window_.read_bytes.load(std::memory_order_relaxed) +
+                    window_.write_bytes.load(std::memory_order_relaxed);
+  occ.own_bytes = window_.tenant_bytes[tenant % kMaxTenants].load(std::memory_order_relaxed);
+  occ.active_tenants = window_.active_tenants.load(std::memory_order_relaxed);
   if (occ.own_bytes == 0) {
     // The sampling tenant is about to issue traffic: it is active even when
     // its window history is empty.
     ++occ.active_tenants;
-  }
-  if (occ.active_tenants == 0) {
-    occ.active_tenants = 1;
   }
   return occ;
 }
@@ -82,34 +73,6 @@ bool BandwidthLedger::ReadBucket(uint64_t epoch, BucketSample* out) const {
   out->write_bytes = b.write_bytes.load(std::memory_order_relaxed);
   out->nt_bytes = b.nt_bytes.load(std::memory_order_relaxed);
   return true;
-}
-
-BandwidthLedger::Mix BandwidthLedger::SampleMix(uint64_t now_ns, int window_buckets) const {
-  const uint64_t current = now_ns / bucket_ns_;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t nt = 0;
-  for (int i = 0; i < window_buckets; ++i) {
-    if (current < static_cast<uint64_t>(i)) {
-      break;
-    }
-    const uint64_t epoch = current - static_cast<uint64_t>(i);
-    const Bucket& b = ring_[epoch % kRingSize];
-    if (b.epoch.load(std::memory_order_relaxed) != epoch) {
-      continue;
-    }
-    reads += b.read_bytes.load(std::memory_order_relaxed);
-    writes += b.write_bytes.load(std::memory_order_relaxed);
-    nt += b.nt_bytes.load(std::memory_order_relaxed);
-  }
-  Mix mix;
-  const uint64_t total = reads + writes;
-  mix.window_bytes = total;
-  if (total > 0) {
-    mix.write_fraction = static_cast<double>(writes) / static_cast<double>(total);
-    mix.nt_write_fraction = static_cast<double>(nt) / static_cast<double>(total);
-  }
-  return mix;
 }
 
 BandwidthRecorder::BandwidthRecorder(uint64_t bucket_ns, size_t max_buckets)
@@ -132,9 +95,9 @@ void BandwidthRecorder::Charge(uint64_t now_ns, const AccessDescriptor& d) {
     return;  // Past the recording horizon; drop.
   }
   if (d.op == AccessOp::kRead) {
-    cells_[idx].read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+    SingleWriterAdd(&cells_[idx].read_bytes, d.bytes);
   } else {
-    cells_[idx].write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+    SingleWriterAdd(&cells_[idx].write_bytes, d.bytes);
   }
 }
 

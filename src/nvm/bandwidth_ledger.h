@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/nvm/access.h"
+#include "src/util/single_writer.h"
 
 namespace nvmgc {
 
@@ -20,15 +21,23 @@ struct BandwidthSample {
   double total_mbps() const { return read_mbps + write_mbps; }
 };
 
-// Thread-safe ring of time buckets. Charges are attributed to the bucket that
-// contains the accessing thread's simulated time; the mix estimate aggregates
-// the most recent buckets. All counters are relaxed atomics: the ledger feeds
-// a statistical model, not a correctness invariant.
+// Ring of time buckets. Charges are attributed to the bucket (epoch) that
+// contains the accessing clock's simulated time; the mix and tenant-occupancy
+// estimates aggregate the kWindowBuckets most recent epochs.
+//
+// Contract: one host thread drives a ledger at a time (see
+// src/util/single_writer.h). Each charge is then O(1) single-writer work: the
+// epoch of the most recent clock is cached, so a division happens only when a
+// clock leaves that bucket, and running totals over the most recently sampled
+// window make a sample O(1) too. They are rebuilt from the ring only when the
+// sampled epoch moves or a charge recycles a slot the window counts.
 class BandwidthLedger {
  public:
   // Tenants a shared device can attribute traffic to. Single-Vm devices only
   // ever use tenant 0.
   static constexpr uint32_t kMaxTenants = 8;
+  // Epochs a mix or occupancy sample covers, ending at the sampled epoch.
+  static constexpr uint64_t kWindowBuckets = 3;
 
   // `bucket_ns` is the bucket width in simulated nanoseconds. The defaults
   // (150 us buckets, 3-bucket sampling window) make the mix estimate adapt
@@ -36,15 +45,23 @@ class BandwidthLedger {
   // write-only phase separation the write cache creates.
   explicit BandwidthLedger(uint64_t bucket_ns = 150'000);
 
-  void Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant = 0);
+  // The epoch containing `now_ns` (== now_ns / bucket_ns()). A clock that
+  // stays in the bucket of the previous call costs no division.
+  uint64_t EpochOf(uint64_t now_ns) const;
+
+  void Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant = 0) {
+    ChargeEpoch(EpochOf(now_ns), d, tenant);
+  }
+  void ChargeEpoch(uint64_t epoch, const AccessDescriptor& d, uint8_t tenant = 0);
 
   struct Mix {
     double write_fraction = 0.0;
     double nt_write_fraction = 0.0;
     uint64_t window_bytes = 0;
   };
-  // Mix over the last `window_buckets` buckets ending at `now_ns`.
-  Mix SampleMix(uint64_t now_ns, int window_buckets = 3) const;
+  // Mix over the window ending at the epoch of `now_ns` (or at `epoch`).
+  Mix SampleMix(uint64_t now_ns) const { return MixAt(EpochOf(now_ns)); }
+  Mix MixAt(uint64_t epoch) const;
 
   // One epoch's raw byte counters, readable while the epoch is still resident
   // in the ring (the ring spans kRingSize * bucket_ns() of simulated time).
@@ -75,37 +92,132 @@ class BandwidthLedger {
       return static_cast<double>(own_bytes) / static_cast<double>(total_bytes);
     }
   };
-  // Per-tenant occupancy over the last `window_buckets` buckets at `now_ns`.
-  TenantOccupancy SampleTenantOccupancy(uint64_t now_ns, uint8_t tenant,
-                                        int window_buckets = 3) const;
+  // Per-tenant occupancy over the window ending at the epoch of `now_ns` (or
+  // at `epoch`).
+  TenantOccupancy SampleTenantOccupancy(uint64_t now_ns, uint8_t tenant) const {
+    return OccupancyAt(EpochOf(now_ns), tenant);
+  }
+  TenantOccupancy OccupancyAt(uint64_t epoch, uint8_t tenant) const;
 
   uint64_t bucket_ns() const { return bucket_ns_; }
   static constexpr int ring_size() { return kRingSize; }
 
  private:
-  struct Bucket {
-    std::atomic<uint64_t> epoch{UINT64_MAX};
+  // Byte totals of one epoch or of the running window. Tenant bytes are kept
+  // alongside the direction split rather than as a tenant x direction matrix:
+  // the contention model needs occupancy, the mix model needs direction, and
+  // no consumer needs both at once.
+  struct Counts {
     std::atomic<uint64_t> read_bytes{0};
     std::atomic<uint64_t> write_bytes{0};
     std::atomic<uint64_t> nt_bytes{0};
-    // Byte totals split by tenant (shared devices; single-Vm traffic all
-    // lands in slot 0). Kept alongside the direction split rather than as a
-    // tenant x direction matrix: the contention model needs occupancy, the
-    // mix model needs direction, and no consumer needs both at once.
     std::atomic<uint64_t> tenant_bytes[kMaxTenants] = {};
+    // Tenants with nonzero tenant_bytes.
+    std::atomic<uint32_t> active_tenants{0};
+
+    void Add(const AccessDescriptor& d, uint8_t tenant);
+    void Clear();
+  };
+  struct Bucket : Counts {
+    std::atomic<uint64_t> epoch{kNoEpoch};
   };
 
   static constexpr int kRingSize = 64;
+  static constexpr uint64_t kNoEpoch = UINT64_MAX;
 
   Bucket* BucketFor(uint64_t epoch);
+  // Resets `b` for `epoch`, dropping the epoch it held.
+  void Recycle(Bucket* b, uint64_t epoch);
+  bool InWindow(uint64_t epoch) const;
+  // Makes window_ the totals of the window ending at `epoch`.
+  void SyncWindow(uint64_t epoch) const {
+    if (window_epoch_.load(std::memory_order_relaxed) != epoch) {
+      RebuildWindow(epoch);
+    }
+  }
+  void RebuildWindow(uint64_t epoch) const;
 
   uint64_t bucket_ns_;
-  mutable Bucket ring_[kRingSize];
+  Bucket ring_[kRingSize];
+  // Epoch of the most recent EpochOf call (its bucket is [e, e + 1) *
+  // bucket_ns_).
+  mutable std::atomic<uint64_t> cached_epoch_{0};
+  // Running totals of the window ending at window_epoch_; kNoEpoch means they
+  // must be rebuilt from the ring before the next sample.
+  mutable std::atomic<uint64_t> window_epoch_{kNoEpoch};
+  mutable Counts window_;
 };
 
-// Fixed-capacity, lock-free recorder: buckets cover simulated time from
-// Start() onward. Used to produce the paper's bandwidth time-series plots
-// (Figures 2, 3 and 7).
+// The per-access path is defined here so that MemoryDevice::Access inlines it.
+
+inline void BandwidthLedger::Counts::Add(const AccessDescriptor& d, uint8_t tenant) {
+  if (d.op == AccessOp::kRead) {
+    SingleWriterAdd(&read_bytes, d.bytes);
+  } else {
+    SingleWriterAdd(&write_bytes, d.bytes);
+    if (d.non_temporal) {
+      SingleWriterAdd(&nt_bytes, d.bytes);
+    }
+  }
+  std::atomic<uint64_t>& own = tenant_bytes[tenant % kMaxTenants];
+  const uint64_t before = own.load(std::memory_order_relaxed);
+  own.store(before + d.bytes, std::memory_order_relaxed);
+  if (before == 0 && d.bytes != 0) {
+    active_tenants.store(active_tenants.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+  }
+}
+
+inline uint64_t BandwidthLedger::EpochOf(uint64_t now_ns) const {
+  const uint64_t cached = cached_epoch_.load(std::memory_order_relaxed);
+  // Unsigned: a clock behind the cached bucket's start wraps to a huge offset.
+  if (now_ns - cached * bucket_ns_ < bucket_ns_) {
+    return cached;
+  }
+  const uint64_t epoch = now_ns / bucket_ns_;
+  cached_epoch_.store(epoch, std::memory_order_relaxed);
+  return epoch;
+}
+
+inline bool BandwidthLedger::InWindow(uint64_t epoch) const {
+  const uint64_t end = window_epoch_.load(std::memory_order_relaxed);
+  return end != kNoEpoch && epoch <= end && end - epoch < kWindowBuckets;
+}
+
+inline BandwidthLedger::Bucket* BandwidthLedger::BucketFor(uint64_t epoch) {
+  Bucket& b = ring_[epoch % kRingSize];
+  if (b.epoch.load(std::memory_order_relaxed) != epoch) {
+    Recycle(&b, epoch);
+  }
+  return &b;
+}
+
+inline void BandwidthLedger::ChargeEpoch(uint64_t epoch, const AccessDescriptor& d,
+                                         uint8_t tenant) {
+  BucketFor(epoch)->Add(d, tenant);
+  if (InWindow(epoch)) {
+    window_.Add(d, tenant);
+  }
+}
+
+inline BandwidthLedger::Mix BandwidthLedger::MixAt(uint64_t epoch) const {
+  SyncWindow(epoch);
+  const uint64_t reads = window_.read_bytes.load(std::memory_order_relaxed);
+  const uint64_t writes = window_.write_bytes.load(std::memory_order_relaxed);
+  const uint64_t nt = window_.nt_bytes.load(std::memory_order_relaxed);
+  Mix mix;
+  const uint64_t total = reads + writes;
+  mix.window_bytes = total;
+  if (total > 0) {
+    mix.write_fraction = static_cast<double>(writes) / static_cast<double>(total);
+    mix.nt_write_fraction = static_cast<double>(nt) / static_cast<double>(total);
+  }
+  return mix;
+}
+
+// Fixed-capacity recorder, single-writer like the ledger: buckets cover
+// simulated time from Start() onward. Used to produce the paper's bandwidth
+// time-series plots (Figures 2, 3 and 7).
 class BandwidthRecorder {
  public:
   BandwidthRecorder(uint64_t bucket_ns, size_t max_buckets);

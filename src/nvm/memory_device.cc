@@ -6,6 +6,7 @@
 #include "src/nvm/fault_injector.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
+#include "src/util/single_writer.h"
 
 namespace nvmgc {
 
@@ -54,6 +55,10 @@ DeviceCounters MemoryDevice::tenant_counters(uint8_t tenant) const {
 }
 
 uint64_t MemoryDevice::CostNs(uint64_t now_ns, const AccessDescriptor& d) const {
+  return CostAt(ledger_.EpochOf(now_ns), d, multi_tenant() ? TenantFor(d.address) : 0);
+}
+
+uint64_t MemoryDevice::CostAt(uint64_t epoch, const AccessDescriptor& d, uint8_t tenant) const {
   const DeviceProfile& p = model_.profile();
 
   // Latency term.
@@ -70,7 +75,7 @@ uint64_t MemoryDevice::CostNs(uint64_t now_ns, const AccessDescriptor& d) const 
   }
 
   // Bandwidth term: bytes over this thread's share of the device total.
-  const BandwidthLedger::Mix window = ledger_.SampleMix(now_ns);
+  const BandwidthLedger::Mix window = ledger_.MixAt(epoch);
   MixState mix;
   mix.write_fraction = window.write_fraction;
   mix.nt_write_fraction = window.nt_write_fraction;
@@ -78,13 +83,12 @@ uint64_t MemoryDevice::CostNs(uint64_t now_ns, const AccessDescriptor& d) const 
   const double total_mbps = model_.TotalBandwidthMbps(mix);
   double share_mbps = total_mbps / static_cast<double>(mix.active_threads) *
                       model_.PatternFraction(d.op, d.pattern);
-  if (multi_tenant_.load(std::memory_order_relaxed)) {
+  if (multi_tenant()) {
     // Shared device: scale this tenant's share by its occupancy-derived
     // fraction of the device (plus the cross-tenant interleaving penalty).
     // Devices with zero or one bound tenant never reach this branch, so the
     // single-Vm cost function is bit-identical to the pre-fleet model.
-    const uint8_t tenant = TenantFor(d.address);
-    const BandwidthLedger::TenantOccupancy occ = ledger_.SampleTenantOccupancy(now_ns, tenant);
+    const BandwidthLedger::TenantOccupancy occ = ledger_.OccupancyAt(epoch, tenant);
     share_mbps *= model_.TenantShareFraction(occ.own_fraction(), occ.active_tenants);
   }
   share_mbps = std::max(1.0, share_mbps);
@@ -97,15 +101,17 @@ uint64_t MemoryDevice::CostNs(uint64_t now_ns, const AccessDescriptor& d) const 
 uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
   NVMGC_DCHECK(clock != nullptr);
   const uint64_t now = clock->now_ns();
-  uint64_t cost = CostNs(now, d);
+  // One epoch and one tenant lookup serve both the cost and the charge.
+  const uint64_t epoch = ledger_.EpochOf(now);
+  const uint8_t tenant =
+      tenant_range_count_.load(std::memory_order_relaxed) > 0 ? TenantFor(d.address) : 0;
+  uint64_t cost = CostAt(epoch, d, tenant);
   if (FaultInjector* injector = injector_.load(std::memory_order_acquire)) {
     cost = injector->PerturbCost(now, d, cost);
   }
   clock->Advance(cost);
 
-  const uint8_t tenant =
-      tenant_range_count_.load(std::memory_order_relaxed) > 0 ? TenantFor(d.address) : 0;
-  ledger_.Charge(now, d, tenant);
+  ledger_.ChargeEpoch(epoch, d, tenant);
   heatmap_.Charge(d);
   if (d.op == AccessOp::kWrite && persist_.enabled()) {
     persist_.NoteWrite(d.address, d.bytes);
@@ -116,13 +122,13 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
 
   TenantCounters& tc = tenant_counters_[tenant];
   if (d.op == AccessOp::kRead) {
-    tc.read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    tc.read_ops.fetch_add(1, std::memory_order_relaxed);
+    SingleWriterAdd(&tc.read_bytes, d.bytes);
+    SingleWriterAdd(&tc.read_ops, 1);
   } else {
-    tc.write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    tc.write_ops.fetch_add(1, std::memory_order_relaxed);
+    SingleWriterAdd(&tc.write_bytes, d.bytes);
+    SingleWriterAdd(&tc.write_ops, 1);
     if (d.non_temporal) {
-      tc.nt_write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+      SingleWriterAdd(&tc.nt_write_bytes, d.bytes);
     }
   }
   return cost;

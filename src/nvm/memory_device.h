@@ -4,9 +4,16 @@
 // This is the substitution point for real Optane hardware (see DESIGN.md §2):
 // heap bytes physically live in host RAM, but all timing comes from the
 // calibrated DeviceProfile + BandwidthModel. The arbiter couples concurrent
-// threads through a shared mix estimate and an active-thread count, which is
-// what makes the vanilla collector stop scaling at the write knee and the
-// optimized collector keep scaling — emergently rather than by fiat.
+// logical threads through a shared mix estimate and an active-thread count,
+// which is what makes the vanilla collector stop scaling at the write knee and
+// the optimized collector keep scaling — emergently rather than by fiat.
+//
+// Threading contract: one host thread drives a device at a time. The
+// collector steps its logical GC workers on the calling thread in
+// simulated-clock order, and fleet tenants take turns the same way, so every
+// traffic counter behind Access is single-writer (src/util/single_writer.h)
+// and a charge takes no locked instruction. Concurrent Access calls stay free
+// of data races but may lose counts.
 
 #ifndef NVMGC_SRC_NVM_MEMORY_DEVICE_H_
 #define NVMGC_SRC_NVM_MEMORY_DEVICE_H_
@@ -60,9 +67,10 @@ class MemoryDevice {
 
   explicit MemoryDevice(DeviceProfile profile);
 
-  // Charges `clock` for the access and returns the charged nanoseconds.
-  // Thread-safe. When a fault injector is attached, the nominal cost is
-  // perturbed by its active fault windows before charging.
+  // Charges `clock` for the access and returns the charged nanoseconds, in
+  // O(1) single-writer work (see the threading contract above). When a fault
+  // injector is attached, the nominal cost is perturbed by its active fault
+  // windows before charging.
   uint64_t Access(SimClock* clock, const AccessDescriptor& d);
 
   // Nominal cost preview without charging, accounting, or fault perturbation
@@ -152,6 +160,10 @@ class MemoryDevice {
     uint64_t end = 0;
   };
   static constexpr size_t kMaxTenantRanges = 16;
+
+  // CostNs for the ledger epoch `epoch`; `tenant` is only read on a
+  // multi-tenant device.
+  uint64_t CostAt(uint64_t epoch, const AccessDescriptor& d, uint8_t tenant) const;
 
   struct TenantCounters {
     std::atomic<uint64_t> read_bytes{0};

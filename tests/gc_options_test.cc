@@ -465,5 +465,16 @@ TEST(GcOptionsDeathTest, VmRejectsDurabilityOnDramHeap) {
   EXPECT_DEATH(Vm vm(o), "durability requires NVM-backed tenured regions");
 }
 
+TEST(GcOptionsDeathTest, VmRejectsNonPowerOfTwoRegionBytes) {
+  // Region lookup shifts by log2(region_bytes), so the Heap the Vm builds
+  // rejects any other size with the fix in the message.
+  VmOptions o;
+  o.heap.region_bytes = 96 * 1024;
+  o.heap.heap_regions = 64;
+  o.heap.dram_cache_regions = 8;
+  o.heap.eden_regions = 8;
+  EXPECT_DEATH(Vm vm(o), "region_bytes must be a power of two of at least 4096");
+}
+
 }  // namespace
 }  // namespace nvmgc

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/nvm/bandwidth_ledger.h"
 #include "src/nvm/bandwidth_model.h"
 #include "src/nvm/device_profile.h"
 #include "src/nvm/memory_device.h"
 #include "src/nvm/prefetch_queue.h"
 #include "src/nvm/sim_clock.h"
+#include "src/util/random.h"
 
 namespace nvmgc {
 namespace {
@@ -151,6 +155,115 @@ TEST(MemoryDeviceTest, MoreActiveThreadsShrinkPerThreadShare) {
   EXPECT_GT(at56, 3 * at8);
 }
 
+// A seeded stream of about 100k accesses through Access: reads, writes and
+// non-temporal writes, random and sequential, 1-8 active logical threads whose
+// clocks lag one another and jump far enough to recycle ledger slots, two
+// bound tenants (so the contention term is live), and a configured heatmap.
+// The constants were recorded from the charge path that rescanned the ledger
+// window on every sample: a bookkeeping change must not move any of them.
+TEST(MemoryDeviceTest, ChargedNsStreamUnchanged) {
+  constexpr uint64_t kBase = uint64_t{1} << 32;
+  constexpr uint64_t kRegionBytes = 64 * 1024;
+  constexpr uint32_t kRegionsPerTenant = 32;
+  constexpr uint64_t kTenantBytes = kRegionBytes * kRegionsPerTenant;
+  constexpr uint32_t kThreads = 8;
+  MemoryDevice dev(MakeOptaneProfile());
+  dev.heatmap().Configure(kBase, kRegionBytes, 2 * kRegionsPerTenant);
+  dev.BindTenantRange(0, kBase, kTenantBytes);
+  dev.BindTenantRange(1, kBase + kTenantBytes, kTenantBytes);
+  const uint64_t jump_ns = 70 * dev.ledger().bucket_ns();
+
+  Random rng(20261017);
+  SimClock clocks[kThreads];
+  uint64_t stream_end[kThreads] = {};  // Next address of each thread's write stream.
+  uint32_t active = 0;
+  uint64_t charged_ns = 0;
+  uint64_t cost_hash = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    if (i % 2000 == 0) {
+      // A phase boundary: the threads meet at a barrier and a new number of
+      // them issue the next phase's traffic.
+      dev.RemoveActiveThreads(active);
+      active = 1 + static_cast<uint32_t>(rng.NextBelow(kThreads));
+      dev.AddActiveThreads(active);
+      uint64_t latest = 0;
+      for (const SimClock& c : clocks) {
+        latest = std::max(latest, c.now_ns());
+      }
+      for (SimClock& c : clocks) {
+        c.SyncForwardTo(latest);
+      }
+    }
+    const uint32_t t = static_cast<uint32_t>(rng.NextBelow(active));
+    SimClock& clock = clocks[t];
+    if (rng.NextBool(0.002)) {
+      // A far jump ahead or behind the other clocks: its charges recycle
+      // ring slots that the current mix window counts.
+      clock.SetTime(rng.NextBool(0.5) ? clock.now_ns() + jump_ns
+                                      : clock.now_ns() - std::min(clock.now_ns(), jump_ns));
+    }
+    const uint64_t tenant_base = kBase + rng.NextBelow(2) * kTenantBytes;
+    const uint64_t address = tenant_base + rng.NextBelow((kTenantBytes - 8192) / 8) * 8;
+    AccessDescriptor d;
+    switch (rng.NextBelow(7)) {
+      case 0:
+        d = RandomRead(address, 8u << rng.NextBelow(4));
+        break;
+      case 1:
+        d = RandomRead(address, 64);
+        d.prefetched = true;
+        break;
+      case 2:
+        d = SequentialRead(address, 64u << rng.NextBelow(7));
+        break;
+      case 3:
+        d = RandomWrite(address, 8u << rng.NextBelow(4));
+        break;
+      case 4:
+      case 5: {
+        const uint32_t bytes = 64u << rng.NextBelow(5);
+        if (stream_end[t] == 0 || rng.NextBool(0.05)) {
+          stream_end[t] = address;
+        }
+        d = rng.NextBool(0.5) ? SequentialWrite(stream_end[t], bytes)
+                              : NonTemporalWrite(stream_end[t], bytes);
+        stream_end[t] = stream_end[t] + bytes < kBase + 2 * kTenantBytes ? stream_end[t] + bytes
+                                                                         : 0;
+        break;
+      }
+      default:
+        // Host memory outside every bound range: tenant 0, no heatmap slot.
+        d = RandomWrite(0x1000 + rng.NextBelow(512) * 8, 8);
+        break;
+    }
+    const uint64_t cost = dev.Access(&clock, d);
+    charged_ns += cost;
+    cost_hash = cost_hash * 1'000'003 + cost;
+  }
+  dev.RemoveActiveThreads(active);
+
+  EXPECT_EQ(charged_ns, 120'965'453u);
+  EXPECT_EQ(cost_hash, 10'373'020'476'036'527'535u);
+  const DeviceCounters c = dev.counters();
+  EXPECT_EQ(c.read_bytes, 17'849'184u);
+  EXPECT_EQ(c.write_bytes, 11'833'792u);
+  EXPECT_EQ(c.nt_write_bytes, 5'590'400u);
+  EXPECT_EQ(c.read_ops, 43'158u);
+  EXPECT_EQ(c.write_ops, 56'842u);
+  const DeviceCounters t1 = dev.tenant_counters(1);
+  EXPECT_EQ(t1.read_bytes, 8'919'920u);
+  EXPECT_EQ(t1.write_bytes, 5'782'280u);
+  EXPECT_EQ(t1.nt_write_bytes, 2'760'640u);
+  EXPECT_EQ(t1.read_ops, 21'592u);
+  EXPECT_EQ(t1.write_ops, 21'041u);
+  const HeatmapTotals h = dev.heatmap().Totals();
+  EXPECT_EQ(h.regions_read, 64u);
+  EXPECT_EQ(h.regions_written, 64u);
+  EXPECT_EQ(h.write_ops, 42'384u);
+  EXPECT_EQ(h.discontiguous_writes, 17'147u);
+  EXPECT_EQ(h.max_region_write_bytes, 300'080u);
+}
+
 TEST(BandwidthLedgerTest, MixReflectsRecentTraffic) {
   BandwidthLedger ledger(1000);
   AccessDescriptor read = SequentialRead(0, 3000);
@@ -168,6 +281,136 @@ TEST(BandwidthLedgerTest, OldTrafficAgesOut) {
   const auto mix = ledger.SampleMix(1'000'000);  // 1000 buckets later.
   EXPECT_EQ(mix.window_bytes, 0u);
   EXPECT_EQ(mix.write_fraction, 0.0);
+}
+
+// Test-local reference for the ledger's window: a plain per-epoch map with
+// the same 64-slot recycling (charging an epoch evicts the other epoch sharing
+// its slot), rescanned on every sample.
+class RescanLedger {
+ public:
+  explicit RescanLedger(uint64_t bucket_ns) : bucket_ns_(bucket_ns) {}
+
+  void Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant) {
+    const uint64_t epoch = now_ns / bucket_ns_;
+    const int slot = static_cast<int>(epoch % BandwidthLedger::ring_size());
+    auto it = slot_epoch_.find(slot);
+    if (it != slot_epoch_.end() && it->second != epoch) {
+      buckets_.erase(it->second);
+    }
+    slot_epoch_[slot] = epoch;
+    Bucket& b = buckets_[epoch];
+    (d.op == AccessOp::kRead ? b.read : b.write) += d.bytes;
+    if (d.op == AccessOp::kWrite && d.non_temporal) {
+      b.nt += d.bytes;
+    }
+    b.tenant[tenant] += d.bytes;
+  }
+
+  BandwidthLedger::Mix SampleMix(uint64_t now_ns) const {
+    const Bucket w = Window(now_ns);
+    BandwidthLedger::Mix mix;
+    mix.window_bytes = w.read + w.write;
+    if (mix.window_bytes > 0) {
+      mix.write_fraction = static_cast<double>(w.write) / static_cast<double>(mix.window_bytes);
+      mix.nt_write_fraction = static_cast<double>(w.nt) / static_cast<double>(mix.window_bytes);
+    }
+    return mix;
+  }
+
+  BandwidthLedger::TenantOccupancy SampleTenantOccupancy(uint64_t now_ns, uint8_t tenant) const {
+    const Bucket w = Window(now_ns);
+    BandwidthLedger::TenantOccupancy occ;
+    occ.active_tenants = 0;
+    for (uint64_t bytes : w.tenant) {
+      occ.total_bytes += bytes;
+      occ.active_tenants += bytes > 0 ? 1 : 0;
+    }
+    occ.own_bytes = w.tenant[tenant];
+    occ.active_tenants += occ.own_bytes == 0 ? 1 : 0;
+    return occ;
+  }
+
+ private:
+  struct Bucket {
+    uint64_t read = 0;
+    uint64_t write = 0;
+    uint64_t nt = 0;
+    uint64_t tenant[BandwidthLedger::kMaxTenants] = {};
+  };
+
+  Bucket Window(uint64_t now_ns) const {
+    const uint64_t epoch = now_ns / bucket_ns_;
+    Bucket w;
+    for (uint64_t i = 0; i < 3 && i <= epoch; ++i) {
+      auto it = buckets_.find(epoch - i);
+      if (it == buckets_.end()) {
+        continue;
+      }
+      w.read += it->second.read;
+      w.write += it->second.write;
+      w.nt += it->second.nt;
+      for (uint32_t t = 0; t < BandwidthLedger::kMaxTenants; ++t) {
+        w.tenant[t] += it->second.tenant[t];
+      }
+    }
+    return w;
+  }
+
+  uint64_t bucket_ns_;
+  std::map<uint64_t, Bucket> buckets_;
+  std::map<int, uint64_t> slot_epoch_;
+};
+
+// Seeded interleavings of charges and samples from several clocks that lag
+// one another and sometimes jump 64+ epochs ahead or behind (recycling ring
+// slots inside the sampled window), with 1-4 tenants: every sample of the
+// ledger's running window equals a full rescan, field for field.
+TEST(BandwidthLedgerTest, RunningWindowMatchesRescan) {
+  constexpr uint64_t kBucketNs = 1000;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Random rng(seed);
+    BandwidthLedger ledger(kBucketNs);
+    RescanLedger reference(kBucketNs);
+    const uint32_t tenants = 1 + static_cast<uint32_t>(rng.NextBelow(4));
+    uint64_t clocks[4] = {};
+    for (int op = 0; op < 4000; ++op) {
+      uint64_t& now = clocks[rng.NextBelow(4)];
+      const uint64_t move = rng.NextBelow(100);
+      if (move < 2) {
+        now += (64 + rng.NextBelow(8)) * kBucketNs;  // Far ahead: recycles slots.
+      } else if (move < 4) {
+        now -= std::min(now, (64 + rng.NextBelow(8)) * kBucketNs);  // Far behind.
+      } else if (move < 10) {
+        now -= std::min(now, rng.NextBelow(3 * kBucketNs));  // A lagging worker.
+      } else {
+        now += rng.NextBelow(kBucketNs / 2);
+      }
+      const uint8_t tenant = static_cast<uint8_t>(rng.NextBelow(tenants));
+      const uint64_t what = rng.NextBelow(10);
+      if (what < 6) {
+        const uint32_t bytes = static_cast<uint32_t>(rng.NextBelow(4096));
+        const AccessDescriptor d = what < 3   ? SequentialRead(0, bytes)
+                                   : what < 5 ? SequentialWrite(0, bytes)
+                                              : NonTemporalWrite(0, bytes);
+        ledger.Charge(now, d, tenant);
+        reference.Charge(now, d, tenant);
+      } else if (what < 8) {
+        const BandwidthLedger::Mix got = ledger.SampleMix(now);
+        const BandwidthLedger::Mix want = reference.SampleMix(now);
+        ASSERT_EQ(got.window_bytes, want.window_bytes) << "seed " << seed << " op " << op;
+        ASSERT_EQ(got.write_fraction, want.write_fraction) << "seed " << seed << " op " << op;
+        ASSERT_EQ(got.nt_write_fraction, want.nt_write_fraction)
+            << "seed " << seed << " op " << op;
+      } else {
+        const BandwidthLedger::TenantOccupancy got = ledger.SampleTenantOccupancy(now, tenant);
+        const BandwidthLedger::TenantOccupancy want =
+            reference.SampleTenantOccupancy(now, tenant);
+        ASSERT_EQ(got.own_bytes, want.own_bytes) << "seed " << seed << " op " << op;
+        ASSERT_EQ(got.total_bytes, want.total_bytes) << "seed " << seed << " op " << op;
+        ASSERT_EQ(got.active_tenants, want.active_tenants) << "seed " << seed << " op " << op;
+      }
+    }
+  }
 }
 
 TEST(BandwidthRecorderTest, SeriesBucketsBytes) {

@@ -107,6 +107,41 @@ TEST(MetricsRegistryTest, SnapshotFromCycleUsesTheStableNames) {
   EXPECT_EQ(snap.values.at("gc.major_pauses"), 0u);
 }
 
+// The pause-metric names the Python tooling reads must stay entries of
+// GcPauseMetricNames(): each script lists the ones it reads in a
+// PAUSE_METRICS tuple, and a rename on either side fails here instead of
+// silently emptying a check.
+std::vector<std::string> ScriptPauseMetrics(const std::string& script) {
+  std::ifstream in(std::string(NVMGC_SOURCE_DIR) + "/scripts/" + script);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string source = text.str();
+  const std::string marker = "\nPAUSE_METRICS = (";
+  const size_t begin = source.find(marker);
+  if (begin == std::string::npos) {
+    return {};
+  }
+  const size_t end = source.find(')', begin);
+  std::vector<std::string> names;
+  for (size_t open = source.find('"', begin); open < end;
+       open = source.find('"', source.find('"', open + 1) + 1)) {
+    names.push_back(source.substr(open + 1, source.find('"', open + 1) - open - 1));
+  }
+  return names;
+}
+
+TEST(ScriptMetricNamesTest, ScriptsReadOnlyPauseMetricNames) {
+  const std::vector<std::string>& known = GcPauseMetricNames();
+  for (const char* script : {"fr_analyze.py", "check_bench_artifacts.py"}) {
+    const std::vector<std::string> names = ScriptPauseMetrics(script);
+    EXPECT_FALSE(names.empty()) << script << " declares no PAUSE_METRICS tuple";
+    for (const std::string& name : names) {
+      EXPECT_NE(std::find(known.begin(), known.end(), name), known.end())
+          << script << " reads \"" << name << "\", which is not in GcPauseMetricNames()";
+    }
+  }
+}
+
 // A cycle whose fields hold distinct values, set through the field table.
 GcCycleStats DistinctCycle(uint64_t base) {
   GcCycleStats cycle;
