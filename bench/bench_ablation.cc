@@ -77,8 +77,10 @@ int Main(BenchContext& ctx) {
       if (std::string(c.name) == "vanilla") {
         vanilla = seconds;
       }
+      // A configuration that never collected has no GC-time ratio.
       table.AddRow({c.name, FormatDouble(seconds, 3),
-                    FormatDouble(vanilla / seconds, 2) + "x"});
+                    vanilla > 0 && seconds > 0 ? FormatDouble(vanilla / seconds, 2) + "x"
+                                               : "n/a"});
     }
     table.Print();
     std::printf("\n");

@@ -27,6 +27,7 @@ int Main(BenchContext& ctx) {
   TablePrinter table({"app", "app-dram (s)", "gc-dram (s)", "app-nvm (s)", "gc-nvm (s)",
                       "gc slowdown", "app slowdown", "gc share nvm"});
   double gc_slowdown_sum = 0.0;
+  int collected = 0;
   double app_slowdown_sum = 0.0;
   for (const auto& app : apps) {
     const WorkloadProfile profile = RenaissanceProfile(app);
@@ -34,19 +35,25 @@ int Main(BenchContext& ctx) {
                                         kGcThreads);
     const WorkloadResult nvm = RunOnce(profile, DeviceKind::kNvm, GcVariant::kVanilla,
                                        kGcThreads);
-    const double gc_slowdown = nvm.gc_seconds() / dram.gc_seconds();
     const double app_slowdown = nvm.app_seconds() / dram.app_seconds();
     const double gc_share = nvm.gc_seconds() / nvm.total_seconds() * 100.0;
-    gc_slowdown_sum += gc_slowdown;
     app_slowdown_sum += app_slowdown;
+    std::string gc_slowdown_cell = "n/a";
+    if (dram.gc_seconds() > 0 && nvm.gc_seconds() > 0) {
+      const double gc_slowdown = nvm.gc_seconds() / dram.gc_seconds();
+      gc_slowdown_sum += gc_slowdown;
+      ++collected;
+      gc_slowdown_cell = FormatDouble(gc_slowdown, 2) + "x";
+    }
     table.AddRow({app, FormatDouble(dram.app_seconds(), 3), FormatDouble(dram.gc_seconds(), 3),
                   FormatDouble(nvm.app_seconds(), 3), FormatDouble(nvm.gc_seconds(), 3),
-                  FormatDouble(gc_slowdown, 2) + "x", FormatDouble(app_slowdown, 2) + "x",
+                  gc_slowdown_cell, FormatDouble(app_slowdown, 2) + "x",
                   FormatDouble(gc_share, 1) + "%"});
   }
   table.Print();
-  std::printf("\naverage GC slowdown DRAM->NVM:  %.2fx (paper: 6.53x, range 2.02x-8.25x)\n",
-              gc_slowdown_sum / static_cast<double>(apps.size()));
+  std::printf("\naverage GC slowdown DRAM->NVM:  %sx over the %d of %zu apps that collected "
+              "(paper: 6.53x, range 2.02x-8.25x)\n",
+              FormatMean(gc_slowdown_sum, collected, 2).c_str(), collected, apps.size());
   std::printf("average app slowdown DRAM->NVM: %.2fx (paper: ~2.68x)\n",
               app_slowdown_sum / static_cast<double>(apps.size()));
   return 0;

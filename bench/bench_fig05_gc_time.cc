@@ -6,7 +6,9 @@
 // gives 1.17x on average (up to 2.08x); the DRAM:NVM GC gap shrinks from
 // 4.21x to 2.28x; young-gen-dram beats the optimizations for most apps.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -31,6 +33,7 @@ int Main(BenchContext& ctx) {
   double sum_gap_vanilla = 0.0;
   double sum_gap_opt = 0.0;
   int improved = 0;
+  int collected = 0;
   const auto profiles = AllApplicationProfiles();
   for (const auto& profile : profiles) {
     const auto vanilla = RunOnce(profile, DeviceKind::kNvm, GcVariant::kVanilla, kGcThreads, collector);
@@ -39,32 +42,42 @@ int Main(BenchContext& ctx) {
     const auto dram = RunOnce(profile, DeviceKind::kDram, GcVariant::kVanilla, kGcThreads, collector);
     const auto young_dram = RunOnce(profile, DeviceKind::kNvm, GcVariant::kVanilla, kGcThreads,
                                     collector, /*eden_on_dram=*/true);
-    const double speedup_all = vanilla.gc_seconds() / all.gc_seconds();
-    const double speedup_wc = vanilla.gc_seconds() / wc.gc_seconds();
-    sum_all += speedup_all;
-    sum_wc += speedup_wc;
-    max_all = std::max(max_all, speedup_all);
-    max_wc = std::max(max_wc, speedup_wc);
-    sum_gap_vanilla += vanilla.gc_seconds() / dram.gc_seconds();
-    sum_gap_opt += all.gc_seconds() / dram.gc_seconds();
-    if (speedup_all > 1.02) {
-      ++improved;
+    std::string all_cell = "n/a";
+    std::string wc_cell = "n/a";
+    if (vanilla.gc_seconds() > 0 && wc.gc_seconds() > 0 && all.gc_seconds() > 0 &&
+        dram.gc_seconds() > 0) {
+      const double speedup_all = vanilla.gc_seconds() / all.gc_seconds();
+      const double speedup_wc = vanilla.gc_seconds() / wc.gc_seconds();
+      sum_all += speedup_all;
+      sum_wc += speedup_wc;
+      max_all = std::max(max_all, speedup_all);
+      max_wc = std::max(max_wc, speedup_wc);
+      sum_gap_vanilla += vanilla.gc_seconds() / dram.gc_seconds();
+      sum_gap_opt += all.gc_seconds() / dram.gc_seconds();
+      if (speedup_all > 1.02) {
+        ++improved;
+      }
+      ++collected;
+      all_cell = FormatDouble(speedup_all, 2) + "x";
+      wc_cell = FormatDouble(speedup_wc, 2) + "x";
     }
     table.AddRow({profile.name, FormatDouble(vanilla.gc_seconds(), 3),
                   FormatDouble(wc.gc_seconds(), 3), FormatDouble(all.gc_seconds(), 3),
                   FormatDouble(dram.gc_seconds(), 3), FormatDouble(young_dram.gc_seconds(), 3),
-                  FormatDouble(speedup_all, 2) + "x", FormatDouble(speedup_wc, 2) + "x"});
+                  all_cell, wc_cell});
   }
   table.Print();
-  const double n = static_cast<double>(profiles.size());
-  std::printf("\napps improved by +all:            %d of %zu (paper: 23 of 26)\n", improved,
-              profiles.size());
-  std::printf("+all GC speedup:                  avg %.2fx, max %.2fx (paper: 1.69x avg, 2.69x max)\n",
-              sum_all / n, max_all);
-  std::printf("+writecache GC speedup:           avg %.2fx, max %.2fx (paper: 1.17x avg, 2.08x max)\n",
-              sum_wc / n, max_wc);
-  std::printf("DRAM:NVM GC gap vanilla -> +all:  %.2fx -> %.2fx (paper: 4.21x -> 2.28x)\n",
-              sum_gap_vanilla / n, sum_gap_opt / n);
+  std::printf("\n%d of %zu apps collected in every config (the averages cover these)\n",
+              collected, profiles.size());
+  std::printf("apps improved by +all:            %d of %d (paper: 23 of 26)\n", improved,
+              collected);
+  std::printf("+all GC speedup:                  avg %sx, max %.2fx (paper: 1.69x avg, 2.69x max)\n",
+              FormatMean(sum_all, collected, 2).c_str(), max_all);
+  std::printf("+writecache GC speedup:           avg %sx, max %.2fx (paper: 1.17x avg, 2.08x max)\n",
+              FormatMean(sum_wc, collected, 2).c_str(), max_wc);
+  std::printf("DRAM:NVM GC gap vanilla -> +all:  %sx -> %sx (paper: 4.21x -> 2.28x)\n",
+              FormatMean(sum_gap_vanilla, collected, 2).c_str(),
+              FormatMean(sum_gap_opt, collected, 2).c_str());
   return 0;
 }
 

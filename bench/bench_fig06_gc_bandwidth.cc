@@ -5,6 +5,7 @@
 // the Spark applications whose traversal phases are longest.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -20,6 +21,7 @@ int Main(BenchContext& ctx) {
               kGcThreads);
   TablePrinter table({"app", "vanilla (MB/s)", "optimized (MB/s)", "improvement"});
   double sum_impr = 0.0;
+  int collected = 0;
   double spark_impr = 0.0;
   int spark_n = 0;
   const auto profiles = AllApplicationProfiles();
@@ -27,23 +29,29 @@ int Main(BenchContext& ctx) {
   for (const auto& profile : profiles) {
     const auto vanilla = RunOnce(profile, DeviceKind::kNvm, GcVariant::kVanilla, kGcThreads);
     const auto opt = RunOnce(profile, DeviceKind::kNvm, GcVariant::kAll, kGcThreads);
-    const double improvement = opt.gc_bandwidth_mbps / vanilla.gc_bandwidth_mbps - 1.0;
-    sum_impr += improvement;
-    for (const auto& s : spark) {
-      if (s.name == profile.name) {
-        spark_impr += improvement;
-        ++spark_n;
+    std::string improvement_cell = "n/a";
+    if (vanilla.gc_bandwidth_mbps > 0 && opt.gc_bandwidth_mbps > 0) {
+      const double improvement = opt.gc_bandwidth_mbps / vanilla.gc_bandwidth_mbps - 1.0;
+      sum_impr += improvement * 100.0;
+      ++collected;
+      for (const auto& s : spark) {
+        if (s.name == profile.name) {
+          spark_impr += improvement * 100.0;
+          ++spark_n;
+        }
       }
+      improvement_cell = FormatDouble(improvement * 100.0, 1) + "%";
     }
     table.AddRow({profile.name, FormatDouble(vanilla.gc_bandwidth_mbps, 0),
-                  FormatDouble(opt.gc_bandwidth_mbps, 0),
-                  FormatDouble(improvement * 100.0, 1) + "%"});
+                  FormatDouble(opt.gc_bandwidth_mbps, 0), improvement_cell});
   }
   table.Print();
-  std::printf("\naverage bandwidth improvement:       %.1f%% (paper: 55.0%%)\n",
-              sum_impr / static_cast<double>(profiles.size()) * 100.0);
-  std::printf("Spark-only bandwidth improvement:    %.1f%% (paper: 69.3%%)\n",
-              spark_n > 0 ? spark_impr / spark_n * 100.0 : 0.0);
+  std::printf("\n%d of %zu apps collected in both configs (the averages cover these)\n",
+              collected, profiles.size());
+  std::printf("average bandwidth improvement:       %s%% (paper: 55.0%%)\n",
+              FormatMean(sum_impr, collected, 1).c_str());
+  std::printf("Spark-only bandwidth improvement:    %s%% (paper: 69.3%%)\n",
+              FormatMean(spark_impr, spark_n, 1).c_str());
   return 0;
 }
 

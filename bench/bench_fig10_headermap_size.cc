@@ -74,29 +74,35 @@ int Main(BenchContext& ctx) {
     const SizedResult small = RunWithHeaderMapBytes(profile, gc_threads, cap32);
     const SizedResult mid = RunWithHeaderMapBytes(profile, gc_threads, cap16);
     const SizedResult big = RunWithHeaderMapBytes(profile, gc_threads, cap8);
-    const double gain = (small.gc_seconds - big.gc_seconds) / small.gc_seconds * 100.0;
-    bool is_spark = false;
-    for (const auto& s : spark) {
-      if (s.name == profile.name) {
-        is_spark = true;
+    std::string gain_cell = "n/a";
+    if (small.gc_seconds > 0) {
+      const double gain = (small.gc_seconds - big.gc_seconds) / small.gc_seconds * 100.0;
+      bool is_spark = false;
+      for (const auto& s : spark) {
+        if (s.name == profile.name) {
+          is_spark = true;
+        }
       }
-    }
-    if (is_spark) {
-      spark_gain += gain;
-      ++spark_n;
-    } else {
-      ren_gain += gain;
-      ++ren_n;
+      if (is_spark) {
+        spark_gain += gain;
+        ++spark_n;
+      } else {
+        ren_gain += gain;
+        ++ren_n;
+      }
+      gain_cell = FormatDouble(gain, 1) + "%";
     }
     table.AddRow({profile.name, FormatDouble(small.gc_seconds, 3), FormatDouble(mid.gc_seconds, 3),
-                  FormatDouble(big.gc_seconds, 3), FormatDouble(gain, 1) + "%",
+                  FormatDouble(big.gc_seconds, 3), gain_cell,
                   FormatDouble(big.peak_occupancy * 100.0, 0) + "%"});
   }
   table.Print();
-  std::printf("\nRenaissance avg gain from 4x larger map: %.1f%% (paper: 3.3%%)\n",
-              ren_gain / ren_n);
-  std::printf("Spark avg gain from 4x larger map:       %.1f%% (paper: 21.1%%)\n",
-              spark_n > 0 ? spark_gain / spark_n : 0.0);
+  std::printf("\n%d of %zu apps collected (the averages cover these)\n", ren_n + spark_n,
+              AllApplicationProfiles().size());
+  std::printf("Renaissance avg gain from 4x larger map: %s%% (paper: 3.3%%)\n",
+              FormatMean(ren_gain, ren_n, 1).c_str());
+  std::printf("Spark avg gain from 4x larger map:       %s%% (paper: 21.1%%)\n",
+              FormatMean(spark_gain, spark_n, 1).c_str());
   return 0;
 }
 

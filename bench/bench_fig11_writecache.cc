@@ -56,16 +56,21 @@ int Main(BenchContext& ctx) {
     const double unlimited = RunVariantGcSeconds(profile, gc_threads, true, false, DeviceKind::kNvm);
     const double async = RunVariantGcSeconds(profile, gc_threads, false, true, DeviceKind::kNvm);
     const double dram = RunVariantGcSeconds(profile, gc_threads, false, false, DeviceKind::kDram);
-    const double async_slowdown = (async - sync) / sync * 100.0;
-    async_slowdown_sum += async_slowdown;
-    ++n;
+    std::string slowdown_cell = "n/a";
+    if (sync > 0) {
+      const double async_slowdown = (async - sync) / sync * 100.0;
+      async_slowdown_sum += async_slowdown;
+      ++n;
+      slowdown_cell = FormatDouble(async_slowdown, 1) + "%";
+    }
     table.AddRow({profile.name, FormatDouble(sync, 3), FormatDouble(unlimited, 3),
-                  FormatDouble(async, 3), FormatDouble(dram, 3),
-                  FormatDouble(async_slowdown, 1) + "%"});
+                  FormatDouble(async, 3), FormatDouble(dram, 3), slowdown_cell});
   }
   table.Print();
-  std::printf("\naverage async-flush slowdown vs sync: %.1f%% (paper: 6.9%%)\n",
-              async_slowdown_sum / n);
+  std::printf("\n%d of %zu apps collected (the average covers these)\n", n,
+              AllApplicationProfiles().size());
+  std::printf("average async-flush slowdown vs sync: %s%% (paper: 6.9%%)\n",
+              FormatMean(async_slowdown_sum, n, 1).c_str());
   return 0;
 }
 

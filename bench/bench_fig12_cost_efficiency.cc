@@ -8,6 +8,7 @@
 // (9.58x average advantage for the optimizations on Spark).
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -48,20 +49,25 @@ int Main(BenchContext& ctx) {
     const double dram_gain = vanilla.gc_seconds() - dram.gc_seconds();
     const double opt_per_dollar = opt_gain / opt_extra_dollars;
     const double dram_per_dollar = dram_gain / dram_extra_dollars;
-    const double advantage = opt_per_dollar / dram_per_dollar;
-    for (const auto& s : spark) {
-      if (s.name == profile.name) {
-        spark_adv += advantage;
-        ++spark_n;
+    // An app that never collected gains nothing from either option: no ratio.
+    std::string advantage_cell = "n/a";
+    if (dram_per_dollar != 0) {
+      const double advantage = opt_per_dollar / dram_per_dollar;
+      for (const auto& s : spark) {
+        if (s.name == profile.name) {
+          spark_adv += advantage;
+          ++spark_n;
+        }
       }
+      advantage_cell = FormatDouble(advantage, 2) + "x";
     }
     table.AddRow({profile.name, FormatDouble(opt_gain, 3), FormatDouble(dram_gain, 3),
                   FormatDouble(opt_per_dollar, 2), FormatDouble(dram_per_dollar, 2),
-                  FormatDouble(advantage, 2) + "x"});
+                  advantage_cell});
   }
   table.Print();
-  std::printf("\nSpark avg GC-improvement-per-dollar advantage: %.2fx (paper: 9.58x)\n",
-              spark_n > 0 ? spark_adv / spark_n : 0.0);
+  std::printf("\nSpark avg GC-improvement-per-dollar advantage: %sx (paper: 9.58x)\n",
+              FormatMean(spark_adv, spark_n, 2).c_str());
   return 0;
 }
 

@@ -43,25 +43,33 @@ int Main(BenchContext& ctx) {
   double max_speedup = 0.0;
   double sum_pf = 0.0;
   int n = 0;
-  for (const auto& profile : RenaissanceProfiles()) {
+  const auto profiles = RenaissanceProfiles();
+  for (const auto& profile : profiles) {
     const double vanilla = RunPs(profile, gc_threads, GcVariant::kVanilla, /*prefetch=*/false);
     const double nopf = RunPs(profile, gc_threads, GcVariant::kAll, /*prefetch=*/false);
     const double all = RunPs(profile, gc_threads, GcVariant::kAll, /*prefetch=*/true);
-    const double speedup = vanilla / all;
-    const double pf_gain = (nopf - all) / nopf * 100.0;
-    sum_speedup += speedup;
-    min_speedup = std::min(min_speedup, speedup);
-    max_speedup = std::max(max_speedup, speedup);
-    sum_pf += pf_gain;
-    ++n;
+    std::string speedup_cell = "n/a";
+    std::string pf_cell = "n/a";
+    if (vanilla > 0 && nopf > 0 && all > 0) {
+      const double speedup = vanilla / all;
+      const double pf_gain = (nopf - all) / nopf * 100.0;
+      sum_speedup += speedup;
+      min_speedup = std::min(min_speedup, speedup);
+      max_speedup = std::max(max_speedup, speedup);
+      sum_pf += pf_gain;
+      ++n;
+      speedup_cell = FormatDouble(speedup, 2) + "x";
+      pf_cell = FormatDouble(pf_gain, 1) + "%";
+    }
     table.AddRow({profile.name, FormatDouble(vanilla, 3), FormatDouble(nopf, 3),
-                  FormatDouble(all, 3), FormatDouble(speedup, 2) + "x",
-                  FormatDouble(pf_gain, 1) + "%"});
+                  FormatDouble(all, 3), speedup_cell, pf_cell});
   }
   table.Print();
-  std::printf("\nPS speedup: avg %.2fx, range %.2fx - %.2fx (paper: 0.61x - 2.26x)\n",
-              sum_speedup / n, min_speedup, max_speedup);
-  std::printf("prefetching gain: %.1f%% avg (paper: 4.8%%)\n", sum_pf / n);
+  std::printf("\n%d of %zu apps collected in every config (the averages cover these)\n", n,
+              profiles.size());
+  std::printf("PS speedup: avg %sx, range %.2fx - %.2fx (paper: 0.61x - 2.26x)\n",
+              FormatMean(sum_speedup, n, 2).c_str(), min_speedup, max_speedup);
+  std::printf("prefetching gain: %s%% avg (paper: 4.8%%)\n", FormatMean(sum_pf, n, 1).c_str());
   return 0;
 }
 

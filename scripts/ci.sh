@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Local CI: build and test both configurations.
+# Local CI: build and test three configurations.
 #
 #   default   RelWithDebInfo            -> build/
 #   sanitize  Debug + ASan/UBSan        -> build-sanitize/
+#   tsan      Debug + TSan              -> build-tsan/
 #
-# Both run the full ctest suite, including:
+# The tsan preset builds only nvmgc_tests and runs the tests that start real
+# threads, HeaderMapTest.* (concurrent header-map installs and lookups); the
+# collector itself steps its workers on one host thread.
+#
+# default and sanitize run the full ctest suite, including:
 #   - nvmgc_fault_stress: randomized seeded fault plans with heap verification
 #     after every GC cycle;
 #   - nvmgc_bench_smoke: a small bench_fig05_gc_time run writing --json/--trace
@@ -58,7 +63,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for preset in default sanitize; do
+for preset in default sanitize tsan; do
   echo "=== [${preset}] configure ==="
   cmake --preset "${preset}"
   echo "=== [${preset}] build ==="

@@ -26,7 +26,7 @@ uint32_t BandwidthArbiter::AddTenant(QosTier tier, double budget_mbps) {
 }
 
 uint64_t BandwidthArbiter::BudgetBytesPerWindow(uint32_t tenant) const {
-  return MbpsToBytes(tenants_[tenant].budget_mbps, options_.window_ns);
+  return MbpsToBytes(tenants_[tenant].budget_mbps, kWindowNs);
 }
 
 std::vector<uint64_t> BandwidthArbiter::EndWindow(const std::vector<uint64_t>& bytes) {
@@ -39,11 +39,11 @@ std::vector<uint64_t> BandwidthArbiter::EndWindow(const std::vector<uint64_t>& b
     tenants_[i].stats.total_bytes += bytes[i];
   }
 
-  const uint64_t capacity_bytes = MbpsToBytes(options_.device_capacity_mbps, options_.window_ns);
+  const uint64_t capacity_bytes = MbpsToBytes(options_.device_capacity_mbps, kWindowNs);
   const bool contended =
       capacity_bytes == 0 ||
       static_cast<double>(fleet_bytes) >
-          options_.contention_fraction * static_cast<double>(capacity_bytes);
+          kContentionFraction * static_cast<double>(capacity_bytes);
 
   std::vector<uint64_t> stalls(tenants_.size(), 0);
   if (!contended) {
@@ -56,7 +56,7 @@ std::vector<uint64_t> BandwidthArbiter::EndWindow(const std::vector<uint64_t>& b
       continue;
     }
     const double budget_bytes = static_cast<double>(BudgetBytesPerWindow(static_cast<uint32_t>(i)));
-    const double over = static_cast<double>(bytes[i]) - options_.grace * budget_bytes;
+    const double over = static_cast<double>(bytes[i]) - kGrace * budget_bytes;
     if (over <= 0.0) {
       continue;
     }
@@ -74,10 +74,9 @@ std::vector<uint64_t> BandwidthArbiter::EndWindow(const std::vector<uint64_t>& b
     // take over * 1000 / mbps ns to move legitimately.
     double stall_ns = over * 1000.0 / t.budget_mbps;
     if (t.tier == QosTier::kBackground) {
-      stall_ns *= options_.background_penalty;
+      stall_ns *= kBackgroundPenalty;
     }
-    stall_ns = std::min(stall_ns,
-                        options_.max_stall_windows * static_cast<double>(options_.window_ns));
+    stall_ns = std::min(stall_ns, kMaxStallWindows * static_cast<double>(kWindowNs));
     stalls[i] = static_cast<uint64_t>(stall_ns + 0.5);
     ++t.stats.windows_throttled;
     t.stats.total_stall_ns += stalls[i];

@@ -10,12 +10,12 @@
 //   * Serving-tier tenants are never throttled: their budget is an
 //     entitlement the lower tiers are throttled *toward*, not a cap.
 //   * Nothing is throttled while the device is uncontended (fleet bytes in
-//     the window below contention_fraction of what the device could move):
+//     the window below kContentionFraction of what the device could move):
 //     idle bandwidth is free, the arbiter is work-conserving.
 //   * Otherwise a batch/background tenant that moved more than
-//     grace x budget pays back the overshoot at its budget rate:
+//     kGrace x budget pays back the overshoot at its budget rate:
 //     stall = over_bytes / budget_rate, doubled for background
-//     (background_penalty) — and only when some strictly higher-priority
+//     (kBackgroundPenalty) — and only when some strictly higher-priority
 //     tenant actually competed in the window (nonzero bytes), because
 //     throttling with no higher-priority demand would just idle the device.
 //
@@ -34,24 +34,11 @@
 namespace nvmgc {
 
 struct ArbiterOptions {
-  // Accounting window width in simulated ns.
-  uint64_t window_ns = 1'000'000;
-  // Over-budget tolerance before a throttle: 1.10 = 10% slack, so tenants
-  // riding exactly at budget are not flapped by bucket-boundary noise.
-  double grace = 1.10;
   // The device total the contention test compares against. <= 0 (the
   // default) means "always contended" — budgets are strict contracts. Set it
   // (e.g. to an achievable device bandwidth) to make the arbiter
   // work-conserving: under-capacity windows are never throttled.
   double device_capacity_mbps = 0.0;
-  // A window counts as contended when fleet bytes exceed this fraction of
-  // device capacity x window.
-  double contention_fraction = 0.5;
-  // Background overshoot is paid back at this multiple of the base stall.
-  double background_penalty = 2.0;
-  // Stall ceiling, in windows, so a pathological burst cannot freeze a
-  // tenant for the rest of the run.
-  double max_stall_windows = 8.0;
 };
 
 struct ArbiterTenantStats {
@@ -62,6 +49,20 @@ struct ArbiterTenantStats {
 
 class BandwidthArbiter {
  public:
+  // Accounting window width in simulated ns.
+  static constexpr uint64_t kWindowNs = 1'000'000;
+  // Over-budget tolerance before a throttle: 1.10 = 10% slack, so tenants
+  // riding exactly at budget are not flapped by bucket-boundary noise.
+  static constexpr double kGrace = 1.10;
+  // A window counts as contended when fleet bytes exceed this fraction of
+  // device capacity x window.
+  static constexpr double kContentionFraction = 0.5;
+  // Background overshoot is paid back at this multiple of the base stall.
+  static constexpr double kBackgroundPenalty = 2.0;
+  // Stall ceiling, in windows, so a pathological burst cannot freeze a
+  // tenant for the rest of the run.
+  static constexpr double kMaxStallWindows = 8.0;
+
   explicit BandwidthArbiter(const ArbiterOptions& options) : options_(options) {}
 
   // Registers a tenant; ids are assigned densely in call order and must match

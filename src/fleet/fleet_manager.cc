@@ -12,8 +12,7 @@ FleetOptions::FleetOptions() : device(MakeOptaneProfile()) {}
 FleetManager::FleetManager(const FleetOptions& options)
     : options_(options),
       device_(std::make_unique<MemoryDevice>(options.device)),
-      arbiter_(options.arbiter),
-      pause_scheduler_(options.pause_scheduler) {}
+      arbiter_(options.arbiter) {}
 
 FleetManager::~FleetManager() {
   // Tenant Vms hold raw pointers to this manager (GcCoordinator) and to the
@@ -99,8 +98,7 @@ void FleetManager::Run(uint64_t deadline_ns) {
 }
 
 void FleetManager::CloseWindowsUpTo(uint64_t fleet_now_ns) {
-  const uint64_t window_ns = arbiter_.options().window_ns;
-  while (window_start_ns_ + window_ns <= fleet_now_ns) {
+  while (window_start_ns_ + BandwidthArbiter::kWindowNs <= fleet_now_ns) {
     std::vector<uint64_t> bytes(tenants_.size(), 0);
     for (size_t i = 0; i < tenants_.size(); ++i) {
       const uint64_t total =
@@ -119,7 +117,7 @@ void FleetManager::CloseWindowsUpTo(uint64_t fleet_now_ns) {
         tenants_[i].vm->metrics().AddCounter("fleet.throttle_windows", 1);
       }
     }
-    window_start_ns_ += window_ns;
+    window_start_ns_ += BandwidthArbiter::kWindowNs;
   }
 }
 

@@ -53,7 +53,6 @@ struct FleetOptions {
   bool arbitration = true;
   bool pause_coordination = true;
   ArbiterOptions arbiter;
-  PauseSchedulerOptions pause_scheduler;
 
   FleetOptions();  // Defaults device to MakeOptaneProfile().
 };

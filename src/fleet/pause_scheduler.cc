@@ -16,7 +16,7 @@ void FleetPauseScheduler::OnPauseFinished(uint32_t tenant, uint64_t start_ns, ui
 }
 
 uint64_t FleetPauseScheduler::DeferNs(uint32_t tenant, GcKind kind, uint64_t now_ns) const {
-  if (kind == GcKind::kMinor && !options_.defer_minor) {
+  if (kind == GcKind::kMinor) {
     return 0;
   }
   uint64_t defer = 0;
@@ -26,11 +26,11 @@ uint64_t FleetPauseScheduler::DeferNs(uint32_t tenant, GcKind kind, uint64_t now
     }
     // Overlap test with a leading margin: defer when `now` falls inside
     // [start - margin, end) of a co-tenant's drain.
-    if (now_ns + options_.margin_ns >= w.start_ns && now_ns < w.end_ns) {
+    if (now_ns + kMarginNs >= w.start_ns && now_ns < w.end_ns) {
       defer = std::max(defer, w.end_ns - now_ns);
     }
   }
-  defer = std::min(defer, options_.max_defer_ns);
+  defer = std::min(defer, kMaxDeferNs);
   if (defer > 0) {
     ++deferrals_;
     total_defer_ns_ += defer;

@@ -8,10 +8,10 @@
 // tenant requesting a write-back-heavy (major) pause to defer — run
 // application code a little longer — until the co-tenant's drain has passed.
 //
-// Deferrals are bounded (max_defer_ns): the requesting tenant's heap is near
+// Deferrals are bounded (kMaxDeferNs): the requesting tenant's heap is near
 // exhaustion, so the pause can be delayed, not denied. Minor pauses (young
-// evacuations, mostly DRAM-side in generational heaps) are not deferred by
-// default.
+// evacuations, mostly DRAM-side in generational heaps) are never deferred:
+// they barely touch the shared device.
 //
 // Pure simulated-time bookkeeping; deterministic; no Vm dependencies.
 
@@ -25,21 +25,14 @@
 
 namespace nvmgc {
 
-struct PauseSchedulerOptions {
+class FleetPauseScheduler {
+ public:
   // Deferral ceiling per pause request.
-  uint64_t max_defer_ns = 2'000'000;
+  static constexpr uint64_t kMaxDeferNs = 2'000'000;
   // Defer when the request lands within this margin *before* a drain window
   // too: co-tenant clocks are only loosely synchronized, so a pause that
   // would start just ahead of a known drain would still overlap it.
-  uint64_t margin_ns = 100'000;
-  // Also stagger minor pauses (off: young evacuations are DRAM-heavy and
-  // barely touch the shared device).
-  bool defer_minor = false;
-};
-
-class FleetPauseScheduler {
- public:
-  explicit FleetPauseScheduler(const PauseSchedulerOptions& options) : options_(options) {}
+  static constexpr uint64_t kMarginNs = 100'000;
 
   // Records tenant's completed pause: its write-back drain window is the
   // final `writeback_ns` of [start_ns, end_ns).
@@ -52,7 +45,6 @@ class FleetPauseScheduler {
 
   uint64_t deferrals() const { return deferrals_; }
   uint64_t total_defer_ns() const { return total_defer_ns_; }
-  const PauseSchedulerOptions& options() const { return options_; }
 
  private:
   struct DrainWindow {
@@ -60,7 +52,6 @@ class FleetPauseScheduler {
     uint64_t end_ns = 0;
   };
 
-  PauseSchedulerOptions options_;
   std::map<uint32_t, DrainWindow> last_drain_;
   // Mutated by DeferNs through the manager path; kept simple with mutable
   // counters since the scheduler is single-threaded by construction.

@@ -18,6 +18,8 @@ constexpr uint64_t kFenceNs = 120;    // sfence after non-temporal write-back.
 // scanning setup, region bookkeeping, termination. Real G1 pauses have a
 // floor of this order regardless of how little is copied.
 constexpr uint64_t kPauseFixedOverheadNs = 40'000;
+// Header-map linear-probe window (Algorithm 1's SEARCH_BOUND).
+constexpr uint32_t kHeaderMapSearchBound = 16;
 }  // namespace
 
 CopyCollector::CopyCollector(Heap* heap, const GcOptions& options)
@@ -34,12 +36,11 @@ CopyCollector::CopyCollector(Heap* heap, const GcOptions& options)
   if (options_.use_header_map) {
     const size_t bytes = options_.header_map_bytes != 0 ? options_.header_map_bytes
                                                         : heap_->heap_arena_bytes() / 32;
-    header_map_ = std::make_unique<HeaderMap>(bytes, options_.header_map_search_bound,
-                                              heap_->dram_device());
+    header_map_ = std::make_unique<HeaderMap>(bytes, kHeaderMapSearchBound, heap_->dram_device());
     header_map_->set_key_origin(heap_->heap_base());
   }
-  if (options_.durability.enabled) {
-    commit_layout_ = ComputeCommitLayout(heap_->config(), options_.durability);
+  if (options_.durable) {
+    commit_layout_ = ComputeCommitLayout(heap_->config());
     NVMGC_CHECK_MSG(heap_->commit_area_bytes() >= commit_layout_.total_bytes(),
                     "durability enabled but the heap's commit area is too small: the Vm "
                     "must size HeapConfig::commit_area_bytes from ComputeCommitLayout");
@@ -262,7 +263,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   // Durability: seal this pause's commit record (flush new live regions,
   // redo-log in-place updates, durable-last seal, release the quarantine).
   GcCycleStats persist_stats;
-  if (options_.durability.enabled) {
+  if (options_.durable) {
     PersistEpilogue(roots, &pause_end, &persist_stats);
   }
 
@@ -331,7 +332,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
       tracer_->EmitInstant("gc.degraded", "gc", t0);
     }
     tracer_->Emit("gc.pause", "gc", t0, pause_end);
-    if (options_.durability.enabled) {
+    if (options_.durable) {
       // Per-pause persist cost counter tracks (Perfetto; see EXPERIMENTS.md).
       tracer_->EmitCounter("persist.flush_lines", "persist", pause_end,
                            static_cast<double>(cycle.persist_flush_lines));
@@ -772,7 +773,8 @@ void CopyCollector::PersistEpilogue(const std::vector<Address*>& roots, uint64_t
   }
   const size_t redo_bytes = redo_offsets.size() * sizeof(RedoEntry);
   NVMGC_CHECK_MSG(redo_bytes <= commit_layout_.redo_slot_bytes,
-                  "durability redo log overflow: raise DurabilityOptions::redo_log_bytes");
+                  "durability redo log overflow: the in-place updates of this pause exceed "
+                  "the heap-derived redo slot (see ComputeCommitLayout)");
   std::vector<RedoEntry> redo(redo_offsets.size());
   const Address redo_base = area + commit_layout_.redo_offset(gc_epoch_);
   if (!redo.empty()) {
@@ -825,7 +827,8 @@ void CopyCollector::PersistEpilogue(const std::vector<Address*>& roots, uint64_t
                                entries.size() * sizeof(CommitRegionEntry) +
                                root_offsets.size() * sizeof(uint64_t);
   NVMGC_CHECK_MSG(payload_bytes + sizeof(uint64_t) <= commit_layout_.record_slot_bytes,
-                  "durability commit record overflow: raise DurabilityOptions::commit_record_bytes");
+                  "durability commit record overflow: the region table and roots exceed the "
+                  "heap-derived record slot (see ComputeCommitLayout)");
   std::vector<uint8_t> payload(payload_bytes);
   uint8_t* cursor = payload.data() + sizeof(CommitHeader);
   std::memcpy(cursor, entries.data(), entries.size() * sizeof(CommitRegionEntry));

@@ -56,10 +56,6 @@ std::string GcOptions::Validate() const {
              "HeaderMapBytes())";
     }
   }
-  if (use_header_map && header_map_search_bound == 0) {
-    return "header_map_search_bound is 0: every probe would overflow to the NVM "
-           "header immediately (use HeaderMapSearchBound(n) with n >= 1)";
-  }
   if (prefetch_header_map && !prefetch) {
     return "prefetch_header_map requires prefetch: header-map probe prefetching "
            "extends object prefetching, it cannot run alone (enable Prefetch())";
@@ -68,48 +64,8 @@ std::string GcOptions::Validate() const {
     return "lab_bytes is 0 with the ParallelScavenge collector: every object would "
            "bypass the local allocation buffers (use LabBytes(n) with n > 0)";
   }
-  if (!durability.enabled) {
-    if (durability.flush_line_cost_ns != -1 || durability.fence_cost_ns != -1 ||
-        durability.commit_record_bytes != 0 || durability.redo_log_bytes != 0) {
-      return "durability sub-options are set but durability.enabled is false: they "
-             "would silently be ignored (enable Durability() or drop the "
-             "DurabilityOptions overrides)";
-    }
-  } else {
-    if (durability.flush_line_cost_ns < -1) {
-      return "durability.flush_line_cost_ns must be >= 0 (or -1 for the device "
-             "profile default): a negative flush cost would run time backwards "
-             "(fix it via Durability(DurabilityOptions))";
-    }
-    if (durability.fence_cost_ns < -1) {
-      return "durability.fence_cost_ns must be >= 0 (or -1 for the device profile "
-             "default): a negative fence cost would run time backwards (fix it via "
-             "Durability(DurabilityOptions))";
-    }
-    if (durability.commit_record_bytes != 0) {
-      if (durability.commit_record_bytes < 4096 ||
-          durability.commit_record_bytes > 8 * 1024 * 1024) {
-        return "durability.commit_record_bytes outside [4 KiB, 8 MiB]: the slot "
-               "must hold the commit header plus the region-table snapshot and "
-               "root offsets, and stay a small fraction of the heap (use 0 to "
-               "derive it from the heap geometry, or pick a value in range via "
-               "Durability(DurabilityOptions))";
-      }
-      if (durability.commit_record_bytes % 8 != 0) {
-        return "durability.commit_record_bytes must be 8-byte aligned: the seal "
-               "word sits in the slot's last 8 bytes (round it up via "
-               "Durability(DurabilityOptions))";
-      }
-    }
-    if (durability.redo_log_bytes != 0 && durability.redo_log_bytes < 4096) {
-      return "durability.redo_log_bytes below 4 KiB: a single in-place update "
-             "batch would overflow the redo slot (use 0 for the heap-derived "
-             "default or raise it via Durability(DurabilityOptions))";
-    }
-  }
   if (!generational.enabled) {
     if (generational.young_gen_bytes != 0 ||
-        generational.survivor_fraction != 0.125 ||
         generational.tenure_threshold != 3 ||
         generational.large_object_threshold != 0) {
       return "generational sub-options are set but generational.enabled is false: "
@@ -117,12 +73,6 @@ std::string GcOptions::Validate() const {
              "GenerationalOptions overrides)";
     }
   } else {
-    if (generational.survivor_fraction <= 0.0 ||
-        generational.survivor_fraction > 0.5) {
-      return "generational.survivor_fraction outside (0, 0.5]: the survivor space "
-             "must exist and cannot exceed half the young generation (fix it via "
-             "Generational(GenerationalOptions))";
-    }
     if (generational.tenure_threshold < 1 || generational.tenure_threshold > 15) {
       return "generational.tenure_threshold outside [1, 15]: the object age field "
              "is 4 bits wide, and a threshold of 0 would tenure everything on its "
@@ -136,51 +86,10 @@ std::string GcOptions::Validate() const {
              "Generational(GenerationalOptions))";
     }
   }
-  if (adaptive.enabled) {
-    if (adaptive.step_fraction <= 0.0 || adaptive.step_fraction > 1.0) {
-      return "adaptive.step_fraction must be in (0, 1]: it is the multiplicative "
-             "grow/shrink step for capacity knobs (fix it via "
-             "AdaptivePolicy(AdaptivePolicyOptions))";
-    }
-    if (adaptive.min_gc_threads == 0) {
-      return "adaptive.min_gc_threads is 0: the controller must keep at least one "
-             "worker active (set min_gc_threads >= 1 via "
-             "AdaptivePolicy(AdaptivePolicyOptions))";
-    }
-    if (adaptive.min_gc_threads > gc_threads) {
-      return "adaptive.min_gc_threads exceeds gc_threads: the clamp range must fit "
-             "inside the collector's workers (lower min_gc_threads or raise GcThreads "
-             "before AdaptivePolicy(AdaptivePolicyOptions))";
-    }
-    if (adaptive.max_gc_threads != 0) {
-      if (adaptive.max_gc_threads > gc_threads) {
-        return "adaptive.max_gc_threads exceeds gc_threads: the collector only has "
-               "gc_threads workers, the controller cannot add more (lower "
-               "max_gc_threads or raise GcThreads before "
-               "AdaptivePolicy(AdaptivePolicyOptions))";
-      }
-      if (adaptive.max_gc_threads < adaptive.min_gc_threads) {
-        return "adaptive.max_gc_threads is below adaptive.min_gc_threads: the "
-               "thread clamp range is empty (fix the range via "
-               "AdaptivePolicy(AdaptivePolicyOptions))";
-      }
-    }
-    if (adaptive.min_write_cache_bytes == 0) {
-      return "adaptive.min_write_cache_bytes is 0: the controller could shrink the "
-             "write cache to nothing and every survivor would stall on a capacity "
-             "probe (set a positive floor via AdaptivePolicy(AdaptivePolicyOptions))";
-    }
-    if (adaptive.max_write_cache_bytes != 0 &&
-        adaptive.min_write_cache_bytes > adaptive.max_write_cache_bytes) {
-      return "adaptive.min_write_cache_bytes exceeds adaptive.max_write_cache_bytes: "
-             "the write-cache clamp range is empty (fix the range via "
-             "AdaptivePolicy(AdaptivePolicyOptions))";
-    }
-    if (use_write_cache && unlimited_write_cache) {
-      return "adaptive.enabled contradicts unlimited_write_cache: the controller "
-             "tunes a bounded capacity cap (drop UnlimitedWriteCache() or "
-             "AdaptivePolicy())";
-    }
+  if (adaptive_policy && use_write_cache && unlimited_write_cache) {
+    return "adaptive_policy contradicts unlimited_write_cache: the controller "
+           "tunes a bounded capacity cap (drop UnlimitedWriteCache() or "
+           "AdaptivePolicy())";
   }
   return std::string();
 }
@@ -232,10 +141,6 @@ GcOptionsBuilder& GcOptionsBuilder::HeaderMapMinThreads(uint32_t threads) {
   o_.header_map_min_threads = threads;
   return *this;
 }
-GcOptionsBuilder& GcOptionsBuilder::HeaderMapSearchBound(uint32_t bound) {
-  o_.header_map_search_bound = bound;
-  return *this;
-}
 GcOptionsBuilder& GcOptionsBuilder::NonTemporal(bool on) {
   o_.use_non_temporal = on;
   return *this;
@@ -261,19 +166,11 @@ GcOptionsBuilder& GcOptionsBuilder::AutoDegrade(bool on) {
   return *this;
 }
 GcOptionsBuilder& GcOptionsBuilder::AdaptivePolicy(bool on) {
-  o_.adaptive.enabled = on;
-  return *this;
-}
-GcOptionsBuilder& GcOptionsBuilder::AdaptivePolicy(const AdaptivePolicyOptions& adaptive) {
-  o_.adaptive = adaptive;
+  o_.adaptive_policy = on;
   return *this;
 }
 GcOptionsBuilder& GcOptionsBuilder::Durability(bool on) {
-  o_.durability.enabled = on;
-  return *this;
-}
-GcOptionsBuilder& GcOptionsBuilder::Durability(const DurabilityOptions& durability) {
-  o_.durability = durability;
+  o_.durable = on;
   return *this;
 }
 GcOptionsBuilder& GcOptionsBuilder::Generational(bool on) {

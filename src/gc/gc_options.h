@@ -21,53 +21,6 @@ enum class CollectorKind : uint8_t {
 
 const char* CollectorKindName(CollectorKind kind);
 
-// Configuration of the adaptive policy engine (src/policy/): when enabled, a
-// per-pause feedback controller retunes the NVM optimizations between pauses
-// (write-cache capacity, header-map gating/size, async flushing, prefetch
-// distance, GC thread count) from the previous pauses' measured behavior.
-// Every adapted value stays inside the clamp ranges below, which Validate()
-// checks against the static configuration.
-struct AdaptivePolicyOptions {
-  bool enabled = false;
-  // Pauses observed before the first decision (the signal history warms up).
-  uint32_t warmup_pauses = 1;
-  // Minimum pauses between two consecutive changes of the same knob.
-  uint32_t cooldown_pauses = 1;
-  // Multiplicative step for capacity knobs, in (0, 1]: grow multiplies by
-  // (1 + step), shrink by (1 - step).
-  double step_fraction = 0.5;
-  // Clamp range for the adapted GC thread count. max 0 = gc_threads (the
-  // number of workers the collector has, which is also the hard upper bound).
-  uint32_t min_gc_threads = 1;
-  uint32_t max_gc_threads = 0;
-  // Clamp range for the adapted write-cache capacity. max 0 = derived from
-  // the heap geometry (the DRAM cache arena, capped at heap/8).
-  size_t min_write_cache_bytes = 256 * 1024;
-  size_t max_write_cache_bytes = 0;
-};
-
-// Configuration of durability mode (src/nvm/persist_ledger.h +
-// src/recovery/): when enabled, the write cache's sequential write-back
-// becomes a persistence batch (flush per drained run, fence at batch
-// boundaries) and every pause ends with a durable-last commit record, so a
-// crash at any simulated instant rolls back to the last sealed commit.
-struct DurabilityOptions {
-  bool enabled = false;
-  // Simulated CLWB / SFENCE costs; -1 = take them from the heap device's
-  // DeviceProfile (flush_line_ns / fence_ns). Explicit values >= 0 override
-  // for sensitivity studies.
-  int64_t flush_line_cost_ns = -1;
-  int64_t fence_cost_ns = -1;
-  // Commit-record slot size in bytes; 0 = derived from the heap geometry
-  // (region-table snapshot + root set, page aligned). Explicit values are
-  // bounds-checked by Validate().
-  size_t commit_record_bytes = 0;
-  // Redo-log slot size in bytes; 0 = max(heap/32, 256 KiB). Holds the
-  // content redo entries for in-place updates to previously committed
-  // regions (see DESIGN.md §8).
-  size_t redo_log_bytes = 0;
-};
-
 // Configuration of the generational NVM-tiered heap (src/heap + src/gc):
 // when enabled, allocation goes to a DRAM-resident young generation (eden +
 // survivor regions served from the DRAM arena), survivors age in place and
@@ -85,9 +38,6 @@ struct GenerationalOptions {
   // the paper's 16 GiB heap / 4 GiB young space. Rounded to whole regions and
   // bounds-checked against the heap geometry by the Vm constructor.
   size_t young_gen_bytes = 0;
-  // Fraction of the young generation reserved for survivor regions, in
-  // (0, 0.5]. Survivor overflow promotes early (counted, never fails).
-  double survivor_fraction = 0.125;
   // Copy count after which a survivor is tenured to NVM, in [1, 15] (the age
   // field is 4 bits wide). The adaptive policy retunes this per pause.
   uint32_t tenure_threshold = 3;
@@ -113,8 +63,6 @@ struct GcOptions {
   // The header map only pays off once reads are bandwidth-starved; below this
   // thread count it is bypassed (paper default 8).
   uint32_t header_map_min_threads = 8;
-  // Bounded linear-probe window (Algorithm 1's SEARCH_BOUND).
-  uint32_t header_map_search_bound = 16;
 
   // Non-temporal (streaming) stores for write-cache write-back.
   bool use_non_temporal = false;
@@ -139,12 +87,22 @@ struct GcOptions {
   bool auto_degrade = true;
 
   // --- Durability ---
-  // Opt-in crash consistency for the NVM heap (see DurabilityOptions).
-  DurabilityOptions durability;
+  // Opt-in crash consistency for the NVM heap (src/nvm/persist_ledger.h +
+  // src/recovery/): the write cache's sequential write-back becomes a
+  // persistence batch (flush per drained run, fence at batch boundaries) and
+  // every pause ends with a durable-last commit record, so a crash at any
+  // simulated instant rolls back to the last sealed commit. Flush and fence
+  // costs come from the heap device's DeviceProfile; the commit area is sized
+  // from the heap geometry (ComputeCommitLayout).
+  bool durable = false;
 
   // --- Adaptive policy ---
-  // Per-pause feedback tuning of the knobs above (see AdaptivePolicyOptions).
-  AdaptivePolicyOptions adaptive;
+  // Per-pause feedback tuning of the knobs above (src/policy/): between
+  // pauses the controller retunes write-cache capacity, header-map gating and
+  // size, async flushing, prefetch distance and GC thread count from the
+  // previous pauses' measured behavior, inside clamp ranges the PolicyEngine
+  // derives from this configuration and the heap geometry.
+  bool adaptive_policy = false;
 
   // --- Generational heap ---
   // DRAM young generation with age-based tenuring into the NVM old
@@ -160,9 +118,9 @@ struct GcOptions {
 
 // The per-pause mutable subset of GcOptions. The collector consumes a GcTuning
 // at the start of every pause; between pauses the policy engine (src/policy/)
-// rewrites it within the AdaptivePolicyOptions clamp ranges. DefaultGcTuning
-// reproduces the static configuration exactly, so a Vm without the adaptive
-// policy behaves as if the tuning layer did not exist.
+// rewrites it within its clamp ranges. DefaultGcTuning reproduces the static
+// configuration exactly, so a Vm without the adaptive policy behaves as if the
+// tuning layer did not exist.
 struct GcTuning {
   // Workers participating in the next pause, in [1, gc_threads]. Inactive
   // workers stay parked; their queues receive no seed work.
@@ -204,7 +162,6 @@ class GcOptionsBuilder {
   GcOptionsBuilder& HeaderMap(bool on = true);
   GcOptionsBuilder& HeaderMapBytes(size_t bytes);
   GcOptionsBuilder& HeaderMapMinThreads(uint32_t threads);
-  GcOptionsBuilder& HeaderMapSearchBound(uint32_t bound);
   GcOptionsBuilder& NonTemporal(bool on = true);
   GcOptionsBuilder& AsyncFlush(bool on = true);
   GcOptionsBuilder& Prefetch(bool on = true);
@@ -212,9 +169,7 @@ class GcOptionsBuilder {
   GcOptionsBuilder& LabBytes(size_t bytes);
   GcOptionsBuilder& AutoDegrade(bool on = true);
   GcOptionsBuilder& AdaptivePolicy(bool on = true);
-  GcOptionsBuilder& AdaptivePolicy(const AdaptivePolicyOptions& adaptive);
   GcOptionsBuilder& Durability(bool on = true);
-  GcOptionsBuilder& Durability(const DurabilityOptions& durability);
   GcOptionsBuilder& Generational(bool on = true);
   GcOptionsBuilder& Generational(const GenerationalOptions& generational);
 

@@ -45,7 +45,7 @@ struct HeapConfig {
   uint32_t survivor_regions = 0;  // DRAM survivor quota (generational only).
   // Extra bytes appended to the heap arena past the regions, reserved for the
   // durability mode's commit records and redo logs (the Vm sizes it from
-  // DurabilityOptions; 0 outside durability mode). RegionFor() returns
+  // ComputeCommitLayout; 0 outside durability mode). RegionFor() returns
   // nullptr inside this area.
   size_t commit_area_bytes = 0;
 };

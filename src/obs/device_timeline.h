@@ -19,8 +19,8 @@
 //    still resident in the ledger ring (64 buckets x 150 us ≈ 9.6 ms of
 //    simulated time); evicted epochs are counted in missing_buckets().
 //
-// Not thread-safe: the collector samples from the control thread between
-// parallel phases.
+// Not thread-safe: the collector samples once per pause, at pause end, on the
+// one host thread that steps the whole pause.
 
 #ifndef NVMGC_SRC_OBS_DEVICE_TIMELINE_H_
 #define NVMGC_SRC_OBS_DEVICE_TIMELINE_H_

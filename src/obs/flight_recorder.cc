@@ -119,10 +119,7 @@ const char* FrTriggerName(FrTrigger trigger) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options)
-    : options_(std::move(options)) {
-  if (options_.retain_pauses == 0) options_.retain_pauses = 1;
-}
+FlightRecorder::FlightRecorder(FlightRecorderOptions options) : options_(std::move(options)) {}
 
 uint64_t FlightRecorder::TrailingP99() const {
   if (trailing_pause_ns_.empty()) return 0;
@@ -143,10 +140,9 @@ FrTriggerInfo FlightRecorder::Evaluate(const FlightPauseRecord& record) const {
     info.detail = "pause exceeded the configured absolute threshold";
     return info;
   }
-  if (options_.p99_multiplier > 0 &&
-      trailing_pause_ns_.size() >= options_.p99_min_history) {
+  if (trailing_pause_ns_.size() >= kP99MinHistory) {
     const uint64_t p99 = TrailingP99();
-    const double bound = static_cast<double>(p99) * options_.p99_multiplier;
+    const double bound = static_cast<double>(p99) * kP99Multiplier;
     if (p99 > 0 && static_cast<double>(record.stats.pause_ns) > bound) {
       info.kind = FrTrigger::kP99Outlier;
       info.threshold_ns = static_cast<uint64_t>(bound);
@@ -154,12 +150,12 @@ FrTriggerInfo FlightRecorder::Evaluate(const FlightPauseRecord& record) const {
       return info;
     }
   }
-  if (options_.trigger_on_degraded && record.degraded) {
+  if (record.degraded) {
     info.kind = FrTrigger::kDegraded;
     info.detail = "pause ran in degraded mode";
     return info;
   }
-  if (options_.trigger_on_retreat && record.retreat) {
+  if (record.retreat) {
     info.kind = FrTrigger::kRetreat;
     for (const PolicyDecision& d : record.decisions) {
       if (d.retreat) {
@@ -169,8 +165,7 @@ FrTriggerInfo FlightRecorder::Evaluate(const FlightPauseRecord& record) const {
     }
     return info;
   }
-  if (options_.trigger_on_survivor_overflow &&
-      record.stats.survivor_overflow_bytes > 0) {
+  if (record.stats.survivor_overflow_bytes > 0) {
     info.kind = FrTrigger::kSurvivorOverflow;
     info.observed_ns = record.stats.survivor_overflow_bytes;
     info.detail = "survivor space overflowed; survivors promoted early";
@@ -183,7 +178,7 @@ FrTrigger FlightRecorder::RecordPause(FlightPauseRecord record) {
   if (!options_.enabled) return FrTrigger::kNone;
   ++pauses_recorded_;
   pauses_.push_back(std::move(record));
-  while (pauses_.size() > options_.retain_pauses) pauses_.pop_front();
+  while (pauses_.size() > kRetainPauses) pauses_.pop_front();
 
   // Evaluate against the trailing window *excluding* this pause, so a single
   // outlier cannot raise the p99 it is judged against.
@@ -193,7 +188,7 @@ FrTrigger FlightRecorder::RecordPause(FlightPauseRecord record) {
 
   if (info.kind == FrTrigger::kNone) return FrTrigger::kNone;
   last_trigger_ = info;
-  if (!options_.dump_dir.empty() && auto_dumps_ < options_.max_dumps) {
+  if (!options_.dump_dir.empty() && auto_dumps_ < kMaxAutoDumps) {
     std::string path;
     if (WriteIncident(options_.dump_dir, info, &path)) {
       ++auto_dumps_;

@@ -8,7 +8,7 @@
 //
 // Triggers (first match wins, evaluated per pause):
 //   pause_threshold    pause_ns > FlightRecorderOptions::pause_threshold_ns
-//   p99_outlier        pause_ns > p99_multiplier x trailing-window p99
+//   p99_outlier        pause_ns > kP99Multiplier x trailing-window p99
 //   degraded           the pause ran in degraded mode (fault throttling)
 //   retreat            the policy engine took a retreat decision this pause
 //                      (includes the durability fence-stall retreat)
@@ -27,7 +27,7 @@
 // and is pure host-side bookkeeping — it never touches MemoryDevice, so it
 // charges zero *simulated* time by construction; the ≤3% bound CI enforces is
 // on host wall-clock (bench_flight_recorder). Memory is bounded by
-// retain_pauses plus a fixed trailing pause-time window.
+// kRetainPauses plus a fixed trailing pause-time window.
 
 #ifndef NVMGC_SRC_OBS_FLIGHT_RECORDER_H_
 #define NVMGC_SRC_OBS_FLIGHT_RECORDER_H_
@@ -49,22 +49,11 @@ struct FlightRecorderOptions {
   // The recorder is always-on by default; `false` turns RecordPause into a
   // no-op (the overhead-bench control arm).
   bool enabled = true;
-  // Ring depth: pauses of context an incident ships with.
-  size_t retain_pauses = 32;
   // Absolute pause-duration trigger in simulated ns; 0 disables.
   uint64_t pause_threshold_ns = 0;
-  // Relative trigger: fire when pause_ns exceeds `p99_multiplier` times the
-  // trailing-window p99. <= 0 disables; needs p99_min_history prior pauses.
-  double p99_multiplier = 3.0;
-  size_t p99_min_history = 16;
-  bool trigger_on_degraded = true;
-  bool trigger_on_retreat = true;
-  bool trigger_on_survivor_overflow = true;
   // Where incident files go. Empty = record but never auto-dump (explicit
   // Dump calls with a directory override still work).
   std::string dump_dir;
-  // Auto-dump budget per recorder; explicit/crash dumps are not counted.
-  size_t max_dumps = 4;
   // Tenant tag for fleet runs: non-empty makes incident files
   // `incident-<tenant>-<seq>.json` (instead of `incident-<seq>.json`) and
   // adds a "tenant" field to the incident JSON, so co-tenant Vms dumping
@@ -110,6 +99,15 @@ struct FlightPauseRecord {
 
 class FlightRecorder {
  public:
+  // Ring depth: pauses of context an incident ships with.
+  static constexpr size_t kRetainPauses = 32;
+  // Relative trigger: fire when pause_ns exceeds this multiple of the
+  // trailing-window p99, once the window holds kP99MinHistory prior pauses.
+  static constexpr double kP99Multiplier = 3.0;
+  static constexpr size_t kP99MinHistory = 16;
+  // Auto-dump budget per recorder; explicit/crash dumps are not counted.
+  static constexpr size_t kMaxAutoDumps = 4;
+
   explicit FlightRecorder(FlightRecorderOptions options);
 
   // Control thread, once per pause end. Evaluates the trigger table and, when
@@ -153,7 +151,7 @@ class FlightRecorder {
   std::deque<uint64_t> trailing_pause_ns_;
   uint64_t pauses_recorded_ = 0;
   uint64_t incidents_ = 0;       // All dumps written, explicit included.
-  uint64_t auto_dumps_ = 0;      // Trigger-initiated dumps (max_dumps budget).
+  uint64_t auto_dumps_ = 0;      // Trigger-initiated dumps (kMaxAutoDumps budget).
   uint64_t next_incident_seq_ = 0;
   FrTriggerInfo last_trigger_;
   std::string last_dump_path_;

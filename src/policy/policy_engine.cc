@@ -103,19 +103,13 @@ PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
                            size_t cache_arena_bytes, const DeviceProfile& heap_profile,
                            uint32_t eden_quota_regions, uint32_t max_eden_quota_regions)
     : options_(options), model_(heap_profile) {
-  NVMGC_CHECK_MSG(options.adaptive.enabled, "PolicyEngine built without AdaptivePolicy()");
+  NVMGC_CHECK_MSG(options.adaptive_policy, "PolicyEngine built without AdaptivePolicy()");
   const std::string error = options.Validate();
   NVMGC_CHECK_MSG(error.empty(), error.c_str());
-  const AdaptivePolicyOptions& a = options.adaptive;
 
-  min_threads_ = a.min_gc_threads;
-  max_threads_ = a.max_gc_threads != 0 ? a.max_gc_threads : options.gc_threads;
-
-  min_cache_bytes_ = a.min_write_cache_bytes;
-  max_cache_bytes_ = a.max_write_cache_bytes != 0
-                         ? a.max_write_cache_bytes
-                         : std::min(cache_arena_bytes, heap_arena_bytes / 8);
-  max_cache_bytes_ = std::max(max_cache_bytes_, min_cache_bytes_);
+  max_threads_ = options.gc_threads;
+  max_cache_bytes_ =
+      std::max(std::min(cache_arena_bytes, heap_arena_bytes / 8), kMinWriteCacheBytes);
 
   const size_t hm_bytes = options.header_map_bytes != 0 ? options.header_map_bytes
                                                         : heap_arena_bytes / 32;
@@ -127,19 +121,13 @@ PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
   // The initial tuning is the static configuration, with the sentinel values
   // resolved so every later decision has a concrete old_value.
   tuning_ = DefaultGcTuning(options);
-  tuning_.active_gc_threads =
-      std::clamp(options.gc_threads, min_threads_, max_threads_);
   const size_t initial_cache = options.write_cache_bytes != 0
                                    ? options.write_cache_bytes
                                    : heap_arena_bytes / 32;
   tuning_.write_cache_capacity_bytes =
-      std::clamp(initial_cache, min_cache_bytes_, max_cache_bytes_);
+      std::clamp(initial_cache, kMinWriteCacheBytes, max_cache_bytes_);
   tuning_.header_map_entries = initial_hm_entries;
-  tuning_.header_map_enabled =
-      options.use_header_map &&
-      tuning_.active_gc_threads >= options.header_map_min_threads;
   if (options.generational.enabled) {
-    tuning_.tenure_threshold = options.generational.tenure_threshold;
     tuning_.eden_quota_regions = eden_quota_regions;
     max_eden_quota_ = max_eden_quota_regions;
   }
@@ -148,7 +136,7 @@ PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
 bool PolicyEngine::Ready(PolicyKnob knob) const {
   const uint64_t last = last_change_[static_cast<size_t>(knob)];
   return last == 0 ||
-         current_pause_ >= last + options_.adaptive.cooldown_pauses + 1;
+         current_pause_ >= last + kCooldownPauses + 1;
 }
 
 void PolicyEngine::Decide(PolicyKnob knob, uint64_t old_value, uint64_t new_value,
@@ -174,7 +162,7 @@ size_t PolicyEngine::OnPauseEnd(const PolicySignals& s) {
   if (MaybeRetreat(s)) {
     return decisions_this_pause_;
   }
-  if (pauses_seen_ <= options_.adaptive.warmup_pauses) {
+  if (pauses_seen_ <= kWarmupPauses) {
     return 0;
   }
   if (options_.use_write_cache) {
@@ -198,14 +186,14 @@ bool PolicyEngine::MaybeRetreat(const PolicySignals& s) {
   const bool degraded = s.cycle.degraded_mode != 0;
   const bool dram_pressure =
       s.cycle.cache_fault_denials > 0 || s.cycle.cache_fallback_workers > 0;
-  const bool persist_stall = options_.durability.enabled && tuning_.async_flush &&
+  const bool persist_stall = options_.durable && tuning_.async_flush &&
                              s.cycle.persist_ns > 0 &&
                              s.persist_stall_fraction() > kPersistRetreatStallFraction;
   if (!degraded && !dram_pressure && !persist_stall) {
     return false;
   }
   ++retreats_;
-  retreat_until_ = current_pause_ + options_.adaptive.cooldown_pauses + 1;
+  retreat_until_ = current_pause_ + kCooldownPauses + 1;
   const char* cause = degraded        ? "degraded pause (sustained throttle window)"
                       : dram_pressure ? "DRAM pressure (pair denials / worker fallback)"
                                       : "fence stalls dominate the pause (per-region SFENCEs)";
@@ -215,9 +203,9 @@ bool PolicyEngine::MaybeRetreat(const PolicySignals& s) {
            Format("retreat: %s - async flushing off", cause));
   }
   if (dram_pressure && options_.use_write_cache &&
-      tuning_.write_cache_capacity_bytes > min_cache_bytes_) {
+      tuning_.write_cache_capacity_bytes > kMinWriteCacheBytes) {
     const size_t cur = tuning_.write_cache_capacity_bytes;
-    const size_t next = std::max(min_cache_bytes_, cur / 2);
+    const size_t next = std::max(kMinWriteCacheBytes, cur / 2);
     tuning_.write_cache_capacity_bytes = next;
     Decide(PolicyKnob::kWriteCacheBytes, cur, next, /*retreat=*/true,
            Format("retreat: %s - halve staging demand on DRAM", cause));
@@ -230,7 +218,7 @@ void PolicyEngine::DecideWriteCache(const PolicySignals& s) {
     return;
   }
   const size_t cur = tuning_.write_cache_capacity_bytes;
-  const double f = options_.adaptive.step_fraction;
+  const double f = kStepFraction;
   const double overflow = s.cache_overflow_fraction();
   if (overflow > kCacheGrowOverflowFraction && current_pause_ >= retreat_until_) {
     const size_t next =
@@ -246,7 +234,7 @@ void PolicyEngine::DecideWriteCache(const PolicySignals& s) {
   if (s.cycle.cache_overflow_bytes == 0 &&
       static_cast<double>(s.cycle.cache_bytes_staged) <
           static_cast<double>(cur) * kCacheShrinkOccupancy) {
-    size_t next = std::max(min_cache_bytes_,
+    size_t next = std::max(kMinWriteCacheBytes,
                            cur - static_cast<size_t>(static_cast<double>(cur) * f));
     // Never shrink below twice what the pause actually staged — that would
     // manufacture the very overflow the grow rule reacts to.
@@ -338,14 +326,14 @@ void PolicyEngine::DecideGcThreads(const PolicySignals& s) {
   }
   const uint32_t cur = tuning_.active_gc_threads;
   const uint32_t step = std::max<uint32_t>(
-      1, static_cast<uint32_t>(static_cast<double>(cur) * options_.adaptive.step_fraction / 2.0));
+      1, static_cast<uint32_t>(static_cast<double>(cur) * kStepFraction / 2.0));
   // Fleet citizenship: when the bandwidth arbiter is stalling this tenant
   // (over budget while a higher QoS tier competes), more copy parallelism
   // only deepens the overshoot the stalls repay. Step the fan-out down and
   // let the cooldown window pace further shrinks while the throttling lasts.
   const double fleet_stall = s.fleet_stall_fraction();
-  if (fleet_stall > kFleetThrottleStallFraction && cur > min_threads_) {
-    const uint32_t down = cur - std::min(cur - min_threads_, step);
+  if (fleet_stall > kFleetThrottleStallFraction && cur > kMinGcThreads) {
+    const uint32_t down = cur - std::min(cur - kMinGcThreads, step);
     tuning_.active_gc_threads = down;
     Decide(PolicyKnob::kGcThreads, cur, down, /*retreat=*/false,
            Format("fleet arbiter stalled %.0f%% of the interval - shed copy "
@@ -365,7 +353,7 @@ void PolicyEngine::DecideGcThreads(const PolicySignals& s) {
     return;
   }
   const double util = s.bandwidth_utilization();
-  const uint32_t down = cur - std::min(cur - min_threads_, step);
+  const uint32_t down = cur - std::min(cur - kMinGcThreads, step);
   const uint32_t up = std::min(max_threads_, cur + step);
   // Shrink only when the pause was device-bound AND the model says fewer
   // workers sustain strictly more bandwidth (past the saturation knee):
@@ -456,7 +444,7 @@ void PolicyEngine::DecideGenerational(const PolicySignals& s) {
   }
   const uint32_t cur = tuning_.eden_quota_regions;
   const uint32_t step = std::max<uint32_t>(
-      1, static_cast<uint32_t>(static_cast<double>(cur) * options_.adaptive.step_fraction));
+      1, static_cast<uint32_t>(static_cast<double>(cur) * kStepFraction));
   const double survival = s.young_survival_fraction();
   if (survival > kEdenGrowSurvivalFraction && cur < max_eden_quota_ &&
       current_pause_ >= retreat_until_) {

@@ -11,13 +11,13 @@
 // BandwidthModel optimum).
 //
 // The controller is deterministic and guard-railed:
-//  - bounded steps       — capacity knobs move by step_fraction, the thread
+//  - bounded steps       — capacity knobs move by kStepFraction, the thread
 //                          count by at most half a step per pause;
 //  - cooldown windows    — a knob that just moved holds still for
-//                          cooldown_pauses pauses (hysteresis against
+//                          kCooldownPauses pauses (hysteresis against
 //                          oscillation, separate thresholds for grow/shrink);
-//  - hard clamps         — every value stays inside the Validate()-legal
-//                          ranges resolved at construction;
+//  - hard clamps         — every value stays inside the ranges resolved at
+//                          construction;
 //  - instant retreat     — a degraded pause or a DRAM-pressure fault
 //                          (pair-allocation denial, worker fallback) shrinks
 //                          the cache and disables async flushing immediately,
@@ -76,6 +76,21 @@ struct PolicyDecision {
 
 class PolicyEngine {
  public:
+  // Controller pacing and clamp floors. These are fixed parameters of the
+  // controller, not configuration.
+  // Pauses observed before the first decision (the signal history warms up).
+  static constexpr uint32_t kWarmupPauses = 1;
+  // Minimum pauses between two consecutive changes of the same knob.
+  static constexpr uint32_t kCooldownPauses = 1;
+  // Multiplicative step for capacity knobs: grow multiplies by (1 + step),
+  // shrink by (1 - step).
+  static constexpr double kStepFraction = 0.5;
+  // Floor of the adapted GC thread count; the ceiling is gc_threads.
+  static constexpr uint32_t kMinGcThreads = 1;
+  // Floor of the adapted write-cache capacity; the ceiling is the DRAM cache
+  // arena, capped at heap/8.
+  static constexpr size_t kMinWriteCacheBytes = 256 * 1024;
+
   // Resolves the clamp ranges from the validated `options` and the heap
   // geometry (`heap_arena_bytes` for the paper-default capacities,
   // `cache_arena_bytes` as the physical ceiling of the write cache) and
@@ -121,9 +136,9 @@ class PolicyEngine {
   }
 
   // Resolved clamp ranges (exposed for tests and the report).
-  uint32_t min_threads() const { return min_threads_; }
+  uint32_t min_threads() const { return kMinGcThreads; }
   uint32_t max_threads() const { return max_threads_; }
-  size_t min_cache_bytes() const { return min_cache_bytes_; }
+  size_t min_cache_bytes() const { return kMinWriteCacheBytes; }
   size_t max_cache_bytes() const { return max_cache_bytes_; }
   size_t min_hm_entries() const { return min_hm_entries_; }
   size_t max_hm_entries() const { return max_hm_entries_; }
@@ -155,9 +170,7 @@ class PolicyEngine {
   GcTuning tuning_;
 
   // Resolved clamp ranges.
-  uint32_t min_threads_ = 1;
   uint32_t max_threads_ = 1;
-  size_t min_cache_bytes_ = 0;
   size_t max_cache_bytes_ = 0;
   size_t min_hm_entries_ = 16;
   size_t max_hm_entries_ = 16;

@@ -8,30 +8,19 @@ namespace {
 constexpr size_t AlignUp(size_t n, size_t a) { return (n + a - 1) / a * a; }
 }  // namespace
 
-CommitLayout ComputeCommitLayout(const HeapConfig& heap, const DurabilityOptions& durability) {
+CommitLayout ComputeCommitLayout(const HeapConfig& heap) {
+  const size_t heap_bytes = heap.region_bytes * heap.heap_regions;
+  // Reserve one root slot per 128 heap bytes (a root-heavy workload keeps a
+  // handle per small live object, so the count scales with the heap, not with
+  // some fixed budget), floored for tiny test heaps. Slot size costs only
+  // arena footprint — the per-pause write is the actual payload — and the
+  // collector check-fails if a run still outgrows the slot.
+  const size_t root_slots = std::max<size_t>(8192, heap_bytes / 128);
+  const size_t payload = sizeof(CommitHeader) + sizeof(CommitRegionEntry) * heap.heap_regions +
+                         sizeof(uint64_t) * root_slots + /*seal*/ 8;
   CommitLayout layout;
-  if (durability.commit_record_bytes != 0) {
-    layout.record_slot_bytes = durability.commit_record_bytes;
-  } else {
-    // Reserve one root slot per 128 heap bytes (a root-heavy workload keeps a
-    // handle per small live object, so the count scales with the heap, not
-    // with some fixed budget), floored for tiny test heaps. Slot size costs
-    // only arena footprint — the per-pause write is the actual payload — and
-    // the collector check-fails with an actionable message if a run still
-    // outgrows the slot.
-    const size_t heap_bytes = heap.region_bytes * heap.heap_regions;
-    const size_t root_slots = std::max<size_t>(8192, heap_bytes / 128);
-    const size_t payload = sizeof(CommitHeader) +
-                           sizeof(CommitRegionEntry) * heap.heap_regions +
-                           sizeof(uint64_t) * root_slots + /*seal*/ 8;
-    layout.record_slot_bytes = AlignUp(payload, 4096);
-  }
-  if (durability.redo_log_bytes != 0) {
-    layout.redo_slot_bytes = durability.redo_log_bytes;
-  } else {
-    const size_t heap_bytes = heap.region_bytes * heap.heap_regions;
-    layout.redo_slot_bytes = AlignUp(std::max<size_t>(heap_bytes / 32, 256 * 1024), 4096);
-  }
+  layout.record_slot_bytes = AlignUp(payload, 4096);
+  layout.redo_slot_bytes = AlignUp(std::max<size_t>(heap_bytes / 32, 256 * 1024), 4096);
   return layout;
 }
 

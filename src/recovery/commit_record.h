@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/gc/gc_options.h"
 #include "src/heap/heap.h"
 
 namespace nvmgc {
@@ -87,9 +86,8 @@ struct CommitLayout {
   }
 };
 
-// Derives the commit-area geometry from the heap shape and any explicit
-// DurabilityOptions overrides (0 = derive).
-CommitLayout ComputeCommitLayout(const HeapConfig& heap, const DurabilityOptions& durability);
+// Derives the commit-area geometry from the heap shape.
+CommitLayout ComputeCommitLayout(const HeapConfig& heap);
 
 uint64_t Fnv1a(const uint8_t* data, size_t bytes);
 

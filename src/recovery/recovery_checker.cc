@@ -52,10 +52,9 @@ struct RecoveryChecker::SlotView {
   std::string classification;
 };
 
-RecoveryChecker::RecoveryChecker(const HeapConfig& config, const DurabilityOptions& durability,
-                                 const KlassTable& klasses)
+RecoveryChecker::RecoveryChecker(const HeapConfig& config, const KlassTable& klasses)
     : config_(config),
-      layout_(ComputeCommitLayout(config, durability)),
+      layout_(ComputeCommitLayout(config)),
       nvm_(MakeOptaneProfile()),
       dram_(MakeDramProfile()) {
   if (config_.commit_area_bytes < layout_.total_bytes()) {

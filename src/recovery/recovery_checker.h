@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "src/gc/gc_options.h"
 #include "src/heap/heap.h"
 #include "src/nvm/memory_device.h"
 #include "src/nvm/persist_ledger.h"
@@ -65,12 +64,11 @@ const char* RecoveryOutcomeName(RecoveryReport::Outcome outcome);
 
 class RecoveryChecker {
  public:
-  // `config` and `durability` must match the crashed Vm's (a real runtime
-  // would read them from its own startup flags); `klasses` is the crashed
-  // run's klass table, mirrored into the rebuilt heap (klass descriptors
-  // live in the runtime binary, not on the heap).
-  RecoveryChecker(const HeapConfig& config, const DurabilityOptions& durability,
-                  const KlassTable& klasses);
+  // `config` must match the crashed Vm's (a real runtime would read it from
+  // its own startup flags); `klasses` is the crashed run's klass table,
+  // mirrored into the rebuilt heap (klass descriptors live in the runtime
+  // binary, not on the heap).
+  RecoveryChecker(const HeapConfig& config, const KlassTable& klasses);
 
   RecoveryChecker(const RecoveryChecker&) = delete;
   RecoveryChecker& operator=(const RecoveryChecker&) = delete;

@@ -14,6 +14,14 @@
 
 namespace nvmgc {
 
+namespace {
+// Share of the young generation reserved for survivor regions. Survivor
+// overflow promotes early (counted, never fails).
+constexpr double kSurvivorFraction = 0.125;
+// Trace events retained per logical GC thread when tracing.
+constexpr size_t kTraceRingCapacity = 4096;
+}  // namespace
+
 Vm::Vm(const VmOptions& options) : options_(options) {
   const std::string gc_error = options.gc.Validate();
   NVMGC_CHECK_MSG(gc_error.empty(), gc_error.c_str());
@@ -32,22 +40,19 @@ Vm::Vm(const VmOptions& options) : options_(options) {
                     "least two regions (one eden + one survivor) — raise "
                     "GenerationalOptions::young_gen_bytes or shrink HeapConfig::region_bytes");
     const uint32_t survivor = std::max<uint32_t>(
-        1, static_cast<uint32_t>(std::ceil(young_regions * gen.survivor_fraction)));
-    NVMGC_CHECK_MSG(survivor < young_regions,
-                    "generational survivor space swallows the whole young generation: lower "
-                    "GenerationalOptions::survivor_fraction or raise young_gen_bytes");
+        1, static_cast<uint32_t>(std::ceil(young_regions * kSurvivorFraction)));
     h.generational = true;
     h.survivor_regions = survivor;
     h.eden_regions = young_regions - survivor;
     h.dram_cache_regions += young_regions;
   }
-  if (options_.gc.durability.enabled) {
+  if (options_.gc.durable) {
     NVMGC_CHECK_MSG(options_.heap.heap_device == DeviceKind::kNvm,
                     "durability requires NVM-backed tenured regions: set "
                     "HeapConfig::heap_device to DeviceKind::kNvm (a DRAM heap has no "
                     "persistence to model)");
     // Reserve the commit area past the regions before the arena is mapped.
-    const CommitLayout layout = ComputeCommitLayout(options_.heap, options_.gc.durability);
+    const CommitLayout layout = ComputeCommitLayout(options_.heap);
     options_.heap.commit_area_bytes =
         std::max(options_.heap.commit_area_bytes, layout.total_bytes());
   }
@@ -56,7 +61,7 @@ Vm::Vm(const VmOptions& options) : options_(options) {
                     "shared heap device kind does not match HeapConfig::heap_device");
     NVMGC_CHECK_MSG(options_.tenant_id < MemoryDevice::kMaxTenants,
                     "tenant_id out of range for a shared heap device");
-    NVMGC_CHECK_MSG(!options_.gc.durability.enabled,
+    NVMGC_CHECK_MSG(!options_.gc.durable,
                     "durability mode is single-tenant: the persist ledger tracks one arena, "
                     "so a Vm on a shared (fleet) heap device cannot enable it");
     heap_device_ = options_.shared_heap_device;
@@ -75,19 +80,16 @@ Vm::Vm(const VmOptions& options) : options_(options) {
         static_cast<uint8_t>(options_.tenant_id), heap_->heap_base(),
         heap_->heap_arena_bytes() + heap_->commit_area_bytes());
   }
-  if (options_.gc.durability.enabled) {
+  if (options_.gc.durable) {
     // Track persist state for the whole durable range: heap regions plus the
     // commit area (records and redo logs obey the same flush/fence rules).
     const DeviceProfile& profile = heap_device_->profile();
-    const DurabilityOptions& d = options_.gc.durability;
     heap_device_->persist().Configure(
         heap_->heap_base(), heap_->heap_arena_bytes() + heap_->commit_area_bytes(),
-        d.flush_line_cost_ns >= 0 ? static_cast<uint64_t>(d.flush_line_cost_ns)
-                                  : profile.flush_line_ns,
-        d.fence_cost_ns >= 0 ? static_cast<uint64_t>(d.fence_cost_ns) : profile.fence_ns);
+        profile.flush_line_ns, profile.fence_ns);
     heap_->set_durable_quarantine(true);
   }
-  tracer_ = std::make_unique<GcTracer>(options.gc.gc_threads, options.trace_ring_capacity);
+  tracer_ = std::make_unique<GcTracer>(options.gc.gc_threads, kTraceRingCapacity);
   tracer_->set_enabled(options.trace_gc);
   switch (options.gc.collector) {
     case CollectorKind::kG1:
@@ -111,7 +113,7 @@ Vm::Vm(const VmOptions& options) : options_(options) {
   }
   flight_recorder_ = std::make_unique<FlightRecorder>(options_.flight_recorder);
   flight_recorder_->set_site_profiler(site_profiler_.get());
-  if (options.gc.adaptive.enabled) {
+  if (options.gc.adaptive_policy) {
     const bool gen = options_.gc.generational.enabled;
     policy_ = std::make_unique<PolicyEngine>(
         options_.gc, heap_->heap_arena_bytes(), heap_->cache_arena_bytes(),

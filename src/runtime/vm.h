@@ -44,8 +44,6 @@ struct VmOptions {
   // Observability: record GC phase spans into the tracer (off by default —
   // metrics are always on, tracing costs a ring-buffer write per span).
   bool trace_gc = false;
-  // Events retained per logical GC thread when tracing.
-  size_t trace_ring_capacity = 4096;
   // GC flight recorder (always-on by default; see src/obs/flight_recorder.h).
   // Set flight_recorder.dump_dir to enable anomaly-triggered incident dumps.
   FlightRecorderOptions flight_recorder;
@@ -135,7 +133,7 @@ class Vm {
   // adds a handful of 150 us samples, so the cost is negligible).
   DeviceTimeline& timeline() { return *timeline_; }
   const DeviceTimeline& timeline() const { return *timeline_; }
-  // The adaptive policy engine, or nullptr when options().gc.adaptive.enabled
+  // The adaptive policy engine, or nullptr when options().gc.adaptive_policy
   // is false. When present, every CollectNow() feeds it the pause's signals
   // and applies the retuned GcTuning before the next pause.
   PolicyEngine* policy() { return policy_.get(); }

@@ -65,6 +65,10 @@ std::string FormatDouble(double value, int decimals) {
   return buf;
 }
 
+std::string FormatMean(double sum, int n, int decimals) {
+  return n > 0 ? FormatDouble(sum / n, decimals) : "n/a";
+}
+
 std::string FormatSiBytes(uint64_t bytes) {
   static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   double v = static_cast<double>(bytes);

@@ -33,6 +33,8 @@ class TablePrinter {
 
 // Numeric formatting helpers.
 std::string FormatDouble(double value, int decimals = 2);
+// Mean of `sum` over `n` samples, or "n/a" with no samples (never a NaN).
+std::string FormatMean(double sum, int n, int decimals = 2);
 std::string FormatSiBytes(uint64_t bytes);
 std::string FormatMillis(double millis);
 

@@ -62,8 +62,7 @@ CrashRunResult RunAndRecover(uint64_t crash_ns, const FaultPlan* faults = nullpt
   CrashRunResult result;
   result.commit_instants = vm.collector().commit_instants();
   result.end_ns = vm.now_ns();
-  RecoveryChecker checker(vm.options().heap, vm.options().gc.durability,
-                          vm.heap().klasses());
+  RecoveryChecker checker(vm.options().heap, vm.heap().klasses());
   result.report = checker.Check(crash.TakeImage());
   return result;
 }

@@ -225,8 +225,6 @@ TEST(MemoryDeviceTenantTest, SingleBoundTenantCostsMatchUnboundDevice) {
 
 ArbiterOptions StrictArbiter() {
   ArbiterOptions o;
-  o.window_ns = 1'000'000;
-  o.grace = 1.10;
   o.device_capacity_mbps = 0.0;  // Always contended: budgets are contracts.
   return o;
 }
@@ -256,13 +254,13 @@ TEST(BandwidthArbiterTest, StallEqualsOvershootAtBudgetRate) {
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
   const uint32_t background = arb.AddTenant(QosTier::kBackground, 100.0);
-  // Budget at 100 MB/s over a 1 ms window = 100'000 bytes; grace 1.10 puts
+  // Budget at 100 MB/s over a 1 ms window = 100'000 bytes; kGrace 1.10 puts
   // the throttle threshold at 110'000. 210'000 bytes overshoots by 100'000,
   // which takes 1 ms to move legitimately at 100 MB/s.
   EXPECT_EQ(arb.BudgetBytesPerWindow(batch), 100'000u);
   const auto stalls = arb.EndWindow({1000, 210'000, 210'000});
   EXPECT_EQ(stalls[batch], 1'000'000u);
-  // Background pays the configured penalty multiple on the same overshoot.
+  // Background pays the kBackgroundPenalty multiple on the same overshoot.
   EXPECT_EQ(stalls[background], 2'000'000u);
 }
 
@@ -271,7 +269,7 @@ TEST(BandwidthArbiterTest, StallIsClamped) {
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 1.0);
   const auto stalls = arb.EndWindow({1000, 1'000'000'000});
-  EXPECT_EQ(stalls[batch], 8'000'000u);  // max_stall_windows x window_ns.
+  EXPECT_EQ(stalls[batch], 8'000'000u);  // kMaxStallWindows x kWindowNs.
 }
 
 TEST(BandwidthArbiterTest, UnbudgetedTenantIsExempt) {
@@ -285,11 +283,11 @@ TEST(BandwidthArbiterTest, UnbudgetedTenantIsExempt) {
 TEST(BandwidthArbiterTest, WorkConservingUnderCapacity) {
   ArbiterOptions o = StrictArbiter();
   o.device_capacity_mbps = 1000.0;  // 1'000'000 bytes/window capacity.
-  o.contention_fraction = 0.5;
   BandwidthArbiter arb(o);
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
-  // Fleet total 201'000 bytes < 500'000 threshold: idle bandwidth is free
+  // Fleet total 201'000 bytes < 500'000 threshold (kContentionFraction 0.5):
+  // idle bandwidth is free
   // even though batch is over budget.
   EXPECT_EQ(arb.EndWindow({1000, 200'000})[batch], 0u);
   // Past the contention threshold the same overshoot is throttled.
@@ -312,7 +310,7 @@ TEST(BandwidthArbiterTest, StatsAccumulate) {
 // --- FleetPauseScheduler ---
 
 TEST(PauseSchedulerTest, MajorDefersOutOfCoTenantDrain) {
-  FleetPauseScheduler sched(PauseSchedulerOptions{});
+  FleetPauseScheduler sched;
   // Tenant 0's pause [1.0ms, 1.5ms) ended with a 200us write-back drain:
   // drain window [1.3ms, 1.5ms).
   sched.OnPauseFinished(0, 1'000'000, 1'500'000, 200'000);
@@ -327,23 +325,22 @@ TEST(PauseSchedulerTest, MajorDefersOutOfCoTenantDrain) {
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 1'500'000), 0u);
   // A tenant never defers for its own drain window.
   EXPECT_EQ(sched.DeferNs(0, GcKind::kMajor, 1'350'000), 0u);
-  // Minor pauses are not deferred by default.
+  // Minor pauses are never deferred.
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMinor, 1'350'000), 0u);
   EXPECT_EQ(sched.deferrals(), 2u);
   EXPECT_EQ(sched.total_defer_ns(), 400'000u);
 }
 
 TEST(PauseSchedulerTest, DeferralIsBounded) {
-  FleetPauseScheduler sched(PauseSchedulerOptions{});
+  FleetPauseScheduler sched;
   sched.OnPauseFinished(0, 10'000'000, 20'000'000, 9'000'000);
   // 8.5 ms of drain remain, but deferral is capped: the requesting tenant's
   // heap is near exhaustion, so the pause is delayed, never denied.
-  EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 11'500'000),
-            PauseSchedulerOptions{}.max_defer_ns);
+  EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 11'500'000), FleetPauseScheduler::kMaxDeferNs);
 }
 
 TEST(PauseSchedulerTest, ZeroWritebackLeavesNoWindow) {
-  FleetPauseScheduler sched(PauseSchedulerOptions{});
+  FleetPauseScheduler sched;
   sched.OnPauseFinished(0, 1'000'000, 1'500'000, 0);
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 1'400'000), 0u);
 }
@@ -663,7 +660,7 @@ TEST(FleetPolicyTest, SustainedThrottleShedsGcThreads) {
   const GcOptions options = AdaptiveOptions(CollectorKind::kG1, 8);
   PolicyEngine engine(options, 64 * 1024 * 1024, 24 * 1024 * 1024, MakeOptaneProfile());
   uint64_t pause = 1;
-  for (uint32_t i = 0; i < options.adaptive.warmup_pauses; ++i, ++pause) {
+  for (uint32_t i = 0; i < PolicyEngine::kWarmupPauses; ++i, ++pause) {
     ASSERT_EQ(engine.OnPauseEnd(ThrottledPauseSignals(pause, engine, 0, 1'000'000)), 0u);
   }
   const uint32_t before = engine.tuning().active_gc_threads;

@@ -142,16 +142,15 @@ FlightPauseRecord MakePause(uint64_t id, uint64_t pause_ns) {
 }
 
 TEST(FlightRecorderTest, RingRetainsOnlyTheLastNPauses) {
-  FlightRecorderOptions o;
-  o.retain_pauses = 4;
-  FlightRecorder fr(o);
-  for (uint64_t i = 0; i < 10; ++i) {
+  FlightRecorder fr(FlightRecorderOptions{});
+  constexpr uint64_t kRecorded = FlightRecorder::kRetainPauses + 6;
+  for (uint64_t i = 0; i < kRecorded; ++i) {
     fr.RecordPause(MakePause(i, 100));
   }
-  EXPECT_EQ(fr.pauses_recorded(), 10u);
-  ASSERT_EQ(fr.pauses().size(), 4u);
+  EXPECT_EQ(fr.pauses_recorded(), kRecorded);
+  ASSERT_EQ(fr.pauses().size(), FlightRecorder::kRetainPauses);
   EXPECT_EQ(fr.pauses().front().pause_id, 6u);
-  EXPECT_EQ(fr.pauses().back().pause_id, 9u);
+  EXPECT_EQ(fr.pauses().back().pause_id, kRecorded - 1);
 }
 
 TEST(FlightRecorderTest, DisabledRecorderIsANoOp) {
@@ -178,9 +177,9 @@ TEST(FlightRecorderTest, PauseThresholdTriggerFires) {
 TEST(FlightRecorderTest, P99OutlierNeedsHistoryAndExcludesItself) {
   FlightRecorderOptions o;  // pause_threshold_ns=0: only the relative trigger.
   FlightRecorder fr(o);
-  // One early outlier cannot fire: the window is shorter than p99_min_history.
+  // One early outlier cannot fire: the window is shorter than kP99MinHistory.
   EXPECT_EQ(fr.RecordPause(MakePause(0, 100000)), FrTrigger::kNone);
-  for (uint64_t i = 1; i <= o.p99_min_history; ++i) {
+  for (uint64_t i = 1; i <= FlightRecorder::kP99MinHistory; ++i) {
     EXPECT_EQ(fr.RecordPause(MakePause(i, 100)), FrTrigger::kNone);
   }
   // The early outlier has aged into the p99 of a 17-deep window at index 15 —
@@ -238,7 +237,6 @@ TEST(FlightRecorderTest, AutoDumpWritesIncidentAndRespectsBudget) {
   FlightRecorderOptions o;
   o.pause_threshold_ns = 1000;
   o.dump_dir = dir;
-  o.max_dumps = 1;
   FlightRecorder fr(o);
   EXPECT_EQ(fr.RecordPause(MakePause(0, 2000)), FrTrigger::kPauseThreshold);
   EXPECT_EQ(fr.incidents(), 1u);
@@ -251,13 +249,19 @@ TEST(FlightRecorderTest, AutoDumpWritesIncidentAndRespectsBudget) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"gc.pause\""), std::string::npos);
 
-  // Budget exhausted: the trigger still reports, but no second auto dump.
-  EXPECT_EQ(fr.RecordPause(MakePause(1, 3000)), FrTrigger::kPauseThreshold);
-  EXPECT_EQ(fr.incidents(), 1u);
+  // Each further trigger dumps until the auto budget is spent.
+  constexpr uint64_t kBudget = FlightRecorder::kMaxAutoDumps;
+  for (uint64_t i = 1; i < kBudget; ++i) {
+    EXPECT_EQ(fr.RecordPause(MakePause(i, 2000)), FrTrigger::kPauseThreshold);
+    EXPECT_EQ(fr.incidents(), i + 1);
+  }
+  // Budget exhausted: the trigger still reports, but no further auto dump.
+  EXPECT_EQ(fr.RecordPause(MakePause(kBudget, 3000)), FrTrigger::kPauseThreshold);
+  EXPECT_EQ(fr.incidents(), kBudget);
   // Explicit dumps bypass the auto budget and keep their own sequence.
   const std::string explicit_path = fr.Dump(FrTrigger::kExplicit);
   ASSERT_FALSE(explicit_path.empty());
-  EXPECT_EQ(fr.incidents(), 2u);
+  EXPECT_EQ(fr.incidents(), kBudget + 1);
   EXPECT_NE(ReadFile(explicit_path).find("\"kind\":\"explicit\""), std::string::npos);
 }
 

@@ -85,13 +85,6 @@ TEST(GcOptionsValidateTest, RejectsHeaderMapKnobsWithoutHeaderMap) {
   }
 }
 
-TEST(GcOptionsValidateTest, RejectsZeroSearchBound) {
-  GcOptions o;
-  o.use_header_map = true;
-  o.header_map_search_bound = 0;
-  ExpectError(o, "header_map_search_bound", "HeaderMapSearchBound");
-}
-
 TEST(GcOptionsValidateTest, RejectsHeaderMapPrefetchWithoutPrefetch) {
   GcOptions o;
   o.use_header_map = true;
@@ -115,110 +108,24 @@ TEST(GcOptionsValidateTest, AdaptivePresetAndBuilderAreValid) {
        {CollectorKind::kG1, CollectorKind::kParallelScavenge}) {
     const GcOptions preset = AdaptiveOptions(kind, 8);
     EXPECT_TRUE(preset.valid());
-    EXPECT_TRUE(preset.adaptive.enabled);
+    EXPECT_TRUE(preset.adaptive_policy);
     // The preset starts from every optimization plus async flushing, so the
     // controller has all knobs to tune.
     EXPECT_TRUE(preset.use_write_cache);
     EXPECT_TRUE(preset.use_header_map);
     EXPECT_TRUE(preset.async_flush);
   }
-  EXPECT_TRUE(GcOptionsBuilder().AdaptivePolicy().Build().adaptive.enabled);
-  EXPECT_FALSE(GcOptionsBuilder().AdaptivePolicy(false).Build().adaptive.enabled);
-}
-
-TEST(GcOptionsValidateTest, AdaptivePolicyOptionsOverload) {
-  AdaptivePolicyOptions a;
-  a.enabled = true;
-  a.warmup_pauses = 3;
-  a.cooldown_pauses = 2;
-  a.step_fraction = 0.25;
-  a.min_gc_threads = 2;
-  a.max_gc_threads = 6;
-  const GcOptions o = GcOptionsBuilder().GcThreads(8).AdaptivePolicy(a).Build();
-  EXPECT_EQ(o.adaptive.warmup_pauses, 3u);
-  EXPECT_EQ(o.adaptive.cooldown_pauses, 2u);
-  EXPECT_DOUBLE_EQ(o.adaptive.step_fraction, 0.25);
-  EXPECT_EQ(o.adaptive.min_gc_threads, 2u);
-  EXPECT_EQ(o.adaptive.max_gc_threads, 6u);
-}
-
-TEST(GcOptionsValidateTest, RejectsBadAdaptiveStepFraction) {
-  for (const double bad : {0.0, -0.5, 1.5}) {
-    GcOptions o;
-    o.adaptive.enabled = true;
-    o.adaptive.step_fraction = bad;
-    ExpectError(o, "adaptive.step_fraction", "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsBadAdaptiveThreadClamps) {
-  {
-    GcOptions o;
-    o.adaptive.enabled = true;
-    o.adaptive.min_gc_threads = 0;
-    ExpectError(o, "adaptive.min_gc_threads", "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
-  {
-    GcOptions o;
-    o.gc_threads = 4;
-    o.adaptive.enabled = true;
-    o.adaptive.min_gc_threads = 5;
-    ExpectError(o, "adaptive.min_gc_threads exceeds gc_threads",
-                "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
-  {
-    GcOptions o;
-    o.gc_threads = 4;
-    o.adaptive.enabled = true;
-    o.adaptive.max_gc_threads = 5;
-    ExpectError(o, "adaptive.max_gc_threads exceeds gc_threads",
-                "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
-  {
-    GcOptions o;
-    o.gc_threads = 8;
-    o.adaptive.enabled = true;
-    o.adaptive.min_gc_threads = 4;
-    o.adaptive.max_gc_threads = 2;
-    ExpectError(o, "adaptive.max_gc_threads is below adaptive.min_gc_threads",
-                "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsBadAdaptiveCacheClamps) {
-  {
-    GcOptions o;
-    o.adaptive.enabled = true;
-    o.adaptive.min_write_cache_bytes = 0;
-    ExpectError(o, "adaptive.min_write_cache_bytes",
-                "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
-  {
-    GcOptions o;
-    o.adaptive.enabled = true;
-    o.adaptive.min_write_cache_bytes = 2 << 20;
-    o.adaptive.max_write_cache_bytes = 1 << 20;
-    ExpectError(o, "adaptive.min_write_cache_bytes exceeds adaptive.max_write_cache_bytes",
-                "AdaptivePolicy(AdaptivePolicyOptions)");
-  }
+  EXPECT_TRUE(GcOptionsBuilder().AdaptivePolicy().Build().adaptive_policy);
+  EXPECT_FALSE(GcOptionsBuilder().AdaptivePolicy(false).Build().adaptive_policy);
 }
 
 TEST(GcOptionsValidateTest, RejectsAdaptiveWithUnlimitedWriteCache) {
   GcOptions o = AllOptimizationsOptions(CollectorKind::kG1, 8);
   o.unlimited_write_cache = true;
   o.write_cache_bytes = 0;
-  o.adaptive.enabled = true;
-  ExpectError(o, "adaptive.enabled contradicts unlimited_write_cache",
+  o.adaptive_policy = true;
+  ExpectError(o, "adaptive_policy contradicts unlimited_write_cache",
               "UnlimitedWriteCache()");
-}
-
-TEST(GcOptionsValidateTest, DisabledAdaptiveSkipsItsValidation) {
-  // The sub-struct is only checked when the engine is on.
-  GcOptions o;
-  o.adaptive.enabled = false;
-  o.adaptive.step_fraction = 99.0;
-  o.adaptive.min_gc_threads = 0;
-  EXPECT_TRUE(o.valid());
 }
 
 TEST(GcOptionsValidateTest, DurablePresetAndBuilderAreValid) {
@@ -226,7 +133,7 @@ TEST(GcOptionsValidateTest, DurablePresetAndBuilderAreValid) {
        {CollectorKind::kG1, CollectorKind::kParallelScavenge}) {
     const GcOptions preset = DurableOptions(kind, 8);
     EXPECT_TRUE(preset.valid());
-    EXPECT_TRUE(preset.durability.enabled);
+    EXPECT_TRUE(preset.durable);
     // Durability rides on the full optimization stack: the commit protocol
     // persists the write cache's drained runs.
     EXPECT_TRUE(preset.use_write_cache);
@@ -235,77 +142,8 @@ TEST(GcOptionsValidateTest, DurablePresetAndBuilderAreValid) {
                   .WriteCache()
                   .Durability()
                   .Build()
-                  .durability.enabled);
-  EXPECT_FALSE(GcOptionsBuilder().Durability(false).Build().durability.enabled);
-}
-
-TEST(GcOptionsValidateTest, RejectsDurabilityKnobsWhileDisabled) {
-  {
-    GcOptions o;
-    o.durability.commit_record_bytes = 8192;
-    ExpectError(o, "durability sub-options are set but durability.enabled is false",
-                "Durability()");
-  }
-  {
-    GcOptions o;
-    o.durability.flush_line_cost_ns = 10;
-    ExpectError(o, "durability sub-options", "Durability()");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsNegativeDurabilityCosts) {
-  {
-    GcOptions o;
-    o.durability.enabled = true;
-    o.durability.flush_line_cost_ns = -2;
-    ExpectError(o, "durability.flush_line_cost_ns",
-                "Durability(DurabilityOptions)");
-  }
-  {
-    GcOptions o;
-    o.durability.enabled = true;
-    o.durability.fence_cost_ns = -7;
-    ExpectError(o, "durability.fence_cost_ns", "Durability(DurabilityOptions)");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsBadCommitRecordBytes) {
-  for (const size_t bad : {size_t{1024}, size_t{16} * 1024 * 1024}) {
-    GcOptions o;
-    o.durability.enabled = true;
-    o.durability.commit_record_bytes = bad;
-    ExpectError(o, "durability.commit_record_bytes outside [4 KiB, 8 MiB]",
-                "Durability(DurabilityOptions)");
-  }
-  {
-    GcOptions o;
-    o.durability.enabled = true;
-    o.durability.commit_record_bytes = 4100;  // In range but misaligned.
-    ExpectError(o, "durability.commit_record_bytes must be 8-byte aligned",
-                "Durability(DurabilityOptions)");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsTinyRedoLog) {
-  GcOptions o;
-  o.durability.enabled = true;
-  o.durability.redo_log_bytes = 512;
-  ExpectError(o, "durability.redo_log_bytes", "Durability(DurabilityOptions)");
-}
-
-TEST(GcOptionsValidateTest, DurabilityOptionsOverload) {
-  DurabilityOptions d;
-  d.enabled = true;
-  d.flush_line_cost_ns = 120;
-  d.fence_cost_ns = 500;
-  d.commit_record_bytes = 64 * 1024;
-  d.redo_log_bytes = 128 * 1024;
-  const GcOptions o = GcOptionsBuilder().Durability(d).Build();
-  EXPECT_TRUE(o.durability.enabled);
-  EXPECT_EQ(o.durability.flush_line_cost_ns, 120);
-  EXPECT_EQ(o.durability.fence_cost_ns, 500);
-  EXPECT_EQ(o.durability.commit_record_bytes, size_t{64} * 1024);
-  EXPECT_EQ(o.durability.redo_log_bytes, size_t{128} * 1024);
+                  .durable);
+  EXPECT_FALSE(GcOptionsBuilder().Durability(false).Build().durable);
 }
 
 TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
@@ -317,7 +155,6 @@ TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
                           .HeaderMap()
                           .HeaderMapBytes(2 << 20)
                           .HeaderMapMinThreads(4)
-                          .HeaderMapSearchBound(8)
                           .NonTemporal()
                           .AsyncFlush()
                           .Prefetch()
@@ -332,7 +169,6 @@ TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
   EXPECT_TRUE(o.use_header_map);
   EXPECT_EQ(o.header_map_bytes, size_t{2} << 20);
   EXPECT_EQ(o.header_map_min_threads, 4u);
-  EXPECT_EQ(o.header_map_search_bound, 8u);
   EXPECT_TRUE(o.use_non_temporal);
   EXPECT_TRUE(o.async_flush);
   EXPECT_TRUE(o.prefetch);
@@ -386,12 +222,10 @@ TEST(GcOptionsValidateTest, GenerationalOptionsOverload) {
   GenerationalOptions gen;
   gen.enabled = true;
   gen.young_gen_bytes = 8 * 1024 * 1024;
-  gen.survivor_fraction = 0.25;
   gen.tenure_threshold = 5;
   gen.large_object_threshold = 16 * 1024;
   const GcOptions o = GcOptionsBuilder().Generational(gen).Build();
   EXPECT_EQ(o.generational.young_gen_bytes, 8u * 1024 * 1024);
-  EXPECT_EQ(o.generational.survivor_fraction, 0.25);
   EXPECT_EQ(o.generational.tenure_threshold, 5u);
   EXPECT_EQ(o.generational.large_object_threshold, 16u * 1024);
 }
@@ -407,15 +241,6 @@ TEST(GcOptionsValidateTest, RejectsGenerationalKnobsWhileDisabled) {
     GcOptions o;
     o.generational.tenure_threshold = 7;
     ExpectError(o, "generational sub-options", "Generational()");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsBadSurvivorFraction) {
-  for (const double bad : {0.0, -0.1, 0.51}) {
-    GcOptions o;
-    o.generational.enabled = true;
-    o.generational.survivor_fraction = bad;
-    ExpectError(o, "generational.survivor_fraction", "survivor_fraction");
   }
 }
 

@@ -27,7 +27,7 @@ VmOptions SweepVm(CollectorKind collector, uint32_t threads, bool write_cache, b
   o.gc.header_map_min_threads = 1;
   o.gc.use_non_temporal = write_cache;
   o.gc.async_flush = async;
-  o.gc.adaptive.enabled = adaptive;
+  o.gc.adaptive_policy = adaptive;
   return o;
 }
 

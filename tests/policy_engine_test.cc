@@ -47,9 +47,9 @@ PolicySignals CalmSignals(uint64_t pause_id, const PolicyEngine& engine) {
 
 // Advances the engine past its warmup window with calm pauses; returns the
 // next free pause id.
-uint64_t Warmup(PolicyEngine& engine, const GcOptions& options) {
+uint64_t Warmup(PolicyEngine& engine) {
   uint64_t pause = 1;
-  for (uint32_t i = 0; i < options.adaptive.warmup_pauses; ++i, ++pause) {
+  for (uint32_t i = 0; i < PolicyEngine::kWarmupPauses; ++i, ++pause) {
     EXPECT_EQ(engine.OnPauseEnd(CalmSignals(pause, engine)), 0u);
   }
   return pause;
@@ -116,7 +116,7 @@ TEST(PolicyEngineTest, ResolvesClampRanges) {
   PolicyEngine engine = MakeEngine(options);
   EXPECT_EQ(engine.min_threads(), 1u);
   EXPECT_EQ(engine.max_threads(), options.gc_threads);
-  EXPECT_EQ(engine.min_cache_bytes(), options.adaptive.min_write_cache_bytes);
+  EXPECT_EQ(engine.min_cache_bytes(), PolicyEngine::kMinWriteCacheBytes);
   // Derived ceiling: min(cache arena, heap/8).
   EXPECT_EQ(engine.max_cache_bytes(), kHeapBytes / 8);
   EXPECT_GE(engine.max_hm_entries(), engine.min_hm_entries());
@@ -135,7 +135,7 @@ TEST(PolicyEngineTest, WarmupPausesMakeNoDecisions) {
 TEST(PolicyEngineTest, GrowsWriteCacheOnOverflow) {
   const GcOptions options = EngineOptions();
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   const size_t before = engine.tuning().write_cache_capacity_bytes;
   PolicySignals s = CalmSignals(pause, engine);
   s.cycle.cache_overflow_bytes = s.cycle.cache_bytes_staged;  // 50% overflow.
@@ -157,7 +157,7 @@ TEST(PolicyEngineTest, GrowsWriteCacheOnOverflow) {
 TEST(PolicyEngineTest, ShrinksIdleWriteCacheButNotBelowDemand) {
   const GcOptions options = EngineOptions();
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   const size_t before = engine.tuning().write_cache_capacity_bytes;
   PolicySignals s = CalmSignals(pause, engine);
   s.cycle.cache_bytes_staged = before / 10;  // Well under the 25% occupancy bar.
@@ -169,9 +169,9 @@ TEST(PolicyEngineTest, ShrinksIdleWriteCacheButNotBelowDemand) {
 }
 
 TEST(PolicyEngineTest, CooldownHoldsAKnobStill) {
-  const GcOptions options = EngineOptions();  // cooldown_pauses = 1.
+  const GcOptions options = EngineOptions();  // kCooldownPauses = 1.
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   PolicySignals grow = CalmSignals(pause, engine);
   grow.cycle.cache_overflow_bytes = grow.cycle.cache_bytes_staged;
   EXPECT_GT(engine.OnPauseEnd(grow), 0u);
@@ -193,7 +193,7 @@ TEST(PolicyEngineTest, CooldownHoldsAKnobStill) {
 TEST(PolicyEngineTest, RetreatsOnDegradedPauseAndBlocksRegrowth) {
   const GcOptions options = EngineOptions();
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   ASSERT_TRUE(engine.tuning().async_flush);
 
   // DRAM pressure: the guardrail fires even though the knobs are cooling.
@@ -229,7 +229,7 @@ TEST(PolicyEngineTest, RetreatsOnDegradedPauseAndBlocksRegrowth) {
 TEST(PolicyEngineTest, ResizesHeaderMapFromOverflowRate) {
   const GcOptions options = EngineOptions();
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   ASSERT_TRUE(engine.tuning().header_map_enabled);
   const size_t before = engine.tuning().header_map_entries;
 
@@ -250,7 +250,7 @@ TEST(PolicyEngineTest, ResizesHeaderMapFromOverflowRate) {
 TEST(PolicyEngineTest, AsyncFlushHysteresisOnStealTaint) {
   const GcOptions options = EngineOptions();
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   ASSERT_TRUE(engine.tuning().async_flush);
 
   PolicySignals tainted = CalmSignals(pause, engine);
@@ -279,7 +279,7 @@ TEST(PolicyEngineTest, AsyncFlushHysteresisOnStealTaint) {
 TEST(PolicyEngineTest, ThreadRuleAgreesWithBandwidthModel) {
   const GcOptions options = EngineOptions(16);
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
 
   // A device-bound read phase with a half-write mix. The engine must shrink
   // exactly when its own model says fewer workers sustain strictly more
@@ -308,7 +308,7 @@ TEST(PolicyEngineTest, ThreadRuleAgreesWithBandwidthModel) {
 TEST(PolicyEngineTest, ThreadShrinkRequiresDeviceBoundPause) {
   const GcOptions options = EngineOptions(16);
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   PolicySignals s = CalmSignals(pause, engine);
   s.read_interleave = 0.5;
   s.read_model_mbps = 2000.0;
@@ -320,7 +320,7 @@ TEST(PolicyEngineTest, ThreadShrinkRequiresDeviceBoundPause) {
 TEST(PolicyEngineTest, PrefetchWindowNarrowsAndWidens) {
   const GcOptions options = EngineOptions();
   PolicyEngine engine = MakeEngine(options);
-  uint64_t pause = Warmup(engine, options);
+  uint64_t pause = Warmup(engine);
   ASSERT_EQ(engine.tuning().prefetch_window, 64u);
 
   PolicySignals perfect = CalmSignals(pause, engine);
