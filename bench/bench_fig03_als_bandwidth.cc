@@ -18,6 +18,19 @@
 namespace nvmgc {
 namespace {
 
+// Plot bins: whole 150 us ledger epochs, 14 of them = 2.1 ms.
+constexpr size_t kEpochsPerBin = 14;
+
+// The recorded per-epoch series summed into kEpochsPerBin-epoch bins.
+std::vector<DeviceCounters> BinnedSeries(const MemoryDevice& device) {
+  const std::vector<DeviceCounters> epochs = device.RecordedSeries();
+  std::vector<DeviceCounters> bins((epochs.size() + kEpochsPerBin - 1) / kEpochsPerBin);
+  for (size_t i = 0; i < epochs.size(); ++i) {
+    bins[i / kEpochsPerBin] += epochs[i];
+  }
+  return bins;
+}
+
 void RunSeries(DeviceKind device, const char* title) {
   VmOptions options;
   options.heap = DefaultHeap(device);
@@ -25,42 +38,46 @@ void RunSeries(DeviceKind device, const char* title) {
   Vm vm(options);
   WorkloadProfile profile = ScaledProfile(RenaissanceProfile("als"));
   profile.total_allocation_bytes /= 2;
-  vm.heap_device().StartRecording(0, 2'000'000, 65536);
+  vm.heap_device().StartRecording();
   SyntheticApp app(&vm, profile);
   app.Run();
-  vm.heap_device().StopRecording();
 
   std::vector<std::pair<uint64_t, uint64_t>> pauses;
   for (const auto& c : vm.gc_stats().cycles()) {
     pauses.emplace_back(c.start_ns, c.start_ns + c.pause_ns);
   }
-  const auto series = vm.heap_device().RecordedSeries();
+  const std::vector<DeviceCounters> bins = BinnedSeries(vm.heap_device());
+  const uint64_t bin_ns = kEpochsPerBin * vm.heap_device().ledger().bucket_ns();
+  // 1 MB/s == 1e6 bytes / 1e9 ns.
+  auto mbps = [bin_ns](uint64_t bytes) { return static_cast<double>(bytes) * 1000.0 / bin_ns; };
   double gc_total = 0.0;
   double app_total = 0.0;
   size_t gc_n = 0;
   size_t app_n = 0;
-  std::printf("--- %s ---\n", title);
+  std::printf("--- %s (%.1f ms bins) ---\n", title, static_cast<double>(bin_ns) / 1e6);
   TablePrinter table({"t (ms)", "read (MB/s)", "write (MB/s)", "total (MB/s)", "phase"});
-  const size_t stride = series.size() > 40 ? series.size() / 40 : 1;
-  for (size_t i = 0; i < series.size(); ++i) {
-    const auto& s = series[i];
+  const size_t stride = bins.size() > 40 ? bins.size() / 40 : 1;
+  for (size_t i = 0; i < bins.size(); ++i) {
+    const DeviceCounters& b = bins[i];
+    const uint64_t t0 = i * bin_ns;
     bool in_gc = false;
     for (const auto& [start, end] : pauses) {
-      if (start < s.time_ns + 2'000'000 && end > s.time_ns) {
+      if (start < t0 + bin_ns && end > t0) {
         in_gc = true;
         break;
       }
     }
+    const double total = mbps(b.total_bytes());
     if (i % stride == 0) {
-      table.AddRow({FormatDouble(static_cast<double>(s.time_ns) / 1e6, 1),
-                    FormatDouble(s.read_mbps, 0), FormatDouble(s.write_mbps, 0),
-                    FormatDouble(s.total_mbps(), 0), in_gc ? "GC" : "app"});
+      table.AddRow({FormatDouble(static_cast<double>(t0) / 1e6, 1),
+                    FormatDouble(mbps(b.read_bytes), 0), FormatDouble(mbps(b.write_bytes), 0),
+                    FormatDouble(total, 0), in_gc ? "GC" : "app"});
     }
     if (in_gc) {
-      gc_total += s.total_mbps();
+      gc_total += total;
       ++gc_n;
-    } else if (s.total_mbps() > 1.0) {
-      app_total += s.total_mbps();
+    } else if (total > 1.0) {
+      app_total += total;
       ++app_n;
     }
   }

@@ -23,18 +23,14 @@
 namespace nvmgc {
 namespace {
 
-constexpr uint64_t kBucketNs = 500'000;  // 0.5 ms buckets.
-
 void RunCase(const std::string& app, GcVariant variant) {
   VmOptions options;
   options.heap = DefaultHeap(DeviceKind::kNvm);
   options.gc = MakeGcOptions(variant, 20);
   Vm vm(options);
   WorkloadProfile profile = ScaledProfile(RenaissanceProfile(app));
-  vm.heap_device().StartRecording(0, kBucketNs, 1 << 17);
   SyntheticApp sapp(&vm, profile);
   sapp.Run();
-  vm.heap_device().StopRecording();
 
   // Pick the longest pause and print the bandwidth inside it.
   const GcCycleStats* longest = nullptr;
@@ -48,25 +44,26 @@ void RunCase(const std::string& app, GcVariant variant) {
   if (longest == nullptr) {
     return;
   }
-  const auto series = vm.heap_device().RecordedSeries();
-  TablePrinter table({"t in pause (ms)", "read (MB/s)", "write (MB/s)"});
+  // The Vm's timeline holds each pause's 150 us ledger buckets, each tagged
+  // with its phase (read-mostly copy, then write-back).
+  std::vector<TimelineSample> samples;
+  for (const TimelineSample& s : vm.timeline().samples()) {
+    if (s.time_ns >= longest->start_ns && s.time_ns < longest->start_ns + longest->pause_ns) {
+      samples.push_back(s);
+    }
+  }
+  TablePrinter table({"t in pause (ms)", "phase", "read (MB/s)", "write (MB/s)"});
   double peak_write = 0.0;
   double peak_read = 0.0;
-  size_t rows = 0;
-  for (const auto& s : series) {
-    if (s.time_ns + kBucketNs <= longest->start_ns ||
-        s.time_ns >= longest->start_ns + longest->pause_ns) {
-      continue;
-    }
+  const size_t stride = (samples.size() + 39) / 40;  // At most 40 rows.
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const TimelineSample& s = samples[i];
     peak_write = std::max(peak_write, s.write_mbps);
     peak_read = std::max(peak_read, s.read_mbps);
-    if (rows < 40) {
-      // The first bucket can start before the pause does; clamp to 0.
-      const uint64_t rel =
-          s.time_ns > longest->start_ns ? s.time_ns - longest->start_ns : 0;
-      table.AddRow({FormatDouble(static_cast<double>(rel) / 1e6, 1),
-                    FormatDouble(s.read_mbps, 0), FormatDouble(s.write_mbps, 0)});
-      ++rows;
+    if (i % stride == 0) {
+      table.AddRow({FormatDouble(static_cast<double>(s.time_ns - longest->start_ns) / 1e6, 2),
+                    GcPhaseKindName(s.phase), FormatDouble(s.read_mbps, 0),
+                    FormatDouble(s.write_mbps, 0)});
     }
   }
   table.Print();
@@ -75,7 +72,7 @@ void RunCase(const std::string& app, GcVariant variant) {
 
 int Main(BenchContext&) {
   std::printf("=== Figure 7: split NVM bandwidth during GC ===\n\n");
-  for (const std::string& app : {"page-rank", "naive-bayes", "akka-uct"}) {
+  for (const char* app : {"page-rank", "naive-bayes", "akka-uct"}) {
     RunCase(app, GcVariant::kAll);
     RunCase(app, GcVariant::kVanilla);
   }

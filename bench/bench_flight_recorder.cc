@@ -35,13 +35,13 @@ struct Point {
 };
 
 Point RunPoint(BenchContext& ctx, const WorkloadProfile& profile, uint32_t threads,
-               bool recorder_on) {
+               bool fr_on) {
   VmOptions options;
   options.heap = DefaultHeap(DeviceKind::kNvm);
   options.gc = MakeGcOptions(GcVariant::kVanilla, threads);
   options.trace_gc = ctx.tracing();
-  options.flight_recorder.enabled = recorder_on;
-  if (recorder_on) {
+  options.flight_recorder.enabled = fr_on;
+  if (fr_on) {
     if (ctx.fr_threshold_ns() > 0) {
       options.flight_recorder.pause_threshold_ns = ctx.fr_threshold_ns();
     }
@@ -58,8 +58,8 @@ Point RunPoint(BenchContext& ctx, const WorkloadProfile& profile, uint32_t threa
                    {"device", "nvm"},
                    {"collector", "g1"},
                    {"threads", std::to_string(threads)},
-                   {"recorder", recorder_on ? "on" : "off"}};
-  record.label = profile.name + std::string(recorder_on ? "/fr-on" : "/fr-off") +
+                   {"recorder", fr_on ? "on" : "off"}};
+  record.label = profile.name + std::string(fr_on ? "/fr-on" : "/fr-off") +
                  "/nvm/g1/t" + std::to_string(threads);
 
   Point point;
@@ -73,7 +73,7 @@ Point RunPoint(BenchContext& ctx, const WorkloadProfile& profile, uint32_t threa
       record.timeline = vm.timeline().samples();
     }
     ctx.AppendTrace(vm.tracer(), record.label);
-    if (recorder_on) {
+    if (fr_on) {
       if (!vm.options().flight_recorder.dump_dir.empty()) {
         vm.DumpFlightRecord();
       }

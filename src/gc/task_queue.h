@@ -50,16 +50,6 @@ class TaskQueue {
     return true;
   }
 
-  bool Steal(GcTask* task) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tasks_.empty()) {
-      return false;
-    }
-    *task = tasks_.front();
-    tasks_.pop_front();
-    return true;
-  }
-
   // Steals up to half of this queue (oldest first) into `out`; returns the
   // number stolen. Batching steals keeps thieves from ping-ponging one task
   // at a time when a victim holds a deep subtree.
@@ -93,22 +83,9 @@ class TaskQueueSet {
   TaskQueue& queue(uint32_t i) { return queues_[i]; }
   uint32_t size() const { return static_cast<uint32_t>(queues_.size()); }
 
-  // Attempts to steal a task for `thief`, round-robining over victims.
-  // Returns the victim id through `victim_out` on success.
-  bool StealFor(uint32_t thief, GcTask* task, uint32_t* victim_out) {
-    const uint32_t n = size();
-    for (uint32_t i = 1; i < n; ++i) {
-      const uint32_t victim = (thief + i) % n;
-      if (queues_[victim].Steal(task)) {
-        *victim_out = victim;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Steal-half variant: moves up to half of the first non-empty victim's
-  // queue into `out`.
+  // Moves up to half of the first non-empty victim's queue into `out`,
+  // round-robining over the queues after `thief`'s own (never stealing from
+  // it). Returns the number stolen, and the victim id through `victim_out`.
   size_t StealHalfFor(uint32_t thief, std::vector<GcTask>* out, uint32_t* victim_out) {
     const uint32_t n = size();
     for (uint32_t i = 1; i < n; ++i) {

@@ -4,7 +4,31 @@ namespace nvmgc {
 
 BandwidthLedger::BandwidthLedger(uint64_t bucket_ns) : bucket_ns_(bucket_ns) {}
 
-void BandwidthLedger::Counts::Clear() {
+void BandwidthLedger::TenantCounts::Add(const DeviceCounters& c) {
+  SingleWriterAdd(&read_bytes, c.read_bytes);
+  SingleWriterAdd(&write_bytes, c.write_bytes);
+  SingleWriterAdd(&nt_write_bytes, c.nt_write_bytes);
+  SingleWriterAdd(&read_ops, c.read_ops);
+  SingleWriterAdd(&write_ops, c.write_ops);
+}
+
+DeviceCounters BandwidthLedger::TenantCounts::Load() const {
+  return DeviceCounters{read_bytes.load(std::memory_order_relaxed),
+                        write_bytes.load(std::memory_order_relaxed),
+                        nt_write_bytes.load(std::memory_order_relaxed),
+                        read_ops.load(std::memory_order_relaxed),
+                        write_ops.load(std::memory_order_relaxed)};
+}
+
+void BandwidthLedger::TenantCounts::Clear() {
+  read_bytes.store(0, std::memory_order_relaxed);
+  write_bytes.store(0, std::memory_order_relaxed);
+  nt_write_bytes.store(0, std::memory_order_relaxed);
+  read_ops.store(0, std::memory_order_relaxed);
+  write_ops.store(0, std::memory_order_relaxed);
+}
+
+void BandwidthLedger::WindowCounts::Clear() {
   read_bytes.store(0, std::memory_order_relaxed);
   write_bytes.store(0, std::memory_order_relaxed);
   nt_bytes.store(0, std::memory_order_relaxed);
@@ -15,12 +39,28 @@ void BandwidthLedger::Counts::Clear() {
 }
 
 void BandwidthLedger::Recycle(Bucket* b, uint64_t epoch) {
+  const uint64_t old = b->epoch.load(std::memory_order_relaxed);
   // If the running window counts the bytes being dropped, rebuild it at the
   // next sample.
-  if (InWindow(b->epoch.load(std::memory_order_relaxed))) {
+  if (InWindow(old)) {
     window_epoch_.store(kNoEpoch, std::memory_order_relaxed);
   }
-  b->Clear();
+  // Settle the old epoch. A lagging clock can recycle a newer epoch's slot
+  // and that epoch can later return; both halves settle, so totals and the
+  // series stay exact.
+  DeviceCounters epoch_total;
+  for (uint32_t t = 0; t < kMaxTenants; ++t) {
+    const DeviceCounters c = b->tenants[t].Load();
+    settled_[t].Add(c);
+    epoch_total += c;
+    b->tenants[t].Clear();
+  }
+  if (recording_ && old != kNoEpoch) {
+    if (series_.size() <= old) {
+      series_.resize(old + 1);
+    }
+    series_[old] += epoch_total;
+  }
   b->epoch.store(epoch, std::memory_order_relaxed);
 }
 
@@ -31,11 +71,12 @@ void BandwidthLedger::RebuildWindow(uint64_t epoch) const {
     if (b.epoch.load(std::memory_order_relaxed) != epoch - i) {
       continue;
     }
-    SingleWriterAdd(&window_.read_bytes, b.read_bytes.load(std::memory_order_relaxed));
-    SingleWriterAdd(&window_.write_bytes, b.write_bytes.load(std::memory_order_relaxed));
-    SingleWriterAdd(&window_.nt_bytes, b.nt_bytes.load(std::memory_order_relaxed));
     for (uint32_t t = 0; t < kMaxTenants; ++t) {
-      SingleWriterAdd(&window_.tenant_bytes[t], b.tenant_bytes[t].load(std::memory_order_relaxed));
+      const DeviceCounters c = b.tenants[t].Load();
+      SingleWriterAdd(&window_.read_bytes, c.read_bytes);
+      SingleWriterAdd(&window_.write_bytes, c.write_bytes);
+      SingleWriterAdd(&window_.nt_bytes, c.nt_write_bytes);
+      SingleWriterAdd(&window_.tenant_bytes[t], c.total_bytes());
     }
   }
   uint32_t active = 0;
@@ -64,65 +105,46 @@ BandwidthLedger::TenantOccupancy BandwidthLedger::OccupancyAt(uint64_t epoch,
   return occ;
 }
 
-bool BandwidthLedger::ReadBucket(uint64_t epoch, BucketSample* out) const {
+bool BandwidthLedger::ReadBucket(uint64_t epoch, DeviceCounters* out) const {
   const Bucket& b = ring_[epoch % kRingSize];
   if (b.epoch.load(std::memory_order_relaxed) != epoch) {
     return false;
   }
-  out->read_bytes = b.read_bytes.load(std::memory_order_relaxed);
-  out->write_bytes = b.write_bytes.load(std::memory_order_relaxed);
-  out->nt_bytes = b.nt_bytes.load(std::memory_order_relaxed);
+  *out = DeviceCounters{};
+  for (const TenantCounts& t : b.tenants) {
+    *out += t.Load();
+  }
   return true;
 }
 
-BandwidthRecorder::BandwidthRecorder(uint64_t bucket_ns, size_t max_buckets)
-    : bucket_ns_(bucket_ns), cells_(max_buckets) {}
-
-void BandwidthRecorder::Start(uint64_t now_ns) {
-  start_ns_ = now_ns;
-  for (auto& cell : cells_) {
-    cell.read_bytes.store(0, std::memory_order_relaxed);
-    cell.write_bytes.store(0, std::memory_order_relaxed);
+DeviceCounters BandwidthLedger::TenantTotals(uint8_t tenant) const {
+  const uint32_t t = tenant % kMaxTenants;
+  DeviceCounters c = settled_[t].Load();
+  // A slot that holds no epoch was never charged, so it reads as zero.
+  for (const Bucket& b : ring_) {
+    c += b.tenants[t].Load();
   }
+  return c;
 }
 
-void BandwidthRecorder::Charge(uint64_t now_ns, const AccessDescriptor& d) {
-  if (now_ns < start_ns_) {
-    return;
+std::vector<DeviceCounters> BandwidthLedger::RecordedSeries() const {
+  if (!recording_) {
+    return {};
   }
-  const uint64_t idx = (now_ns - start_ns_) / bucket_ns_;
-  if (idx >= cells_.size()) {
-    return;  // Past the recording horizon; drop.
-  }
-  if (d.op == AccessOp::kRead) {
-    SingleWriterAdd(&cells_[idx].read_bytes, d.bytes);
-  } else {
-    SingleWriterAdd(&cells_[idx].write_bytes, d.bytes);
-  }
-}
-
-std::vector<BandwidthSample> BandwidthRecorder::Series() const {
-  std::vector<BandwidthSample> out;
-  // MB/s = bytes / bucket_seconds / 1e6.
-  const double to_mbps = 1e9 / static_cast<double>(bucket_ns_) / 1e6;
-  size_t last_nonzero = 0;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].read_bytes.load(std::memory_order_relaxed) != 0 ||
-        cells_[i].write_bytes.load(std::memory_order_relaxed) != 0) {
-      last_nonzero = i + 1;
+  std::vector<DeviceCounters> series = series_;
+  for (const Bucket& b : ring_) {
+    const uint64_t epoch = b.epoch.load(std::memory_order_relaxed);
+    if (epoch == kNoEpoch) {
+      continue;
+    }
+    if (series.size() <= epoch) {
+      series.resize(epoch + 1);
+    }
+    for (const TenantCounts& t : b.tenants) {
+      series[epoch] += t.Load();
     }
   }
-  out.reserve(last_nonzero);
-  for (size_t i = 0; i < last_nonzero; ++i) {
-    BandwidthSample s;
-    s.time_ns = i * bucket_ns_;
-    s.read_mbps =
-        static_cast<double>(cells_[i].read_bytes.load(std::memory_order_relaxed)) * to_mbps;
-    s.write_mbps =
-        static_cast<double>(cells_[i].write_bytes.load(std::memory_order_relaxed)) * to_mbps;
-    out.push_back(s);
-  }
-  return out;
+  return series;
 }
 
 }  // namespace nvmgc

@@ -1,5 +1,8 @@
-// Sliding-window traffic accounting used to estimate the current access mix,
-// plus an optional full-resolution recorder for bandwidth-versus-time figures.
+// The device's one per-access traffic record: 150 us epoch buckets of
+// per-tenant read/write traffic, read by the cost model as a sliding-window
+// mix estimate, settled into lifetime per-tenant totals when an epoch leaves
+// the ring, and, while a recording is on, into a whole-run per-epoch series
+// for the bandwidth-versus-time figures.
 
 #ifndef NVMGC_SRC_NVM_BANDWIDTH_LEDGER_H_
 #define NVMGC_SRC_NVM_BANDWIDTH_LEDGER_H_
@@ -13,17 +16,38 @@
 
 namespace nvmgc {
 
-// One point of a recorded bandwidth series (already aggregated per bucket).
-struct BandwidthSample {
-  uint64_t time_ns = 0;       // Bucket start, relative to recording start.
-  double read_mbps = 0.0;
-  double write_mbps = 0.0;
-  double total_mbps() const { return read_mbps + write_mbps; }
+// Traffic totals over some span: one epoch, a whole run, one tenant or the
+// whole device. Snapshot subtraction gives per-phase traffic (e.g. bytes
+// moved during one GC pause).
+struct DeviceCounters {
+  uint64_t read_bytes = 0;
+  uint64_t write_bytes = 0;
+  uint64_t nt_write_bytes = 0;
+  uint64_t read_ops = 0;
+  uint64_t write_ops = 0;
+
+  DeviceCounters& operator+=(const DeviceCounters& rhs) {
+    read_bytes += rhs.read_bytes;
+    write_bytes += rhs.write_bytes;
+    nt_write_bytes += rhs.nt_write_bytes;
+    read_ops += rhs.read_ops;
+    write_ops += rhs.write_ops;
+    return *this;
+  }
+  DeviceCounters operator-(const DeviceCounters& rhs) const {
+    return DeviceCounters{read_bytes - rhs.read_bytes, write_bytes - rhs.write_bytes,
+                          nt_write_bytes - rhs.nt_write_bytes, read_ops - rhs.read_ops,
+                          write_ops - rhs.write_ops};
+  }
+  uint64_t total_bytes() const { return read_bytes + write_bytes; }
 };
 
 // Ring of time buckets. Charges are attributed to the bucket (epoch) that
 // contains the accessing clock's simulated time; the mix and tenant-occupancy
-// estimates aggregate the kWindowBuckets most recent epochs.
+// estimates aggregate the kWindowBuckets most recent epochs. When a charge
+// reuses a slot, the epoch it held is settled into the lifetime totals, so
+// every charged byte and op is counted in exactly one bucket and read back
+// from there.
 //
 // Contract: one host thread drives a ledger at a time (see
 // src/util/single_writer.h). Each charge is then O(1) single-writer work: the
@@ -63,18 +87,24 @@ class BandwidthLedger {
   Mix SampleMix(uint64_t now_ns) const { return MixAt(EpochOf(now_ns)); }
   Mix MixAt(uint64_t epoch) const;
 
-  // One epoch's raw byte counters, readable while the epoch is still resident
-  // in the ring (the ring spans kRingSize * bucket_ns() of simulated time).
-  struct BucketSample {
-    uint64_t read_bytes = 0;
-    uint64_t write_bytes = 0;
-    uint64_t nt_bytes = 0;
-    uint64_t total_bytes() const { return read_bytes + write_bytes; }
-  };
-  // Reads the bucket for `epoch` (== time_ns / bucket_ns()). Returns false
-  // when the epoch was never charged or its slot has been reused for a newer
-  // epoch; the DeviceTimeline sampler counts that as a missing bucket.
-  bool ReadBucket(uint64_t epoch, BucketSample* out) const;
+  // Reads the traffic of `epoch` (== time_ns / bucket_ns()) while it is still
+  // resident in the ring (the ring spans kRingSize * bucket_ns() of simulated
+  // time). Returns false when the epoch was never charged or its slot has been
+  // reused for another epoch; the DeviceTimeline sampler counts that as a
+  // missing bucket.
+  bool ReadBucket(uint64_t epoch, DeviceCounters* out) const;
+
+  // Lifetime traffic of `tenant`: its settled epochs plus the resident ones.
+  // O(kRingSize).
+  DeviceCounters TenantTotals(uint8_t tenant) const;
+
+  // Whole-run series. From StartRecording on, every epoch that is settled is
+  // also added to a growable per-epoch series; RecordedSeries() returns it
+  // with the resident epochs folded in, element i covering simulated time
+  // [i, i + 1) * bucket_ns(). Start recording before the traffic to record:
+  // epochs settled earlier read as zero. Empty when not recording.
+  void StartRecording() { recording_ = true; }
+  std::vector<DeviceCounters> RecordedSeries() const;
 
   // Occupancy of one tenant relative to the whole window, for the contention
   // model (BandwidthModel::TenantShareFraction).
@@ -103,11 +133,28 @@ class BandwidthLedger {
   static constexpr int ring_size() { return kRingSize; }
 
  private:
-  // Byte totals of one epoch or of the running window. Tenant bytes are kept
-  // alongside the direction split rather than as a tenant x direction matrix:
-  // the contention model needs occupancy, the mix model needs direction, and
-  // no consumer needs both at once.
-  struct Counts {
+  // Traffic of one tenant in one epoch, or its settled lifetime total.
+  struct TenantCounts {
+    std::atomic<uint64_t> read_bytes{0};
+    std::atomic<uint64_t> write_bytes{0};
+    std::atomic<uint64_t> nt_write_bytes{0};
+    std::atomic<uint64_t> read_ops{0};
+    std::atomic<uint64_t> write_ops{0};
+
+    void Add(const AccessDescriptor& d);
+    void Add(const DeviceCounters& c);
+    DeviceCounters Load() const;
+    void Clear();
+  };
+  struct Bucket {
+    std::atomic<uint64_t> epoch{kNoEpoch};
+    TenantCounts tenants[kMaxTenants];
+  };
+  // Byte totals of the running window. Tenant bytes are kept alongside the
+  // direction split rather than as a tenant x direction matrix: the
+  // contention model needs occupancy, the mix model needs direction, and no
+  // sample needs both at once.
+  struct WindowCounts {
     std::atomic<uint64_t> read_bytes{0};
     std::atomic<uint64_t> write_bytes{0};
     std::atomic<uint64_t> nt_bytes{0};
@@ -118,15 +165,11 @@ class BandwidthLedger {
     void Add(const AccessDescriptor& d, uint8_t tenant);
     void Clear();
   };
-  struct Bucket : Counts {
-    std::atomic<uint64_t> epoch{kNoEpoch};
-  };
-
   static constexpr int kRingSize = 64;
   static constexpr uint64_t kNoEpoch = UINT64_MAX;
 
   Bucket* BucketFor(uint64_t epoch);
-  // Resets `b` for `epoch`, dropping the epoch it held.
+  // Resets `b` for `epoch`, settling the epoch it held.
   void Recycle(Bucket* b, uint64_t epoch);
   bool InWindow(uint64_t epoch) const;
   // Makes window_ the totals of the window ending at `epoch`.
@@ -145,12 +188,30 @@ class BandwidthLedger {
   // Running totals of the window ending at window_epoch_; kNoEpoch means they
   // must be rebuilt from the ring before the next sample.
   mutable std::atomic<uint64_t> window_epoch_{kNoEpoch};
-  mutable Counts window_;
+  mutable WindowCounts window_;
+  // Per-tenant totals of every epoch that has left the ring.
+  TenantCounts settled_[kMaxTenants];
+  // The whole-run series (see StartRecording); written only on settlement.
+  bool recording_ = false;
+  std::vector<DeviceCounters> series_;
 };
 
 // The per-access path is defined here so that MemoryDevice::Access inlines it.
 
-inline void BandwidthLedger::Counts::Add(const AccessDescriptor& d, uint8_t tenant) {
+inline void BandwidthLedger::TenantCounts::Add(const AccessDescriptor& d) {
+  if (d.op == AccessOp::kRead) {
+    SingleWriterAdd(&read_bytes, d.bytes);
+    SingleWriterAdd(&read_ops, 1);
+  } else {
+    SingleWriterAdd(&write_bytes, d.bytes);
+    SingleWriterAdd(&write_ops, 1);
+    if (d.non_temporal) {
+      SingleWriterAdd(&nt_write_bytes, d.bytes);
+    }
+  }
+}
+
+inline void BandwidthLedger::WindowCounts::Add(const AccessDescriptor& d, uint8_t tenant) {
   if (d.op == AccessOp::kRead) {
     SingleWriterAdd(&read_bytes, d.bytes);
   } else {
@@ -194,7 +255,7 @@ inline BandwidthLedger::Bucket* BandwidthLedger::BucketFor(uint64_t epoch) {
 
 inline void BandwidthLedger::ChargeEpoch(uint64_t epoch, const AccessDescriptor& d,
                                          uint8_t tenant) {
-  BucketFor(epoch)->Add(d, tenant);
+  BucketFor(epoch)->tenants[tenant % kMaxTenants].Add(d);
   if (InWindow(epoch)) {
     window_.Add(d, tenant);
   }
@@ -214,33 +275,6 @@ inline BandwidthLedger::Mix BandwidthLedger::MixAt(uint64_t epoch) const {
   }
   return mix;
 }
-
-// Fixed-capacity recorder, single-writer like the ledger: buckets cover
-// simulated time from Start() onward. Used to produce the paper's bandwidth
-// time-series plots (Figures 2, 3 and 7).
-class BandwidthRecorder {
- public:
-  BandwidthRecorder(uint64_t bucket_ns, size_t max_buckets);
-
-  void Charge(uint64_t now_ns, const AccessDescriptor& d);
-
-  // Rebase so that `now_ns` becomes time zero of the series.
-  void Start(uint64_t now_ns);
-
-  std::vector<BandwidthSample> Series() const;
-
-  uint64_t bucket_ns() const { return bucket_ns_; }
-
- private:
-  struct Cell {
-    std::atomic<uint64_t> read_bytes{0};
-    std::atomic<uint64_t> write_bytes{0};
-  };
-
-  uint64_t bucket_ns_;
-  uint64_t start_ns_ = 0;
-  std::vector<Cell> cells_;
-};
 
 }  // namespace nvmgc
 

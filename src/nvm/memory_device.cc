@@ -6,7 +6,6 @@
 #include "src/nvm/fault_injector.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
-#include "src/util/single_writer.h"
 
 namespace nvmgc {
 
@@ -41,17 +40,7 @@ uint8_t MemoryDevice::TenantFor(uint64_t address) const {
 }
 
 DeviceCounters MemoryDevice::tenant_counters(uint8_t tenant) const {
-  DeviceCounters c;
-  if (tenant >= kMaxTenants) {
-    return c;
-  }
-  const TenantCounters& t = tenant_counters_[tenant];
-  c.read_bytes = t.read_bytes.load(std::memory_order_relaxed);
-  c.write_bytes = t.write_bytes.load(std::memory_order_relaxed);
-  c.nt_write_bytes = t.nt_write_bytes.load(std::memory_order_relaxed);
-  c.read_ops = t.read_ops.load(std::memory_order_relaxed);
-  c.write_ops = t.write_ops.load(std::memory_order_relaxed);
-  return c;
+  return tenant < kMaxTenants ? ledger_.TenantTotals(tenant) : DeviceCounters{};
 }
 
 uint64_t MemoryDevice::CostNs(uint64_t now_ns, const AccessDescriptor& d) const {
@@ -116,21 +105,6 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
   if (d.op == AccessOp::kWrite && persist_.enabled()) {
     persist_.NoteWrite(d.address, d.bytes);
   }
-  if (recording_.load(std::memory_order_acquire)) {
-    recorder_->Charge(now, d);
-  }
-
-  TenantCounters& tc = tenant_counters_[tenant];
-  if (d.op == AccessOp::kRead) {
-    SingleWriterAdd(&tc.read_bytes, d.bytes);
-    SingleWriterAdd(&tc.read_ops, 1);
-  } else {
-    SingleWriterAdd(&tc.write_bytes, d.bytes);
-    SingleWriterAdd(&tc.write_ops, 1);
-    if (d.non_temporal) {
-      SingleWriterAdd(&tc.nt_write_bytes, d.bytes);
-    }
-  }
   return cost;
 }
 
@@ -151,27 +125,6 @@ void MemoryDevice::ExportMetrics(MetricsRegistry* metrics, const std::string& pr
   metrics->SetGauge(prefix + ".lifetime.write_ops", c.write_ops);
   heatmap_.ExportMetrics(metrics, prefix);
   persist_.ExportMetrics(metrics, prefix);
-}
-
-void MemoryDevice::StartRecording(uint64_t now_ns, uint64_t bucket_ns, size_t max_buckets) {
-  // Replacing the recorder while other threads may still be charging it is a
-  // use-after-free; on a shared (fleet) device it would also silently steal a
-  // co-tenant's recording. One recorder per device at a time.
-  NVMGC_CHECK_MSG(!recording_.load(std::memory_order_acquire),
-                  "StartRecording while a recording is active: call StopRecording first "
-                  "(shared devices get one bandwidth recorder, not one per tenant)");
-  recorder_ = std::make_unique<BandwidthRecorder>(bucket_ns, max_buckets);
-  recorder_->Start(now_ns);
-  recording_.store(true, std::memory_order_release);
-}
-
-void MemoryDevice::StopRecording() { recording_.store(false, std::memory_order_release); }
-
-std::vector<BandwidthSample> MemoryDevice::RecordedSeries() const {
-  if (!recorder_) {
-    return {};
-  }
-  return recorder_->Series();
 }
 
 MixState MemoryDevice::CurrentMix(uint64_t now_ns) const {

@@ -1,5 +1,6 @@
 // Simulated memory device: the global arbiter that charges simulated time for
-// every heap access and maintains traffic statistics.
+// every heap access. Its traffic statistics are read from the one record each
+// access charges, the BandwidthLedger (the heatmap adds the per-region view).
 //
 // This is the substitution point for real Optane hardware (see DESIGN.md §2):
 // heap bytes physically live in host RAM, but all timing comes from the
@@ -20,8 +21,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/nvm/access.h"
 #include "src/nvm/access_heatmap.h"
@@ -35,31 +36,6 @@ namespace nvmgc {
 
 class FaultInjector;
 class MetricsRegistry;
-
-// Aggregate counters, readable at any time. Snapshot subtraction gives
-// per-phase traffic (e.g. bytes moved during one GC pause).
-struct DeviceCounters {
-  uint64_t read_bytes = 0;
-  uint64_t write_bytes = 0;
-  uint64_t nt_write_bytes = 0;
-  uint64_t read_ops = 0;
-  uint64_t write_ops = 0;
-
-  DeviceCounters& operator+=(const DeviceCounters& rhs) {
-    read_bytes += rhs.read_bytes;
-    write_bytes += rhs.write_bytes;
-    nt_write_bytes += rhs.nt_write_bytes;
-    read_ops += rhs.read_ops;
-    write_ops += rhs.write_ops;
-    return *this;
-  }
-  DeviceCounters operator-(const DeviceCounters& rhs) const {
-    return DeviceCounters{read_bytes - rhs.read_bytes, write_bytes - rhs.write_bytes,
-                          nt_write_bytes - rhs.nt_write_bytes, read_ops - rhs.read_ops,
-                          write_ops - rhs.write_ops};
-  }
-  uint64_t total_bytes() const { return read_bytes + write_bytes; }
-};
 
 class MemoryDevice {
  public:
@@ -79,7 +55,7 @@ class MemoryDevice {
 
   // --- Multi-tenant sharing (fleet mode) ---
   // Attributes the address range [base, base + bytes) to `tenant`: every
-  // access landing in it charges that tenant's ledger occupancy and counters.
+  // access landing in it charges that tenant's slot of the ledger.
   // Each Vm sharing the device binds its heap arena once at construction;
   // binding must finish before the range sees traffic (ranges are appended
   // lock-free for readers, but registration itself is not thread-safe).
@@ -91,8 +67,9 @@ class MemoryDevice {
   // does the cross-tenant contention term enter CostNs, so single-Vm devices
   // behave exactly as before.
   bool multi_tenant() const { return multi_tenant_.load(std::memory_order_relaxed); }
-  // Lifetime traffic attributed to `tenant`. These slots are the only
-  // traffic counters: counters() is their sum over all tenants.
+  // Lifetime traffic attributed to `tenant`, read from the ledger (its settled
+  // epochs plus the resident ones): O(ring size), meant for per-pause and
+  // per-window reads, not per access.
   DeviceCounters tenant_counters(uint8_t tenant) const;
 
   // Fault injection: attach a (non-owned) injector whose plan perturbs every
@@ -113,21 +90,22 @@ class MemoryDevice {
     return t == 0 ? 1 : t;
   }
 
-  // Lifetime traffic over all tenants.
+  // Lifetime traffic over all tenants: the sum of tenant_counters().
   DeviceCounters counters() const;
 
-  // Time-series recording (bandwidth figures). The recorder is created by
-  // StartRecording and charged on every access until StopRecording.
-  void StartRecording(uint64_t now_ns, uint64_t bucket_ns, size_t max_buckets);
-  void StopRecording();
-  std::vector<BandwidthSample> RecordedSeries() const;
+  // Whole-run bandwidth series for the bandwidth figures: call StartRecording
+  // before the traffic to record; RecordedSeries() then returns one entry per
+  // ledger epoch (entry i covers [i, i + 1) * ledger().bucket_ns()). See
+  // BandwidthLedger::StartRecording.
+  void StartRecording() { ledger_.StartRecording(); }
+  std::vector<DeviceCounters> RecordedSeries() const { return ledger_.RecordedSeries(); }
 
   // Instantaneous model outputs (for tests and monitors).
   MixState CurrentMix(uint64_t now_ns) const;
   double CurrentTotalBandwidthMbps(uint64_t now_ns) const;
 
-  // The sliding-window traffic ledger (the DeviceTimeline sampler drains its
-  // per-epoch buckets into per-pause bandwidth series).
+  // The traffic ledger (the DeviceTimeline sampler drains its per-epoch
+  // buckets into per-pause bandwidth series).
   const BandwidthLedger& ledger() const { return ledger_; }
 
   // Per-region access heatmap. Unconfigured (and thus free) until the heap
@@ -165,14 +143,6 @@ class MemoryDevice {
   // multi-tenant device.
   uint64_t CostAt(uint64_t epoch, const AccessDescriptor& d, uint8_t tenant) const;
 
-  struct TenantCounters {
-    std::atomic<uint64_t> read_bytes{0};
-    std::atomic<uint64_t> write_bytes{0};
-    std::atomic<uint64_t> nt_write_bytes{0};
-    std::atomic<uint64_t> read_ops{0};
-    std::atomic<uint64_t> write_ops{0};
-  };
-
   BandwidthModel model_;
   BandwidthLedger ledger_;
   AccessHeatmap heatmap_;
@@ -183,10 +153,7 @@ class MemoryDevice {
   TenantRange tenant_ranges_[kMaxTenantRanges];
   std::atomic<uint32_t> tenant_range_count_{0};
   std::atomic<bool> multi_tenant_{false};
-  TenantCounters tenant_counters_[kMaxTenants];
 
-  std::atomic<bool> recording_{false};
-  std::unique_ptr<BandwidthRecorder> recorder_;
   std::atomic<FaultInjector*> injector_{nullptr};
 };
 

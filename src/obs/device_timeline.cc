@@ -29,7 +29,7 @@ size_t DeviceTimeline::SamplePhase(uint64_t pause_id, GcPhaseKind phase, uint64_
   const uint64_t end_epoch = (end_ns + bucket_ns - 1) / bucket_ns;
   size_t appended = 0;
   for (uint64_t epoch = first_epoch; epoch < end_epoch; ++epoch) {
-    BandwidthLedger::BucketSample bucket;
+    DeviceCounters bucket;
     if (!ledger.ReadBucket(epoch, &bucket)) {
       // Never charged (a genuinely idle bucket) is indistinguishable from
       // evicted here; both read as absent. Treat absent buckets inside an
@@ -56,7 +56,7 @@ size_t DeviceTimeline::SamplePhase(uint64_t pause_id, GcPhaseKind phase, uint64_
     s.interleave = static_cast<double>(bucket.write_bytes) / static_cast<double>(total);
     MixState mix;
     mix.write_fraction = s.interleave;
-    mix.nt_write_fraction = static_cast<double>(bucket.nt_bytes) / static_cast<double>(total);
+    mix.nt_write_fraction = static_cast<double>(bucket.nt_write_bytes) / static_cast<double>(total);
     mix.active_threads = active_threads == 0 ? 1 : active_threads;
     s.model_mbps = device_->model().TotalBandwidthMbps(mix);
     samples_.push_back(s);

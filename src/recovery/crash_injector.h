@@ -39,7 +39,7 @@ class CrashInjector {
   // `dump_dir` (FrTrigger::kCrash), so a recovered heap ships with the
   // evidence of how it got there. Pass nullptr to disarm.
   void ArmFlightRecorder(FlightRecorder* recorder, std::string dump_dir) {
-    flight_recorder_ = recorder;
+    flight_rec_ = recorder;
     flight_dump_dir_ = std::move(dump_dir);
   }
   const std::string& flight_dump_path() const { return flight_dump_path_; }
@@ -47,8 +47,8 @@ class CrashInjector {
   // The surviving NVM state. Call once, after the run has simulated past
   // crash_ns (later fences simply stop contributing to the image).
   CrashImage TakeImage() {
-    if (flight_recorder_ != nullptr) {
-      flight_dump_path_ = flight_recorder_->Dump(FrTrigger::kCrash, flight_dump_dir_);
+    if (flight_rec_ != nullptr) {
+      flight_dump_path_ = flight_rec_->Dump(FrTrigger::kCrash, flight_dump_dir_);
     }
     return ledger_->TakeCrashImage();
   }
@@ -61,7 +61,7 @@ class CrashInjector {
  private:
   PersistOrderingLedger* ledger_;
   uint64_t crash_ns_;
-  FlightRecorder* flight_recorder_ = nullptr;
+  FlightRecorder* flight_rec_ = nullptr;
   std::string flight_dump_dir_;
   std::string flight_dump_path_;
 };

@@ -75,7 +75,7 @@ Vm::Vm(const VmOptions& options) : options_(options) {
   heap_ = std::make_unique<Heap>(options_.heap, heap_device_, dram_device_.get());
   if (options_.shared_heap_device != nullptr) {
     // Attribute this Vm's whole arena (regions + commit area) to its tenant:
-    // the device resolves contention shares and per-tenant counters by range.
+    // the device resolves contention shares and per-tenant traffic by range.
     heap_device_->BindTenantRange(
         static_cast<uint8_t>(options_.tenant_id), heap_->heap_base(),
         heap_->heap_arena_bytes() + heap_->commit_area_bytes());
@@ -111,8 +111,8 @@ Vm::Vm(const VmOptions& options) : options_(options) {
         options_.tenant_label.empty() ? "t" + std::to_string(options_.tenant_id)
                                       : options_.tenant_label;
   }
-  flight_recorder_ = std::make_unique<FlightRecorder>(options_.flight_recorder);
-  flight_recorder_->set_site_profiler(site_profiler_.get());
+  flight_rec_ = std::make_unique<FlightRecorder>(options_.flight_recorder);
+  flight_rec_->set_site_profiler(site_profiler_.get());
   if (options.gc.adaptive_policy) {
     const bool gen = options_.gc.generational.enabled;
     policy_ = std::make_unique<PolicyEngine>(
@@ -254,7 +254,7 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
   // so the record carries the decisions this pause produced) and let the
   // anomaly triggers auto-dump an incident. Host-side only — charges zero
   // simulated time.
-  if (flight_recorder_->enabled()) {
+  if (flight_rec_->enabled()) {
     FlightPauseRecord record;
     record.pause_id = pause_id;
     record.kind = kind;
@@ -271,13 +271,13 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
     record.timeline.assign(samples.begin() + std::min(timeline_from, samples.size()),
                            samples.end());
     record.sites = site_profiler_->last_cycle();
-    const FrTrigger fired = flight_recorder_->RecordPause(std::move(record));
+    const FrTrigger fired = flight_rec_->RecordPause(std::move(record));
     metrics_.AddCounter("fr.pauses_recorded", 1);
     if (fired != FrTrigger::kNone) {
       metrics_.AddCounter("fr.triggers", 1);
       metrics_.AddCounter(std::string("fr.trigger.") + FrTriggerName(fired), 1);
     }
-    metrics_.SetGauge("fr.incidents", flight_recorder_->incidents());
+    metrics_.SetGauge("fr.incidents", flight_rec_->incidents());
   }
 
   if (coordinator_ != nullptr) {
@@ -301,9 +301,9 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
 }
 
 std::string Vm::DumpFlightRecord(const std::string& dir) {
-  const std::string path = flight_recorder_->Dump(FrTrigger::kExplicit, dir);
+  const std::string path = flight_rec_->Dump(FrTrigger::kExplicit, dir);
   if (!path.empty()) {
-    metrics_.SetGauge("fr.incidents", flight_recorder_->incidents());
+    metrics_.SetGauge("fr.incidents", flight_rec_->incidents());
   }
   return path;
 }

@@ -147,8 +147,8 @@ class Vm {
     return site_profiler_->RegisterSite(name);
   }
   // The GC flight recorder (always on unless options disabled it).
-  FlightRecorder& flight_recorder() { return *flight_recorder_; }
-  const FlightRecorder& flight_recorder() const { return *flight_recorder_; }
+  FlightRecorder& flight_recorder() { return *flight_rec_; }
+  const FlightRecorder& flight_recorder() const { return *flight_rec_; }
   // Explicitly dumps the retained flight record as an incident file. `dir`
   // overrides options().flight_recorder.dump_dir when non-empty. Returns the
   // incident path, or "" when nothing was recorded / no directory is known.
@@ -179,7 +179,7 @@ class Vm {
   std::unique_ptr<DeviceTimeline> timeline_;
   std::unique_ptr<PolicyEngine> policy_;
   std::unique_ptr<AllocSiteProfiler> site_profiler_;
-  std::unique_ptr<FlightRecorder> flight_recorder_;
+  std::unique_ptr<FlightRecorder> flight_rec_;
   MetricsRegistry metrics_;
   SimClock clock_;
 

@@ -46,19 +46,6 @@ void TablePrinter::Print(std::FILE* out) const {
   }
 }
 
-void TablePrinter::PrintCsv(std::FILE* out) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::fprintf(out, "%s%s", c == 0 ? "" : ",", row[c].c_str());
-    }
-    std::fputc('\n', out);
-  };
-  print_row(header_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 std::string FormatDouble(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);

@@ -1,4 +1,4 @@
-// Console table / CSV emission helpers shared by the benchmark harness.
+// Console table helpers shared by the benchmark harness.
 
 #ifndef NVMGC_SRC_UTIL_TABLE_PRINTER_H_
 #define NVMGC_SRC_UTIL_TABLE_PRINTER_H_
@@ -10,8 +10,7 @@
 namespace nvmgc {
 
 // Collects rows of string cells and prints them as an aligned ASCII table.
-// Benchmarks use this to print paper-style result tables; a CSV sink is also
-// provided so series can be re-plotted.
+// Benchmarks use this to print paper-style result tables.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> header);
@@ -20,9 +19,6 @@ class TablePrinter {
 
   // Renders the table to `out` (defaults to stdout).
   void Print(std::FILE* out = stdout) const;
-
-  // Renders comma-separated rows (header first) to `out`.
-  void PrintCsv(std::FILE* out = stdout) const;
 
   size_t row_count() const { return rows_.size(); }
 

@@ -1,6 +1,6 @@
-// Observability tests: the bandwidth recorder and device counters must make
-// the paper's phenomena *visible* during a real collection — this is what the
-// bandwidth figures are built on.
+// Observability tests: the ledger's recorded bandwidth series and the device
+// counters must make the paper's phenomena *visible* during a real
+// collection — this is what the bandwidth figures are built on.
 
 #include <gtest/gtest.h>
 
@@ -32,28 +32,33 @@ WorkloadProfile MonitorProfile() {
 
 TEST(BandwidthObservabilityTest, RecorderCapturesGcTraffic) {
   Vm vm(MonitorVm(false));
-  vm.heap_device().StartRecording(0, 500'000, 1 << 16);
+  vm.heap_device().StartRecording();
   SyntheticApp app(&vm, MonitorProfile());
   app.Run();
-  vm.heap_device().StopRecording();
-  const auto series = vm.heap_device().RecordedSeries();
+  const std::vector<DeviceCounters> series = vm.heap_device().RecordedSeries();
   ASSERT_FALSE(series.empty());
-  // Total bytes in the series must match the device counters.
-  double series_bytes = 0.0;
-  for (const auto& s : series) {
-    series_bytes += s.total_mbps() * 1e6 * 0.5e-3;  // MB/s over a 0.5 ms bucket.
+  ASSERT_GT(vm.gc_stats().gc_count(), 0u);
+  // The series and the device counters read the same ledger: every byte and
+  // op is in both, exactly.
+  DeviceCounters series_total;
+  for (const DeviceCounters& epoch : series) {
+    series_total += epoch;
   }
   const DeviceCounters c = vm.heap_device().counters();
-  EXPECT_NEAR(series_bytes, static_cast<double>(c.total_bytes()),
-              static_cast<double>(c.total_bytes()) * 0.02);
+  EXPECT_EQ(series_total.read_bytes, c.read_bytes);
+  EXPECT_EQ(series_total.write_bytes, c.write_bytes);
+  EXPECT_EQ(series_total.nt_write_bytes, c.nt_write_bytes);
+  EXPECT_EQ(series_total.read_ops, c.read_ops);
+  EXPECT_EQ(series_total.write_ops, c.write_ops);
 }
 
 TEST(BandwidthObservabilityTest, GcBucketsShowHigherReadShareThanAppBuckets) {
   Vm vm(MonitorVm(false));
-  vm.heap_device().StartRecording(0, 500'000, 1 << 16);
+  vm.heap_device().StartRecording();
   SyntheticApp app(&vm, MonitorProfile());
   app.Run();
-  const auto series = vm.heap_device().RecordedSeries();
+  const std::vector<DeviceCounters> series = vm.heap_device().RecordedSeries();
+  const uint64_t bucket_ns = vm.heap_device().ledger().bucket_ns();
   std::vector<std::pair<uint64_t, uint64_t>> pauses;
   for (const auto& c : vm.gc_stats().cycles()) {
     pauses.emplace_back(c.start_ns, c.start_ns + c.pause_ns);
@@ -63,16 +68,17 @@ TEST(BandwidthObservabilityTest, GcBucketsShowHigherReadShareThanAppBuckets) {
   double gc_write = 0.0;
   double app_read = 0.0;
   double app_write = 0.0;
-  for (const auto& s : series) {
+  for (size_t i = 0; i < series.size(); ++i) {
+    const uint64_t t0 = i * bucket_ns;
     bool in_gc = false;
     for (const auto& [start, end] : pauses) {
-      if (start < s.time_ns + 500'000 && end > s.time_ns) {
+      if (start < t0 + bucket_ns && end > t0) {
         in_gc = true;
         break;
       }
     }
-    (in_gc ? gc_read : app_read) += s.read_mbps;
-    (in_gc ? gc_write : app_write) += s.write_mbps;
+    (in_gc ? gc_read : app_read) += static_cast<double>(series[i].read_bytes);
+    (in_gc ? gc_write : app_write) += static_cast<double>(series[i].write_bytes);
   }
   // The app phase is allocation-write dominated; GC traversal reads heavily.
   EXPECT_GT(gc_read / (gc_read + gc_write), app_read / (app_read + app_write));
@@ -80,10 +86,11 @@ TEST(BandwidthObservabilityTest, GcBucketsShowHigherReadShareThanAppBuckets) {
 
 TEST(BandwidthObservabilityTest, WriteCacheShiftsNvmWritesIntoWritebackPhase) {
   Vm vm(MonitorVm(true));
-  vm.heap_device().StartRecording(0, 100'000, 1 << 17);
+  vm.heap_device().StartRecording();
   SyntheticApp app(&vm, MonitorProfile());
   app.Run();
-  const auto series = vm.heap_device().RecordedSeries();
+  const std::vector<DeviceCounters> series = vm.heap_device().RecordedSeries();
+  const uint64_t bucket_ns = vm.heap_device().ledger().bucket_ns();
   // Locate the longest pause; within it, the write traffic must concentrate
   // in the trailing (write-only) sub-phase.
   const GcCycleStats* longest = nullptr;
@@ -97,15 +104,15 @@ TEST(BandwidthObservabilityTest, WriteCacheShiftsNvmWritesIntoWritebackPhase) {
   const uint64_t read_phase_end = longest->start_ns + longest->read_phase_ns;
   double writes_in_read_phase = 0.0;
   double writes_in_writeback = 0.0;
-  for (const auto& s : series) {
-    if (s.time_ns + 100'000 <= longest->start_ns ||
-        s.time_ns >= longest->start_ns + longest->pause_ns) {
+  for (size_t i = 0; i < series.size(); ++i) {
+    const uint64_t t0 = i * bucket_ns;
+    if (t0 + bucket_ns <= longest->start_ns || t0 >= longest->start_ns + longest->pause_ns) {
       continue;
     }
-    if (s.time_ns + 100'000 <= read_phase_end) {
-      writes_in_read_phase += s.write_mbps;
+    if (t0 + bucket_ns <= read_phase_end) {
+      writes_in_read_phase += static_cast<double>(series[i].write_bytes);
     } else {
-      writes_in_writeback += s.write_mbps;
+      writes_in_writeback += static_cast<double>(series[i].write_bytes);
     }
   }
   EXPECT_GT(writes_in_writeback, writes_in_read_phase)

@@ -413,17 +413,74 @@ TEST(BandwidthLedgerTest, RunningWindowMatchesRescan) {
   }
 }
 
-TEST(BandwidthRecorderTest, SeriesBucketsBytes) {
-  BandwidthRecorder rec(1'000'000, 16);  // 1ms buckets.
-  rec.Start(0);
-  rec.Charge(100, SequentialRead(0, 1'000'000));       // Bucket 0: 1 MB read.
-  rec.Charge(1'500'000, SequentialWrite(0, 500'000));  // Bucket 1: 0.5 MB write.
-  const auto series = rec.Series();
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_NEAR(series[0].read_mbps, 1000.0, 1.0);   // 1MB per ms = 1000 MB/s.
-  EXPECT_NEAR(series[1].write_mbps, 500.0, 1.0);
-  EXPECT_EQ(series[0].time_ns, 0u);
-  EXPECT_EQ(series[1].time_ns, 1'000'000u);
+// Charges into epochs e, e + 64 and e + 128 (each recycling the previous one's
+// ring slot), then a lagging charge back into e (recycling e + 128): every
+// epoch is settled or resident exactly once, so the lifetime totals and the
+// recorded series equal the sums of the charges.
+TEST(BandwidthLedgerTest, SettledEpochsSumToCharges) {
+  constexpr uint64_t kBase = uint64_t{1} << 32;
+  constexpr uint64_t kTenantBytes = 1 << 20;
+  MemoryDevice dev(MakeOptaneProfile());
+  dev.BindTenantRange(0, kBase, kTenantBytes);
+  dev.BindTenantRange(1, kBase + kTenantBytes, kTenantBytes);
+  dev.StartRecording();
+  const uint64_t bucket_ns = dev.ledger().bucket_ns();
+  const uint64_t ring = BandwidthLedger::ring_size();
+  constexpr uint64_t kE = 5;
+
+  Random rng(7);
+  DeviceCounters want_tenant[2];
+  std::map<uint64_t, DeviceCounters> want_epoch;
+  SimClock clock;
+  for (const uint64_t epoch : {kE, kE + ring, kE + 2 * ring, kE}) {
+    for (int i = 0; i < 20; ++i) {
+      clock.SetTime(epoch * bucket_ns + rng.NextBelow(bucket_ns / 2));
+      const uint32_t tenant = static_cast<uint32_t>(rng.NextBelow(2));
+      const uint64_t address = kBase + tenant * kTenantBytes + rng.NextBelow(1024) * 64;
+      const uint32_t bytes = 8u << rng.NextBelow(6);
+      AccessDescriptor d;
+      DeviceCounters charged;
+      switch (rng.NextBelow(3)) {
+        case 0:
+          d = RandomRead(address, bytes);
+          charged = {bytes, 0, 0, 1, 0};
+          break;
+        case 1:
+          d = SequentialWrite(address, bytes);
+          charged = {0, bytes, 0, 0, 1};
+          break;
+        default:
+          d = NonTemporalWrite(address, bytes);
+          charged = {0, bytes, bytes, 0, 1};
+          break;
+      }
+      dev.Access(&clock, d);
+      ASSERT_EQ(dev.ledger().EpochOf(clock.now_ns()), epoch);
+      want_tenant[tenant] += charged;
+      want_epoch[epoch] += charged;
+    }
+  }
+
+  auto expect_equal = [](const DeviceCounters& got, const DeviceCounters& want) {
+    EXPECT_EQ(got.read_bytes, want.read_bytes);
+    EXPECT_EQ(got.write_bytes, want.write_bytes);
+    EXPECT_EQ(got.nt_write_bytes, want.nt_write_bytes);
+    EXPECT_EQ(got.read_ops, want.read_ops);
+    EXPECT_EQ(got.write_ops, want.write_ops);
+  };
+  expect_equal(dev.tenant_counters(0), want_tenant[0]);
+  expect_equal(dev.tenant_counters(1), want_tenant[1]);
+  DeviceCounters want_total = want_tenant[0];
+  want_total += want_tenant[1];
+  expect_equal(dev.counters(), want_total);
+  expect_equal(dev.tenant_counters(2), DeviceCounters{});
+
+  const std::vector<DeviceCounters> series = dev.RecordedSeries();
+  ASSERT_EQ(series.size(), kE + 2 * ring + 1);
+  for (uint64_t epoch = 0; epoch < series.size(); ++epoch) {
+    SCOPED_TRACE(epoch);
+    expect_equal(series[epoch], want_epoch[epoch]);
+  }
 }
 
 TEST(PrefetchQueueTest, HitThenConsume) {

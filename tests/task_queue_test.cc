@@ -33,17 +33,6 @@ TEST(TaskQueueTest, LifoOwnerOrder) {
   EXPECT_FALSE(q.Pop(&t));
 }
 
-TEST(TaskQueueTest, StealTakesOldest) {
-  TaskQueue q;
-  q.Push({1, 0});
-  q.Push({2, 0});
-  GcTask t;
-  ASSERT_TRUE(q.Steal(&t));
-  EXPECT_EQ(t.slot, 1u);  // FIFO from the top.
-  ASSERT_TRUE(q.Pop(&t));
-  EXPECT_EQ(t.slot, 2u);
-}
-
 TEST(TaskQueueTest, StealHalfTakesOldestHalf) {
   TaskQueue q;
   for (Address i = 1; i <= 10; ++i) {
@@ -64,28 +53,28 @@ TEST(TaskQueueTest, StealHalfOfOneTakesIt) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(TaskQueueSetTest, StealForSkipsSelfAndFindsVictim) {
-  TaskQueueSet set(3);
-  set.queue(2).Push({99, 0});
-  GcTask t;
-  uint32_t victim = 0;
-  EXPECT_TRUE(set.StealFor(0, &t, &victim));
-  EXPECT_EQ(t.slot, 99u);
-  EXPECT_EQ(victim, 2u);
-  EXPECT_FALSE(set.StealFor(0, &t, &victim));
-  EXPECT_TRUE(set.AllEmpty());
-}
-
 TEST(TaskQueueSetTest, StealHalfForDrainsVictims) {
-  TaskQueueSet set(2);
+  TaskQueueSet set(3);
   for (Address i = 0; i < 8; ++i) {
-    set.queue(1).Push({i, 0});
+    set.queue(2).Push({i, 0});
   }
+  set.queue(0).Push({99, 0});
   std::vector<GcTask> out;
   uint32_t victim = 0;
+  // Queue 1 is empty, so the thief skips it; it never takes from its own.
   EXPECT_EQ(set.StealHalfFor(0, &out, &victim), 4u);
-  EXPECT_EQ(victim, 1u);
-  EXPECT_EQ(set.queue(1).size(), 4u);
+  EXPECT_EQ(victim, 2u);
+  EXPECT_EQ(set.queue(2).size(), 4u);
+  EXPECT_EQ(set.queue(0).size(), 1u);
+  EXPECT_EQ(set.StealHalfFor(0, &out, &victim), 2u);
+  EXPECT_EQ(set.StealHalfFor(0, &out, &victim), 1u);
+  EXPECT_EQ(set.StealHalfFor(0, &out, &victim), 1u);
+  // Every other queue is empty now: nothing to steal, and the thief's own
+  // task stays put.
+  EXPECT_EQ(set.StealHalfFor(0, &out, &victim), 0u);
+  EXPECT_EQ(out.size(), 8u);
+  EXPECT_EQ(set.queue(0).size(), 1u);
+  EXPECT_FALSE(set.AllEmpty());
 }
 
 }  // namespace

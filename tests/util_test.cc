@@ -299,16 +299,6 @@ TEST(TablePrinterTest, AddRowRequiresMatchingWidth) {
   EXPECT_DEATH(t.AddRow({"only-one"}), "NVMGC_CHECK");
 }
 
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter t({"x", "y"});
-  t.AddRow({"1", "2"});
-  char buf[256] = {0};
-  std::FILE* mem = fmemopen(buf, sizeof(buf), "w");
-  t.PrintCsv(mem);
-  std::fclose(mem);
-  EXPECT_STREQ(buf, "x,y\n1,2\n");
-}
-
 TEST(FormatTest, Helpers) {
   EXPECT_EQ(FormatDouble(1.2345, 2), "1.23");
   EXPECT_EQ(FormatSiBytes(1024), "1.0 KiB");
