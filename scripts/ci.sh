@@ -6,8 +6,10 @@
 #   tsan      Debug + TSan              -> build-tsan/
 #
 # The tsan preset builds only nvmgc_tests and runs the tests that start real
-# threads, HeaderMapTest.* (concurrent header-map installs and lookups); the
-# collector itself steps its workers on one host thread.
+# threads: HeaderMapTest.* (concurrent header-map installs and lookups) and
+# TaskQueueThreadTest.* (one owner pushing and popping against two
+# StealHalf thieves); the collector itself steps its workers on one host
+# thread.
 #
 # default and sanitize run the full ctest suite, including:
 #   - nvmgc_fault_stress: randomized seeded fault plans with heap verification

@@ -25,7 +25,7 @@ HeaderMap::HeaderMap(size_t capacity_bytes, uint32_t search_bound, MemoryDevice*
 }
 
 void HeaderMap::AllocateEntries(size_t entries) {
-  entries_ = MakeAlignedArray<Entry>(entries, 64);
+  entries_ = MapZeroedArray<Entry>(entries, 64);
   mask_ = entries - 1;
 }
 
@@ -65,7 +65,7 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
     idx = (idx + 1) & mask_;
     Entry& entry = entries_[idx];
     ChargeProbe(clock, prefetch, reinterpret_cast<Address>(&entry));
-    Address probed_key = entry.key.load(std::memory_order_acquire);
+    Address probed_key = Key(entry).load(std::memory_order_acquire);
     if (probed_key != old_addr) {
       if (probed_key != kNullAddress) {
         continue;  // Occupied by another object; keep probing.
@@ -73,9 +73,9 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
       // Free slot: claim it. Never skip an empty slot without CASing — that is
       // what makes concurrent puts for the same key agree on one entry.
       Address expected = kNullAddress;
-      if (entry.key.compare_exchange_strong(expected, old_addr, std::memory_order_acq_rel)) {
+      if (Key(entry).compare_exchange_strong(expected, old_addr, std::memory_order_acq_rel)) {
         // Won the slot: publish the value.
-        entry.value.store(new_addr, std::memory_order_release);
+        Value(entry).store(new_addr, std::memory_order_release);
         dram_->Access(clock, RandomWrite(reinterpret_cast<Address>(&entry), 16));
         installs_.fetch_add(1, std::memory_order_relaxed);
         if (journal != nullptr) {
@@ -87,7 +87,7 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
       if (expected == old_addr) {
         // Another thread is installing the same object; wait for its value.
         while (true) {
-          const Address value = entry.value.load(std::memory_order_acquire);
+          const Address value = Value(entry).load(std::memory_order_acquire);
           if (value != kNullAddress) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             return value;
@@ -98,7 +98,7 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
     }
     // Key already present: another thread is (or finished) installing it.
     while (true) {
-      const Address value = entry.value.load(std::memory_order_acquire);
+      const Address value = Value(entry).load(std::memory_order_acquire);
       if (value != kNullAddress) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         return value;
@@ -116,16 +116,16 @@ Address HeaderMap::Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetc
       return kNullAddress;  // Definitively absent; caller checks the NVM header.
     }
     idx = (idx + 1) & mask_;
-    const Entry& entry = entries_[idx];
+    Entry& entry = entries_[idx];
     ChargeProbe(clock, prefetch, reinterpret_cast<Address>(&entry));
-    const Address probed_key = entry.key.load(std::memory_order_acquire);
+    const Address probed_key = Key(entry).load(std::memory_order_acquire);
     if (probed_key == kNullAddress) {
       return kNullAddress;  // Probe chain ends at the first free slot.
     }
     if (probed_key == old_addr) {
       // Spin for the value if the installer has claimed but not published yet.
       while (true) {
-        const Address value = entry.value.load(std::memory_order_acquire);
+        const Address value = Value(entry).load(std::memory_order_acquire);
         if (value != kNullAddress) {
           hits_.fetch_add(1, std::memory_order_relaxed);
           return value;
@@ -141,8 +141,8 @@ void HeaderMap::ClearStripe(uint32_t worker, uint32_t total_workers, SimClock* c
   const size_t begin = std::min(entries, per * worker);
   const size_t end = std::min(entries, begin + per);
   for (size_t i = begin; i < end; ++i) {
-    entries_[i].key.store(kNullAddress, std::memory_order_relaxed);
-    entries_[i].value.store(kNullAddress, std::memory_order_relaxed);
+    Key(entries_[i]).store(kNullAddress, std::memory_order_relaxed);
+    Value(entries_[i]).store(kNullAddress, std::memory_order_relaxed);
   }
   if (end > begin) {
     dram_->Access(clock, SequentialWrite(reinterpret_cast<Address>(&entries_[begin]),
@@ -154,8 +154,8 @@ void HeaderMap::ClearJournal(std::vector<uint32_t>* journal, SimClock* clock) {
   TraceSpan span(tracer_, clock, "hm.clear", "hm");
   for (const uint32_t idx : *journal) {
     Entry& entry = entries_[idx];
-    entry.key.store(kNullAddress, std::memory_order_relaxed);
-    entry.value.store(kNullAddress, std::memory_order_relaxed);
+    Key(entry).store(kNullAddress, std::memory_order_relaxed);
+    Value(entry).store(kNullAddress, std::memory_order_relaxed);
     dram_->Access(clock, RandomWrite(reinterpret_cast<Address>(&entry), sizeof(Entry)));
   }
   journal->clear();
@@ -181,7 +181,7 @@ void HeaderMap::ExportMetrics(MetricsRegistry* metrics) const {
 size_t HeaderMap::OccupiedEntries() const {
   size_t occupied = 0;
   for (size_t i = 0; i <= mask_; ++i) {
-    if (entries_[i].key.load(std::memory_order_relaxed) != kNullAddress) {
+    if (Key(entries_[i]).load(std::memory_order_relaxed) != kNullAddress) {
       ++occupied;
     }
   }

@@ -13,15 +13,17 @@
 #define NVMGC_SRC_CORE_HEADER_MAP_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/heap/object.h"
 #include "src/nvm/memory_device.h"
 #include "src/nvm/prefetch_queue.h"
 #include "src/nvm/sim_clock.h"
-#include "src/util/aligned_buffer.h"
+#include "src/util/mapped_array.h"
 
 namespace nvmgc {
 
@@ -73,6 +75,11 @@ class HeaderMap {
   void set_key_origin(Address origin) { key_origin_ = origin; }
 
   size_t capacity() const { return mask_ + 1; }
+  // The entry table's host bytes (capacity() * 16, ending at a guard page),
+  // for host-footprint checks. Valid until the next ResizeEntries.
+  std::span<const std::byte> table_bytes() const {
+    return {reinterpret_cast<const std::byte*>(entries_.get()), capacity() * sizeof(Entry)};
+  }
   size_t OccupiedEntries() const;
 
   // Replaces the table with one of `entries` slots (rounded down to a power of
@@ -98,10 +105,22 @@ class HeaderMap {
   void ExportMetrics(MetricsRegistry* metrics) const;
 
  private:
+  // Two plain words, so a freshly mapped zero page is a table of empty
+  // entries (kNullAddress is 0) with no constructor pass; every access goes
+  // through std::atomic_ref.
   struct Entry {
-    std::atomic<Address> key{kNullAddress};
-    std::atomic<Address> value{kNullAddress};
+    Address key;
+    Address value;
   };
+  static_assert(kNullAddress == 0, "zero pages must read as empty entries");
+  static_assert(alignof(Address) >= std::atomic_ref<Address>::required_alignment);
+
+  static std::atomic_ref<Address> Key(Entry& entry) {
+    return std::atomic_ref<Address>(entry.key);
+  }
+  static std::atomic_ref<Address> Value(Entry& entry) {
+    return std::atomic_ref<Address>(entry.value);
+  }
 
   size_t IndexFor(Address old_addr) const {
     // Fibonacci hashing over the 8-byte-aligned offset from the key origin.
@@ -111,15 +130,16 @@ class HeaderMap {
 
   void ChargeProbe(SimClock* clock, PrefetchQueue* prefetch, Address probe_addr) const;
 
-  // Allocates `entries` slots starting on a cache line, so which entries
-  // share a probe line does not depend on the host allocator.
+  // Maps `entries` empty slots starting on a cache line (the table's byte
+  // size is a multiple of 64), so which entries share a probe line does not
+  // depend on host placement. Untouched slots cost no host memory.
   void AllocateEntries(size_t entries);
 
   MemoryDevice* dram_;
   GcTracer* tracer_ = nullptr;
   uint32_t search_bound_;
   size_t mask_;
-  AlignedArray<Entry> entries_;
+  MappedArray<Entry> entries_;
   Address key_origin_ = 0;
 
   mutable std::atomic<uint64_t> installs_{0};

@@ -33,11 +33,13 @@ Heap::Heap(const HeapConfig& config, MemoryDevice* heap_device, MemoryDevice* dr
   // heap_base() — and with it every line-granular cost and header-map
   // collision — is independent of host placement. The DRAM arena starts on
   // the first page boundary strictly past the heap arena's end, so the
-  // heap arena's one-past-the-end address is in neither arena.
+  // heap arena's one-past-the-end address is in neither arena. The buffer is
+  // a page multiple mapped from zero pages: untouched regions cost no host
+  // memory, and the guard page after the DRAM arena catches overruns.
   constexpr size_t kPageBytes = 4096;
   const size_t cache_offset =
       (heap_bytes_ + config.commit_area_bytes) / kPageBytes * kPageBytes + kPageBytes;
-  arena_ = MakeAlignedArray<uint8_t>(cache_offset + cache_bytes_, kPageBytes);
+  arena_ = MapZeroedArray<uint8_t>(cache_offset + cache_bytes_, kPageBytes);
   heap_base_ = reinterpret_cast<Address>(arena_.get());
   cache_base_ = heap_base_ + cache_offset;
 

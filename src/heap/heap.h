@@ -20,7 +20,7 @@
 #include "src/heap/object.h"
 #include "src/heap/region.h"
 #include "src/nvm/memory_device.h"
-#include "src/util/aligned_buffer.h"
+#include "src/util/mapped_array.h"
 
 namespace nvmgc {
 
@@ -138,6 +138,9 @@ class Heap {
   // Arena origin (of both arenas): lets tests compare object placement
   // across Vm instances by offset rather than host address.
   Address heap_base() const { return heap_base_; }
+  // The DRAM arena's origin. The one host buffer holding both arenas ends at
+  // cache_base() + cache_arena_bytes(), where a guard page begins.
+  Address cache_base() const { return cache_base_; }
   // The durability commit area appended past the regions (empty when
   // commit_area_bytes is 0).
   Address commit_area_base() const { return heap_base_ + heap_bytes_; }
@@ -152,7 +155,7 @@ class Heap {
   MemoryDevice* dram_device_;
   KlassTable klasses_;
 
-  AlignedArray<uint8_t> arena_;  // Heap arena, then the DRAM arena.
+  MappedArray<uint8_t> arena_;  // Heap arena, then the DRAM arena.
   Address heap_base_ = 0;
   Address cache_base_ = 0;
   size_t heap_bytes_ = 0;

@@ -17,10 +17,7 @@ void PersistOrderingLedger::Configure(uint64_t base, uint64_t bytes, uint64_t fl
   flush_line_ns_ = flush_line_ns;
   fence_ns_ = fence_ns;
   line_count_ = (bytes + 63) / 64;
-  lines_ = std::make_unique<std::atomic<uint8_t>[]>(line_count_);
-  for (uint64_t i = 0; i < line_count_; ++i) {
-    lines_[i].store(kClean, std::memory_order_relaxed);
-  }
+  lines_ = MapZeroedArray<uint8_t>(line_count_, 1);
   flush_lines_.store(0, std::memory_order_relaxed);
   fences_.store(0, std::memory_order_relaxed);
   persist_ns_.store(0, std::memory_order_relaxed);
@@ -39,7 +36,7 @@ void PersistOrderingLedger::NoteWrite(uint64_t address, uint32_t bytes) {
   const uint64_t first = start / 64;
   const uint64_t last = (end - 1) / 64;
   for (uint64_t line = first; line <= last; ++line) {
-    lines_[line].store(kDirty, std::memory_order_relaxed);
+    Line(line).store(kDirty, std::memory_order_relaxed);
   }
 }
 
@@ -54,7 +51,7 @@ void PersistOrderingLedger::CollectDirtyLines(uint64_t address, uint64_t bytes,
     end = bytes_;
   }
   for (uint64_t line = start / 64; line <= (end - 1) / 64; ++line) {
-    if (lines_[line].load(std::memory_order_relaxed) == kDirty) {
+    if (Line(line).load(std::memory_order_relaxed) == kDirty) {
       line_offsets->push_back(line * 64);
     }
   }
@@ -62,7 +59,7 @@ void PersistOrderingLedger::CollectDirtyLines(uint64_t address, uint64_t bytes,
 
 bool PersistOrderingLedger::PromoteLine(uint64_t line) {
   uint8_t expected = kFlushed;
-  return lines_[line].compare_exchange_strong(expected, kDurable, std::memory_order_relaxed);
+  return Line(line).compare_exchange_strong(expected, kDurable, std::memory_order_relaxed);
 }
 
 void PersistOrderingLedger::ArmCrashCapture(uint64_t crash_ns) {
@@ -113,9 +110,8 @@ void PersistBatch::FlushRange(uint64_t address, uint64_t bytes, SimClock* clock)
   uint64_t flushed = 0;
   for (uint64_t line = first; line <= last; ++line) {
     uint8_t expected = PersistOrderingLedger::kDirty;
-    if (ledger_->lines_[line].compare_exchange_strong(expected,
-                                                      PersistOrderingLedger::kFlushed,
-                                                      std::memory_order_relaxed)) {
+    if (ledger_->Line(line).compare_exchange_strong(expected, PersistOrderingLedger::kFlushed,
+                                                    std::memory_order_relaxed)) {
       pending_.push_back(line);
       ++flushed;
     }

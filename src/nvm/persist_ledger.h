@@ -32,10 +32,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "src/util/mapped_array.h"
 
 namespace nvmgc {
 
@@ -112,6 +113,12 @@ class PersistOrderingLedger {
     kDurable = 3,
   };
 
+  static_assert(kClean == 0, "zero pages must read as clean lines");
+
+  std::atomic_ref<uint8_t> Line(uint64_t line) const {
+    return std::atomic_ref<uint8_t>(lines_[line]);
+  }
+
   // Promotes `line` kFlushed -> kDurable; returns true if this fence did the
   // promotion (a concurrent re-dirty loses the race and stays dirty).
   bool PromoteLine(uint64_t line);
@@ -121,7 +128,10 @@ class PersistOrderingLedger {
   uint64_t bytes_ = 0;
   uint64_t flush_line_ns_ = 0;
   uint64_t fence_ns_ = 0;
-  std::unique_ptr<std::atomic<uint8_t>[]> lines_;
+  // One plain LineState byte per line, mapped from zero pages: a fresh
+  // mapping is all kClean with no initialization pass, and only the lines a
+  // run writes cost host memory. Accessed through Line().
+  MappedArray<uint8_t> lines_;
   uint64_t line_count_ = 0;
 
   std::atomic<uint64_t> flush_lines_{0};

@@ -158,11 +158,6 @@ void Vm::SetRoot(RootHandle handle, Address value) {
   root_cells_[handle] = value;
 }
 
-Address Vm::GetRoot(RootHandle handle) const {
-  NVMGC_CHECK(handle < root_cells_.size() && root_active_[handle]);
-  return root_cells_[handle];
-}
-
 void Vm::ReleaseRoot(RootHandle handle) {
   NVMGC_CHECK(handle < root_cells_.size() && root_active_[handle]);
   root_cells_[handle] = kNullAddress;

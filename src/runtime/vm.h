@@ -9,7 +9,6 @@
 #ifndef NVMGC_SRC_RUNTIME_VM_H_
 #define NVMGC_SRC_RUNTIME_VM_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,6 +26,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/policy/policy_engine.h"
+#include "src/util/check.h"
 
 namespace nvmgc {
 
@@ -84,8 +84,15 @@ class Vm {
   // --- GC roots (the analog of thread stacks / globals) ---
   RootHandle NewRoot(Address value = kNullAddress);
   void SetRoot(RootHandle handle, Address value);
-  Address GetRoot(RootHandle handle) const;
+  // Inline: workloads resolve a root on every simulated cache-missing access.
+  Address GetRoot(RootHandle handle) const {
+    NVMGC_CHECK(handle < root_cells_.size() && root_active_[handle]);
+    return root_cells_[handle];
+  }
   void ReleaseRoot(RootHandle handle);
+  // Pointers to every active root cell, for a collection to update in place.
+  // They stay valid until the next NewRoot, which may grow (and so move) the
+  // root table.
   std::vector<Address*> RootSlots();
 
   // Triggers a stop-the-world collection immediately. The no-argument form
@@ -193,7 +200,7 @@ class Vm {
   uint64_t last_pause_end_ns_ = 0;
   uint64_t old_reclaim_count_ = 0;
   Mutator* default_mutator_ = nullptr;  // Lazily created by Allocate().
-  std::deque<Address> root_cells_;
+  std::vector<Address> root_cells_;
   std::vector<RootHandle> free_roots_;
   std::vector<bool> root_active_;
 

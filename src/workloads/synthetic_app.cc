@@ -22,14 +22,6 @@ SyntheticApp::SyntheticApp(Vm* vm, WorkloadProfile profile)
   chain_head_ = GlobalRoot(*vm_);
 }
 
-Address SyntheticApp::RandomLive() {
-  if (live_window_.empty()) {
-    return kNullAddress;
-  }
-  const auto& entry = live_window_[rng_.NextBelow(live_window_.size())];
-  return entry.first.Get();
-}
-
 void SyntheticApp::AttachSurvivor(Address object) {
   const size_t size = obj::SizeOfAt(object, vm_->heap().klasses());
   if (profile_.chain_fraction > 0.0 && rng_.NextBool(profile_.chain_fraction)) {
@@ -89,21 +81,34 @@ void SyntheticApp::AllocateOne() {
   }
 }
 
-void SyntheticApp::TouchLiveSet() {
-  // Application reads/writes over the live set. Accesses that hit in the CPU
-  // caches cost a fixed ~15 ns regardless of the backing device; only misses
-  // reach the (DRAM or NVM) memory device.
+void SyntheticApp::TouchRandomLive(bool write) {
+  // Accesses that hit in the CPU caches cost a fixed ~15 ns regardless of the
+  // backing device; only misses reach the (DRAM or NVM) memory device.
   constexpr uint64_t kCacheHitNs = 15;
+  if (live_window_.empty()) {
+    return;
+  }
+  // Draw the entry, then hit or miss, and resolve the root only on a miss. A
+  // live root is never null, so the draws are those of resolving first.
+  const size_t index = rng_.NextBelow(live_window_.size());
+  if (rng_.NextBool(profile_.mutator_cache_hit)) {
+    vm_->clock().Advance(kCacheHitNs);
+    return;
+  }
+  const Address target = live_window_[index].first.Get();
+  NVMGC_DCHECK(target != kNullAddress);
+  if (write) {
+    mutator_->WritePayload(target, profile_.touch_bytes);
+  } else {
+    mutator_->ReadPayload(target, profile_.touch_bytes);
+  }
+}
+
+void SyntheticApp::TouchLiveSet() {
+  // Application reads/writes over the live set.
   double reads = profile_.reads_per_alloc;
   while (reads >= 1.0 || rng_.NextBool(reads)) {
-    Address target = RandomLive();
-    if (target != kNullAddress) {
-      if (rng_.NextBool(profile_.mutator_cache_hit)) {
-        vm_->clock().Advance(kCacheHitNs);
-      } else {
-        mutator_->ReadPayload(target, profile_.touch_bytes);
-      }
-    }
+    TouchRandomLive(/*write=*/false);
     reads -= 1.0;
     if (reads < 0.0) {
       break;
@@ -111,14 +116,7 @@ void SyntheticApp::TouchLiveSet() {
   }
   double writes = profile_.writes_per_alloc;
   while (writes >= 1.0 || rng_.NextBool(writes)) {
-    Address target = RandomLive();
-    if (target != kNullAddress) {
-      if (rng_.NextBool(profile_.mutator_cache_hit)) {
-        vm_->clock().Advance(kCacheHitNs);
-      } else {
-        mutator_->WritePayload(target, profile_.touch_bytes);
-      }
-    }
+    TouchRandomLive(/*write=*/true);
     writes -= 1.0;
     if (writes < 0.0) {
       break;

@@ -91,8 +91,8 @@ class SyntheticApp {
  private:
   void AllocateOne();
   void TouchLiveSet();
+  void TouchRandomLive(bool write);
   void AttachSurvivor(Address object);
-  Address RandomLive();
 
   Vm* vm_;
   WorkloadProfile profile_;
@@ -112,7 +112,10 @@ class SyntheticApp {
   AllocSiteId byte_array_site_ = 0;
 
   // Live window: roots of surviving objects, FIFO-retired by byte budget.
-  // GlobalRoot releases each root cell automatically on retirement.
+  // GlobalRoot releases each root cell automatically on retirement. Keep the
+  // std::deque: the order it destroys the remaining entries in at teardown
+  // (middle blocks first) is the order their root handles are reused by the
+  // next workload on the same Vm, and simulated results depend on it.
   std::deque<std::pair<GlobalRoot, size_t>> live_window_;
   size_t live_window_bytes_ = 0;
   GlobalRoot chain_head_;

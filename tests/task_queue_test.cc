@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "src/gc/task_queue.h"
@@ -75,6 +78,65 @@ TEST(TaskQueueSetTest, StealHalfForDrainsVictims) {
   EXPECT_EQ(out.size(), 8u);
   EXPECT_EQ(set.queue(0).size(), 1u);
   EXPECT_FALSE(set.AllEmpty());
+}
+
+// Real threads (run under the tsan preset): one owner pushes and pops while
+// two thieves steal halves; every task must be taken exactly once.
+TEST(TaskQueueThreadTest, ConcurrentStealHalfTakesEachTaskOnce) {
+  constexpr Address kTasks = 20000;
+  TaskQueue queue;
+  std::atomic<bool> owner_done{false};
+  std::atomic<size_t> stolen{0};
+  std::vector<GcTask> owner_taken;
+  std::vector<GcTask> thief_taken[2];
+
+  std::vector<std::thread> thieves;
+  for (std::vector<GcTask>& taken : thief_taken) {
+    thieves.emplace_back([&queue, &owner_done, &stolen, &taken] {
+      // Keep stealing until the owner has finished and the queue is drained.
+      while (!owner_done.load(std::memory_order_acquire) || !queue.empty()) {
+        const size_t n = queue.StealHalf(&taken);
+        if (n == 0) {
+          std::this_thread::yield();
+        }
+        stolen.fetch_add(n, std::memory_order_relaxed);
+      }
+    });
+  }
+  GcTask task;
+  for (Address i = 1; i <= kTasks; ++i) {
+    queue.Push({i, i});
+    if (i % 3 == 0 && queue.Pop(&task)) {  // Interleave LIFO pops with pushes.
+      owner_taken.push_back(task);
+    }
+  }
+  // A third of the pushes were popped, so tasks remain: let the thieves in
+  // before racing them for the rest.
+  while (stolen.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  while (queue.Pop(&task)) {
+    owner_taken.push_back(task);
+  }
+  owner_done.store(true, std::memory_order_release);
+  for (std::thread& t : thieves) {
+    t.join();
+  }
+
+  std::vector<Address> all = Slots(owner_taken);
+  for (const std::vector<GcTask>& taken : thief_taken) {
+    for (const GcTask& t : taken) {
+      EXPECT_EQ(t.ready_ns, t.slot);  // Tasks arrive whole.
+      all.push_back(t.slot);
+    }
+  }
+  EXPECT_EQ(stolen.load(), all.size() - owner_taken.size());
+  EXPECT_GT(stolen.load(), 0u);
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), kTasks);
+  for (Address i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(all[i], i + 1);
+  }
 }
 
 }  // namespace
