@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Local CI: build and test three configurations.
+# Local CI: build and test three configurations, then measure line coverage.
 #
 #   default   RelWithDebInfo            -> build/
 #   sanitize  Debug + ASan/UBSan        -> build-sanitize/
 #   tsan      Debug + TSan              -> build-tsan/
+#   coverage  Debug + --coverage        -> build-coverage/
+#
+# The coverage preset runs the full ctest suite, then
+# scripts/coverage_table.py prints each src/ function's unexecuted line count
+# and the total. It reports; it gates nothing.
 #
 # The tsan preset builds only nvmgc_tests and runs the tests that start real
 # threads: HeaderMapTest.* (concurrent header-map installs and lookups) and
@@ -73,6 +78,14 @@ for preset in default sanitize tsan; do
   echo "=== [${preset}] test ==="
   ctest --preset "${preset}" -j "$(nproc)"
 done
+
+echo "=== [coverage] configure, build, test ==="
+find build-coverage -name '*.gcda' -delete 2>/dev/null || true
+cmake --preset coverage
+cmake --build --preset coverage -j "$(nproc)"
+ctest --preset coverage -j "$(nproc)"
+echo "=== [coverage] unexecuted src/ lines per function ==="
+python3 scripts/coverage_table.py build-coverage
 
 echo "=== retained bench artifacts ==="
 ls -l build*/artifacts/ 2>/dev/null || true

@@ -51,8 +51,7 @@ bool CopyCollector::StageableThroughCache(size_t) const { return true; }
 
 uint32_t CopyCollector::TenureThreshold() const {
   if (options_.generational.enabled) {
-    return tuning_.tenure_threshold != 0 ? tuning_.tenure_threshold
-                                         : options_.generational.tenure_threshold;
+    return options_.generational.tenure_threshold;
   }
   return heap_->config().tenure_age;
 }
@@ -91,10 +90,6 @@ void CopyCollector::ApplyTuning(const GcTuning& tuning) {
   if (header_map_ != nullptr && t.header_map_entries != 0) {
     header_map_->ResizeEntries(t.header_map_entries);
   }
-  t.tenure_threshold = std::min<uint32_t>(t.tenure_threshold, 15);  // 4-bit age field.
-  if (options_.generational.enabled && t.eden_quota_regions != 0) {
-    heap_->set_eden_quota(t.eden_quota_regions);
-  }
   tuning_ = t;
 }
 
@@ -119,7 +114,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   // flushes would race the shrinking bandwidth. Re-evaluated every pause, so
   // the optimizations come back the first pause after the window closes.
   FaultInjector* injector = heap_->heap_device()->fault_injector();
-  bool degraded = options_.auto_degrade && injector != nullptr && injector->ThrottleActive(t0);
+  bool degraded = injector != nullptr && injector->ThrottleActive(t0);
   if (write_cache_ != nullptr) {
     write_cache_->SetDegraded(degraded);
   }
@@ -219,8 +214,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   // A throttle window that opened mid-pause still degrades the write-back:
   // whatever was not already flushed asynchronously goes back synchronously
   // with cache-line stores.
-  if (!degraded && options_.auto_degrade && injector != nullptr &&
-      injector->ThrottleActive(read_end)) {
+  if (!degraded && injector != nullptr && injector->ThrottleActive(read_end)) {
     degraded = true;
     if (write_cache_ != nullptr) {
       write_cache_->SetDegraded(true);

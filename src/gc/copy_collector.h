@@ -141,8 +141,9 @@ class CopyCollector {
 
   bool HeaderMapActive() const;
   MemoryDevice* DeviceForAddress(Address a);
-  // Copy count at which a survivor tenures: the tuned generational threshold
-  // when the generational heap is on, HeapConfig::tenure_age otherwise.
+  // Copy count at which a survivor tenures: GenerationalOptions::
+  // tenure_threshold when the generational heap is on, HeapConfig::tenure_age
+  // otherwise.
   uint32_t TenureThreshold() const;
 
   // Durability-mode pause epilogue (control thread, after cset reclaim):

@@ -103,9 +103,6 @@ GcTuning DefaultGcTuning(const GcOptions& options) {
   t.header_map_entries = 0;  // Keep the constructed table size.
   t.async_flush = options.async_flush;
   t.prefetch_window = 64;  // PrefetchQueue::kCapacity (full distance).
-  t.tenure_threshold =
-      options.generational.enabled ? options.generational.tenure_threshold : 0;
-  t.eden_quota_regions = 0;  // Keep the constructed quota.
   return t;
 }
 
@@ -159,10 +156,6 @@ GcOptionsBuilder& GcOptionsBuilder::PrefetchHeaderMap(bool on) {
 }
 GcOptionsBuilder& GcOptionsBuilder::LabBytes(size_t bytes) {
   o_.lab_bytes = bytes;
-  return *this;
-}
-GcOptionsBuilder& GcOptionsBuilder::AutoDegrade(bool on) {
-  o_.auto_degrade = on;
   return *this;
 }
 GcOptionsBuilder& GcOptionsBuilder::AdaptivePolicy(bool on) {

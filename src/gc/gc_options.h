@@ -39,7 +39,7 @@ struct GenerationalOptions {
   // bounds-checked against the heap geometry by the Vm constructor.
   size_t young_gen_bytes = 0;
   // Copy count after which a survivor is tenured to NVM, in [1, 15] (the age
-  // field is 4 bits wide). The adaptive policy retunes this per pause.
+  // field is 4 bits wide).
   uint32_t tenure_threshold = 3;
   // Objects of at least this many bytes go straight to the NVM large-object
   // space; 0 = region_bytes/8, derived from the heap geometry by the Vm.
@@ -78,13 +78,6 @@ struct GcOptions {
   // PS only: local allocation buffer size; objects larger than lab_bytes/4
   // are copied directly (PS's "irregular" copies that bypass LABs).
   size_t lab_bytes = 64 * 1024;
-
-  // --- Robustness ---
-  // When the attached FaultInjector reports a sustained bandwidth-throttle
-  // window at pause start (or write-back start), run the pause degraded:
-  // asynchronous flushing and non-temporal stores are disabled until a pause
-  // begins outside the window.
-  bool auto_degrade = true;
 
   // --- Durability ---
   // Opt-in crash consistency for the NVM heap (src/nvm/persist_ledger.h +
@@ -135,13 +128,6 @@ struct GcTuning {
   // Outstanding-prefetch budget (the prefetch distance), clamped to
   // [1, PrefetchQueue::kCapacity].
   uint32_t prefetch_window = 64;
-  // Generational only: survivor age at which the next copy tenures to NVM,
-  // in [1, 15]. Ignored (0) when the generational heap is off.
-  uint32_t tenure_threshold = 0;
-  // Generational only: eden region quota for the next mutator epoch; 0 =
-  // keep the constructed quota. The policy engine grows/shrinks it with the
-  // measured minor-survival rate.
-  uint32_t eden_quota_regions = 0;
 };
 
 GcTuning DefaultGcTuning(const GcOptions& options);
@@ -167,7 +153,6 @@ class GcOptionsBuilder {
   GcOptionsBuilder& Prefetch(bool on = true);
   GcOptionsBuilder& PrefetchHeaderMap(bool on = true);
   GcOptionsBuilder& LabBytes(size_t bytes);
-  GcOptionsBuilder& AutoDegrade(bool on = true);
   GcOptionsBuilder& AdaptivePolicy(bool on = true);
   GcOptionsBuilder& Durability(bool on = true);
   GcOptionsBuilder& Generational(bool on = true);

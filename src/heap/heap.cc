@@ -21,7 +21,6 @@ Heap::Heap(const HeapConfig& config, MemoryDevice* heap_device, MemoryDevice* dr
     // The whole young generation is DRAM-resident; the arena must hold it.
     NVMGC_CHECK(config.dram_cache_regions >= config.eden_regions + config.survivor_regions);
   }
-  eden_quota_ = config.eden_regions;
 
   heap_bytes_ = config.region_bytes * config.heap_regions;
   cache_bytes_ = config.region_bytes * config.dram_cache_regions;
@@ -83,7 +82,7 @@ Region* Heap::AllocateFromFreeList(std::vector<uint32_t>* free_list, Region* reg
 Region* Heap::AllocateRegion(RegionType type) {
   NVMGC_CHECK(type != RegionType::kFree && type != RegionType::kWriteCache);
   std::lock_guard<std::mutex> lock(mu_);
-  if (type == RegionType::kEden && eden_count_ >= eden_quota_) {
+  if (type == RegionType::kEden && eden_count_ >= config_.eden_regions) {
     return nullptr;  // Eden quota exhausted: caller should trigger a young GC.
   }
   if (config_.generational && type == RegionType::kSurvivor &&
@@ -123,19 +122,6 @@ Address Heap::AllocateLarge(size_t bytes) {
   }
   los_current_ = region;
   return region->Allocate(bytes);
-}
-
-void Heap::set_eden_quota(uint32_t regions) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint32_t max_quota = config_.generational
-                                 ? config_.dram_cache_regions - config_.survivor_regions
-                                 : config_.heap_regions;
-  eden_quota_ = std::max<uint32_t>(1, std::min(regions, max_quota));
-}
-
-uint32_t Heap::eden_quota() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return eden_quota_;
 }
 
 Region* Heap::AllocateHumongousRegion() {
@@ -180,11 +166,6 @@ void Heap::ReleaseQuarantinedRegions() {
     free_heap_regions_.push_back(idx);
   }
   quarantined_heap_regions_.clear();
-}
-
-size_t Heap::quarantined_region_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quarantined_heap_regions_.size();
 }
 
 Region* Heap::RestoreRegion(uint32_t index, RegionType type, size_t used_bytes,
@@ -239,16 +220,6 @@ void Heap::ForEachRegion(const std::function<void(Region*)>& fn) {
   }
 }
 
-std::vector<Region*> Heap::RegionsOfType(RegionType type) {
-  std::vector<Region*> out;
-  ForEachRegion([&](Region* region) {
-    if (region->type() == type) {
-      out.push_back(region);
-    }
-  });
-  return out;
-}
-
 uint32_t Heap::CountRegions(RegionType type) const {
   uint32_t count = 0;
   for (uint32_t i = 0; i < heap_region_count_; ++i) {
@@ -267,11 +238,6 @@ uint32_t Heap::CountRegions(RegionType type) const {
 uint32_t Heap::free_region_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<uint32_t>(free_heap_regions_.size());
-}
-
-uint32_t Heap::free_cache_region_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<uint32_t>(free_cache_regions_.size());
 }
 
 void Heap::ForEachObjectInRegion(Region* region,

@@ -70,7 +70,6 @@ class Heap {
   // ReleaseQuarantinedRegions() right after sealing each commit.
   void set_durable_quarantine(bool on) { durable_quarantine_ = on; }
   void ReleaseQuarantinedRegions();
-  size_t quarantined_region_count() const;
 
   // Recovery-time restore: re-materializes heap region `index` as `type` with
   // `used_bytes` of content and the given survivor age, pulling it off the
@@ -86,12 +85,6 @@ class Heap {
   // Large objects are tenured in place and never copied. Returns kNullAddress
   // when the heap arena is exhausted.
   Address AllocateLarge(size_t bytes);
-
-  // Generational mode: retune the eden quota between pauses (the adaptive
-  // policy's kEdenQuota knob). Clamped to [1, regions the DRAM arena can
-  // actually serve]; never shrinks below the eden regions currently in use.
-  void set_eden_quota(uint32_t regions);
-  uint32_t eden_quota() const;
 
   // DRAM staging arena (write-cache regions). Returns nullptr when exhausted.
   Region* AllocateCacheRegion();
@@ -122,12 +115,8 @@ class Heap {
 
   // Iteration and statistics.
   void ForEachRegion(const std::function<void(Region*)>& fn);
-  std::vector<Region*> RegionsOfType(RegionType type);
   uint32_t CountRegions(RegionType type) const;
   uint32_t free_region_count() const;
-  uint32_t free_cache_region_count() const;
-  uint32_t eden_region_count() const { return eden_count_; }
-  uint32_t survivor_region_count() const { return survivor_count_; }
 
   // Walks all (parsable) objects in a region bottom..top.
   void ForEachObjectInRegion(Region* region, const std::function<void(Address)>& fn) const;
@@ -170,7 +159,6 @@ class Heap {
   std::vector<uint32_t> free_heap_regions_;
   std::vector<uint32_t> free_cache_regions_;
   uint32_t eden_count_ = 0;
-  uint32_t eden_quota_ = 0;      // Runtime-tunable copy of config.eden_regions.
   uint32_t survivor_count_ = 0;  // DRAM survivor regions in use (generational).
   Region* los_current_ = nullptr;  // Open large-object region (generational).
   bool durable_quarantine_ = false;

@@ -25,14 +25,6 @@ void SiteWorkerDelta::Merge(const SiteWorkerDelta& other) {
   staged_bytes += other.staged_bytes;
 }
 
-bool SiteWorkerDelta::Empty() const {
-  if (old_copy_objects != 0 || nvm_copy_bytes != 0 || staged_bytes != 0) return false;
-  for (uint32_t a = 0; a < kSiteAgeSlots; ++a) {
-    if (copied_objects[a] != 0) return false;
-  }
-  return true;
-}
-
 double SiteStats::TenuringRate() const {
   return allocated_bytes == 0
              ? 0.0

@@ -8,7 +8,7 @@
 // was live at age `a` before the pause and was not copied died at age `a` —
 // producing per-site lifetime histograms, tenuring rates, and NVM
 // write-amplification: exactly the demographics needed to judge
-// kTenureThreshold and to steer a pause-time SLO mode.
+// GenerationalOptions::tenure_threshold and to steer a pause-time SLO mode.
 //
 // Threading: births happen on the host (mutator) thread; GC workers fill
 // worker-local SiteWorkerDelta vectors which the control thread merges and
@@ -53,7 +53,6 @@ struct SiteWorkerDelta {
   uint64_t staged_bytes = 0;      // copied bytes staged through the write cache
 
   void Merge(const SiteWorkerDelta& other);
-  bool Empty() const;
 };
 
 // One site's digest for a single pause, as retained by the flight recorder.

@@ -105,10 +105,4 @@ void DeviceTimeline::EmitCounters(GcTracer* tracer, size_t from_index) const {
   }
 }
 
-void DeviceTimeline::Clear() {
-  samples_.clear();
-  missing_buckets_ = 0;
-  dropped_samples_ = 0;
-}
-
 }  // namespace nvmgc

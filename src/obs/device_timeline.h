@@ -101,8 +101,6 @@ class DeviceTimeline {
   // Samples discarded once the retention cap was reached.
   uint64_t dropped_samples() const { return dropped_samples_; }
 
-  void Clear();
-
  private:
   static constexpr size_t kMaxSamples = 1u << 18;  // ~14 MB worst case.
 

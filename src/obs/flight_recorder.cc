@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace nvmgc {
 
@@ -16,25 +17,9 @@ namespace {
 // Minimal JSON emission, matching the hand-serialized style of the bench
 // runner: no dependency, append-only into a std::string.
 
-void AppendEscaped(std::string* out, const std::string& s) {
+void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  AppendJsonEscaped(out, s);
   out->push_back('"');
 }
 
@@ -66,7 +51,7 @@ void AppendStr(std::string* out, const char* key, const std::string& value,
   *out += '"';
   *out += key;
   *out += "\":";
-  AppendEscaped(out, value);
+  AppendQuoted(out, value);
   if (comma) *out += ',';
 }
 
@@ -289,7 +274,7 @@ std::string FlightRecorder::SerializeIncident(const FrTriggerInfo& trigger,
     for (const auto& [name, value] : snap.values) {
       if (!first_counter) out += ',';
       first_counter = false;
-      AppendEscaped(&out, name);
+      AppendQuoted(&out, name);
       out += ':';
       out += std::to_string(value);
     }

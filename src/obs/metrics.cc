@@ -66,15 +66,6 @@ std::vector<std::string> MetricsRegistry::CounterNames() const {
   return names;  // std::map iteration is already sorted.
 }
 
-std::vector<std::string> MetricsRegistry::HistogramNames() const {
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 void MetricsRegistry::MergeFrom(const MetricsRegistry& src, const std::string& prefix) {
   for (const auto& [name, value] : src.counters_) {
     AddCounter(prefix + name, value);

@@ -63,7 +63,6 @@ class MetricsRegistry {
 
   // Stable (sorted) name lists.
   std::vector<std::string> CounterNames() const;
-  std::vector<std::string> HistogramNames() const;
 
   // Merges `src` into this registry with every name prefixed — the fleet
   // roll-up: FleetManager merges each tenant Vm's registry under

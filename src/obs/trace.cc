@@ -16,9 +16,20 @@ struct ThreadBinding {
 };
 thread_local ThreadBinding tls_binding;
 
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
+// Chrome trace timestamps are microseconds; keep nanosecond precision with a
+// fractional part.
+void AppendMicros(std::string* out, uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  out->append(buf);
+}
+
+}  // namespace
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (const char c : s) {
     if (c == '"' || c == '\\') {
       out->push_back('\\');
       out->push_back(c);
@@ -31,18 +42,6 @@ void AppendJsonEscaped(std::string* out, const char* s) {
     }
   }
 }
-
-// Chrome trace timestamps are microseconds; keep nanosecond precision with a
-// fractional part.
-void AppendMicros(std::string* out, uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  out->append(buf);
-}
-
-}  // namespace
 
 GcTracer::GcTracer(uint32_t gc_threads, size_t ring_capacity)
     : gc_threads_(gc_threads), ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity),
@@ -131,15 +130,6 @@ std::vector<TraceEvent> GcTracer::SortedEvents() const {
     return a.dur_ns > b.dur_ns;  // Outer (longer) spans first at equal starts.
   });
   return all;
-}
-
-void GcTracer::Clear() {
-  for (Ring& ring : rings_) {
-    ring.events.clear();
-    ring.next = 0;
-    ring.total = 0;
-  }
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 void GcTracer::AppendChromeEvents(std::string* out, uint32_t pid,

@@ -19,11 +19,17 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/nvm/sim_clock.h"
 
 namespace nvmgc {
+
+// Appends `s` to `out` as the body of a JSON string (no surrounding quotes):
+// quote and backslash are backslash-escaped, other control characters become
+// \u00XX. Shared by the Chrome-trace and flight-recorder incident writers.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 // One completed span (dur_ns > 0), instant event (dur_ns == 0), or counter
 // sample (kCounter: `value` carries the sampled number, rendered by Perfetto
@@ -75,7 +81,6 @@ class GcTracer {
   // All retained events across rings, ordered by (start_ns, tid). Not safe
   // concurrently with emitting threads.
   std::vector<TraceEvent> SortedEvents() const;
-  void Clear();
 
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 

@@ -48,17 +48,6 @@ constexpr double kFleetThrottleStallFraction = 0.25;
 constexpr double kThreadsDeviceBoundUtilization = 0.85;
 constexpr double kThreadsModelMargin = 0.02;
 
-// Generational: raise the tenure threshold (hold objects in DRAM longer) when
-// this share of the copied bytes was promoted with no survivor overflow —
-// objects are reaching NVM while still dying young. Survivor overflow lowers
-// it (promote a cohort earlier so the survivor semispace fits).
-constexpr double kTenureRaisePromotedFraction = 0.60;
-// Eden quota: grow eden (more time for objects to die before a minor pause)
-// when this share of the young cset survived; shrink it back when survival is
-// negligible, returning the DRAM to write-cache staging.
-constexpr double kEdenGrowSurvivalFraction = 0.30;
-constexpr double kEdenShrinkSurvivalFraction = 0.02;
-
 // Prefetch distance: widen under this hit rate, narrow above the (much
 // stricter) upper bound.
 constexpr double kPrefetchGrowHitRate = 0.60;
@@ -91,17 +80,12 @@ const char* PolicyKnobName(PolicyKnob knob) {
       return "async_flush";
     case PolicyKnob::kPrefetchWindow:
       return "prefetch_window";
-    case PolicyKnob::kTenureThreshold:
-      return "tenure_threshold";
-    case PolicyKnob::kEdenQuota:
-      return "eden_quota_regions";
   }
   return "?";
 }
 
 PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
-                           size_t cache_arena_bytes, const DeviceProfile& heap_profile,
-                           uint32_t eden_quota_regions, uint32_t max_eden_quota_regions)
+                           size_t cache_arena_bytes, const DeviceProfile& heap_profile)
     : options_(options), model_(heap_profile) {
   NVMGC_CHECK_MSG(options.adaptive_policy, "PolicyEngine built without AdaptivePolicy()");
   const std::string error = options.Validate();
@@ -127,10 +111,6 @@ PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
   tuning_.write_cache_capacity_bytes =
       std::clamp(initial_cache, kMinWriteCacheBytes, max_cache_bytes_);
   tuning_.header_map_entries = initial_hm_entries;
-  if (options.generational.enabled) {
-    tuning_.eden_quota_regions = eden_quota_regions;
-    max_eden_quota_ = max_eden_quota_regions;
-  }
 }
 
 bool PolicyEngine::Ready(PolicyKnob knob) const {
@@ -175,9 +155,6 @@ size_t PolicyEngine::OnPauseEnd(const PolicySignals& s) {
   DecideGcThreads(s);
   if (options_.prefetch) {
     DecidePrefetch(s);
-  }
-  if (options_.generational.enabled) {
-    DecideGenerational(s);
   }
   return decisions_this_pause_;
 }
@@ -409,59 +386,6 @@ void PolicyEngine::DecidePrefetch(const PolicySignals& s) {
   }
 }
 
-void PolicyEngine::DecideGenerational(const PolicySignals& s) {
-  if (s.cycle.is_major != 0) {
-    return;  // Major cycles copy old->old; their volumes would skew the rules.
-  }
-  // Tenure threshold: overflow means the survivor semispace cannot hold the
-  // surviving cohort — tenure one age earlier so it fits. A promotion-heavy
-  // pause with no overflow means objects reach NVM while still dying young —
-  // hold them in DRAM one more cycle.
-  if (Ready(PolicyKnob::kTenureThreshold)) {
-    const uint32_t cur = tuning_.tenure_threshold;
-    if (s.cycle.survivor_overflow_bytes > 0 && cur > 1) {
-      tuning_.tenure_threshold = cur - 1;
-      Decide(PolicyKnob::kTenureThreshold, cur, cur - 1, /*retreat=*/false,
-             Format("survivor overflow %.0f KB promoted early - tenure one age sooner",
-                    static_cast<double>(s.cycle.survivor_overflow_bytes) / 1e3));
-    } else if (s.cycle.survivor_overflow_bytes == 0 && cur < 15 &&
-               s.promoted_fraction() > kTenureRaisePromotedFraction &&
-               current_pause_ >= retreat_until_) {
-      tuning_.tenure_threshold = cur + 1;
-      Decide(PolicyKnob::kTenureThreshold, cur, cur + 1, /*retreat=*/false,
-             Format("promoted %.0f%% of copied bytes > %.0f%% with survivor room - "
-                    "hold objects in DRAM one more cycle",
-                    s.promoted_fraction() * 100.0,
-                    kTenureRaisePromotedFraction * 100.0));
-    }
-  }
-  // Eden quota: a high young survival rate means eden fills before its
-  // objects have time to die; more eden regions push the pause later. Trade
-  // back toward write-cache staging space when survival is negligible.
-  if (max_eden_quota_ == 0 || !Ready(PolicyKnob::kEdenQuota) ||
-      s.cycle.young_cset_bytes == 0) {
-    return;
-  }
-  const uint32_t cur = tuning_.eden_quota_regions;
-  const uint32_t step = std::max<uint32_t>(
-      1, static_cast<uint32_t>(static_cast<double>(cur) * kStepFraction));
-  const double survival = s.young_survival_fraction();
-  if (survival > kEdenGrowSurvivalFraction && cur < max_eden_quota_ &&
-      current_pause_ >= retreat_until_) {
-    const uint32_t next = std::min(max_eden_quota_, cur + step);
-    tuning_.eden_quota_regions = next;
-    Decide(PolicyKnob::kEdenQuota, cur, next, /*retreat=*/false,
-           Format("young survival %.0f%% > %.0f%% - grow eden, let objects die first",
-                  survival * 100.0, kEdenGrowSurvivalFraction * 100.0));
-  } else if (survival < kEdenShrinkSurvivalFraction && cur > step + 1) {
-    const uint32_t next = std::max<uint32_t>(1, cur - step);
-    tuning_.eden_quota_regions = next;
-    Decide(PolicyKnob::kEdenQuota, cur, next, /*retreat=*/false,
-           Format("young survival %.1f%% - shrink eden, return DRAM to staging",
-                  survival * 100.0));
-  }
-}
-
 void PolicyEngine::ExportMetrics(MetricsRegistry* metrics) const {
   metrics->SetGauge("policy.active_threads", tuning_.active_gc_threads);
   metrics->SetGauge("policy.write_cache_capacity_bytes",
@@ -471,10 +395,6 @@ void PolicyEngine::ExportMetrics(MetricsRegistry* metrics) const {
                     options_.use_header_map ? tuning_.header_map_entries : 0);
   metrics->SetGauge("policy.async_flush", tuning_.async_flush ? 1 : 0);
   metrics->SetGauge("policy.prefetch_window", tuning_.prefetch_window);
-  if (options_.generational.enabled) {
-    metrics->SetGauge("policy.tenure_threshold", tuning_.tenure_threshold);
-    metrics->SetGauge("policy.eden_quota_regions", tuning_.eden_quota_regions);
-  }
   metrics->SetGauge("policy.decisions_total", decisions_.size());
   metrics->SetGauge("policy.retreats", retreats_);
 }
@@ -497,12 +417,6 @@ void PolicyEngine::EmitTraceCounters(GcTracer* tracer, uint64_t now_ns) const {
                       tuning_.async_flush ? 1.0 : 0.0);
   tracer->EmitCounter("policy.prefetch_window", "policy", now_ns,
                       static_cast<double>(tuning_.prefetch_window));
-  if (options_.generational.enabled) {
-    tracer->EmitCounter("policy.tenure_threshold", "policy", now_ns,
-                        static_cast<double>(tuning_.tenure_threshold));
-    tracer->EmitCounter("policy.eden_quota_regions", "policy", now_ns,
-                        static_cast<double>(tuning_.eden_quota_regions));
-  }
   tracer->EmitCounter("policy.decisions_total", "policy", now_ns,
                       static_cast<double>(decisions_.size()));
 }

@@ -22,8 +22,8 @@
 //                          (pair-allocation denial, worker fallback) shrinks
 //                          the cache and disables async flushing immediately,
 //                          bypassing cooldowns, and blocks re-growth for a
-//                          cooldown window — composing with GcOptions::
-//                          auto_degrade rather than fighting it.
+//                          cooldown window — composing with the collector's
+//                          degraded mode rather than fighting it.
 //
 // Every decision is recorded with a human-readable reason and surfaced three
 // ways: the GcReport "policy decisions" table, policy.* gauges in the
@@ -56,10 +56,8 @@ enum class PolicyKnob : uint8_t {
   kHeaderMapEntries,
   kAsyncFlush,
   kPrefetchWindow,
-  kTenureThreshold,  // Generational heaps only.
-  kEdenQuota,        // Generational heaps only.
 };
-inline constexpr size_t kPolicyKnobCount = 8;
+inline constexpr size_t kPolicyKnobCount = 6;
 
 const char* PolicyKnobName(PolicyKnob knob);
 
@@ -97,13 +95,8 @@ class PolicyEngine {
   // builds the initial tuning, which reproduces the static configuration.
   // `heap_profile` parameterizes the bandwidth model driving the thread-count
   // rule.
-  // The last two parameters only matter on a generational heap: the Vm passes
-  // the heap's initial eden quota and the DRAM ceiling the quota may grow to
-  // (dram_cache_regions minus the survivor reservation). Both default to 0,
-  // which disables the eden-quota rule.
   PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
-               size_t cache_arena_bytes, const DeviceProfile& heap_profile,
-               uint32_t eden_quota_regions = 0, uint32_t max_eden_quota_regions = 0);
+               size_t cache_arena_bytes, const DeviceProfile& heap_profile);
 
   // The tuning the next pause should run with (always resolved: capacities
   // and table sizes carry concrete values, never the 0 "keep" sentinels).
@@ -163,7 +156,6 @@ class PolicyEngine {
   void DecideAsyncFlush(const PolicySignals& s);
   void DecideGcThreads(const PolicySignals& s);
   void DecidePrefetch(const PolicySignals& s);
-  void DecideGenerational(const PolicySignals& s);
 
   GcOptions options_;
   BandwidthModel model_;
@@ -174,7 +166,6 @@ class PolicyEngine {
   size_t max_cache_bytes_ = 0;
   size_t min_hm_entries_ = 16;
   size_t max_hm_entries_ = 16;
-  uint32_t max_eden_quota_ = 0;  // 0 = eden-quota rule disabled.
 
   uint64_t pauses_seen_ = 0;
   uint64_t current_pause_ = 0;  // Pause id being decided on.

@@ -45,14 +45,6 @@ double PolicySignals::fleet_stall_fraction() const {
   return Ratio(fleet_stall_ns, fleet_interval_ns);
 }
 
-double PolicySignals::promoted_fraction() const {
-  return Ratio(cycle.bytes_promoted, cycle.bytes_copied);
-}
-
-double PolicySignals::young_survival_fraction() const {
-  return Ratio(cycle.bytes_copied, cycle.young_cset_bytes);
-}
-
 PolicySignals CollectPolicySignals(const GcCycleStats& cycle, uint64_t pause_id,
                                    const DeviceTimeline* timeline) {
   PolicySignals s;

@@ -53,10 +53,6 @@ struct PolicySignals {
   // Observed total bandwidth as a share of the model ceiling: ~1 means the
   // pause was device-bound, << 1 means CPU-bound.
   double bandwidth_utilization() const;
-  // Promoted share of the copied bytes (tenuring pressure).
-  double promoted_fraction() const;
-  // Copied share of the young collection-set bytes (young survival rate).
-  double young_survival_fraction() const;
   // Share of the pause spent flushing and fencing for durability.
   double persist_stall_fraction() const;
   // Share of the inter-pause interval the fleet arbiter stalled this tenant.

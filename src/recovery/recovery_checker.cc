@@ -29,18 +29,6 @@ bool AllPoison(const uint8_t* p, size_t n) {
 
 }  // namespace
 
-const char* RecoveryOutcomeName(RecoveryReport::Outcome outcome) {
-  switch (outcome) {
-    case RecoveryReport::Outcome::kRecovered:
-      return "recovered";
-    case RecoveryReport::Outcome::kNoCommittedState:
-      return "no-committed-state";
-    case RecoveryReport::Outcome::kCorrupt:
-      return "corrupt";
-  }
-  return "?";
-}
-
 // One commit-record slot as read out of the crash image.
 struct RecoveryChecker::SlotView {
   bool sealed = false;          // Seal matches this slot's header epoch.

@@ -60,8 +60,6 @@ struct RecoveryReport {
   bool recovered() const { return outcome == Outcome::kRecovered; }
 };
 
-const char* RecoveryOutcomeName(RecoveryReport::Outcome outcome);
-
 class RecoveryChecker {
  public:
   // `config` must match the crashed Vm's (a real runtime would read it from

@@ -114,11 +114,9 @@ Vm::Vm(const VmOptions& options) : options_(options) {
   flight_rec_ = std::make_unique<FlightRecorder>(options_.flight_recorder);
   flight_rec_->set_site_profiler(site_profiler_.get());
   if (options.gc.adaptive_policy) {
-    const bool gen = options_.gc.generational.enabled;
-    policy_ = std::make_unique<PolicyEngine>(
-        options_.gc, heap_->heap_arena_bytes(), heap_->cache_arena_bytes(),
-        heap_device_->profile(), gen ? heap_->eden_quota() : 0,
-        gen ? options_.heap.dram_cache_regions - options_.heap.survivor_regions : 0);
+    policy_ = std::make_unique<PolicyEngine>(options_.gc, heap_->heap_arena_bytes(),
+                                             heap_->cache_arena_bytes(),
+                                             heap_device_->profile());
     // The engine's initial tuning resolves the 0 "keep" sentinels to concrete
     // values; install it so the first pause already runs under policy control.
     collector_->ApplyTuning(policy_->tuning());
@@ -131,13 +129,6 @@ Vm::~Vm() = default;
 Mutator* Vm::CreateMutator() {
   mutators_.push_back(std::make_unique<Mutator>(this));
   return mutators_.back().get();
-}
-
-Address Vm::Allocate(const AllocRequest& request) {
-  if (default_mutator_ == nullptr) {
-    default_mutator_ = CreateMutator();
-  }
-  return default_mutator_->Allocate(request);
 }
 
 RootHandle Vm::NewRoot(Address value) {
@@ -219,7 +210,7 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
   if (options_.gc.generational.enabled) {
     // Per-cycle value, not a sum — a gauge, refreshed every pause.
     metrics_.SetGauge("gen.tenure_threshold", cycle.tenure_threshold_used);
-    metrics_.SetGauge("gen.eden_quota_regions", heap_->eden_quota());
+    metrics_.SetGauge("gen.eden_quota_regions", heap_->config().eden_regions);
     metrics_.SetGauge("gen.survivor_regions", heap_->config().survivor_regions);
   }
   ExportLifetimeMetrics();

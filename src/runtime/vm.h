@@ -32,7 +32,6 @@ namespace nvmgc {
 
 class GcCoordinator;
 class Mutator;
-struct AllocRequest;
 
 struct VmOptions {
   // Heap geometry. With gc.generational.enabled the Vm derives the young-
@@ -75,11 +74,6 @@ class Vm {
 
   // Mutator lifecycle. Mutators are owned by the Vm.
   Mutator* CreateMutator();
-
-  // Generation-aware allocation through the Vm's internal mutator (created on
-  // first use). Convenient for single-threaded drivers; workloads that model
-  // several application threads should create explicit Mutators.
-  Address Allocate(const AllocRequest& request);
 
   // --- GC roots (the analog of thread stacks / globals) ---
   RootHandle NewRoot(Address value = kNullAddress);
@@ -199,7 +193,6 @@ class Vm {
   uint64_t fleet_stall_seen_ = 0;
   uint64_t last_pause_end_ns_ = 0;
   uint64_t old_reclaim_count_ = 0;
-  Mutator* default_mutator_ = nullptr;  // Lazily created by Allocate().
   std::vector<Address> root_cells_;
   std::vector<RootHandle> free_roots_;
   std::vector<bool> root_active_;

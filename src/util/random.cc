@@ -55,17 +55,6 @@ double Random::NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-
 
 bool Random::NextBool(double probability) { return NextDouble() < probability; }
 
-uint64_t Random::NextGeometric(double success_probability) {
-  if (success_probability >= 1.0) {
-    return 0;
-  }
-  if (success_probability <= 0.0) {
-    return 0;  // Degenerate; callers must not depend on an infinite tail.
-  }
-  const double u = NextDouble();
-  return static_cast<uint64_t>(std::log1p(-u) / std::log1p(-success_probability));
-}
-
 double ZipfGenerator::Zeta(uint64_t n, double theta) {
   // Exact for small n; truncated + tail-integrated for large n so that building
   // a generator over millions of keys stays O(1)-ish.

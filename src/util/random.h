@@ -32,9 +32,6 @@ class Random {
   // Bernoulli trial.
   bool NextBool(double probability);
 
-  // Approximate geometric: number of failures before first success.
-  uint64_t NextGeometric(double success_probability);
-
  private:
   uint64_t state_[4];
 };

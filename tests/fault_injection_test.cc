@@ -309,6 +309,45 @@ TEST(FaultDegradedModeTest, ThrottleDisablesAsyncAndNtStoresThenRecovers) {
   EXPECT_EQ(vm.gc_stats().Totals().degraded_mode, 1u);
 }
 
+TEST(FaultDegradedModeTest, ThrottleOpeningMidPauseDegradesTheWriteBack) {
+  // Runs are deterministic, so an uninjected twin locates the pause: the
+  // throttle window opens halfway through its read phase, after the pause
+  // began outside any window.
+  GcCycleStats reference;
+  uint64_t reference_nt_bytes = 0;
+  {
+    Vm vm(FaultVmOptions());
+    ChainWorkload workload(&vm, 7);
+    workload.Grow(300);
+    const DeviceCounters before = vm.heap_device().counters();
+    reference = vm.CollectNow();
+    reference_nt_bytes = (vm.heap_device().counters() - before).nt_write_bytes;
+  }
+  ASSERT_EQ(reference.degraded_mode, 0u);
+  ASSERT_GT(reference.read_phase_ns, 1u);
+  ASSERT_GT(reference_nt_bytes, 0u);
+
+  Vm vm(FaultVmOptions());
+  ChainWorkload workload(&vm, 7);
+  workload.Grow(300);
+  ASSERT_EQ(vm.now_ns(), reference.start_ns);
+  FaultPlan plan;
+  plan.AddThrottle(reference.start_ns + reference.read_phase_ns / 2,
+                   reference.start_ns + 50'000'000, 0.25);
+  FaultInjector injector(plan);
+  vm.heap_device().AttachFaultInjector(&injector);
+
+  const DeviceCounters before = vm.heap_device().counters();
+  const GcCycleStats cycle = vm.CollectNow();
+  const DeviceCounters delta = vm.heap_device().counters() - before;
+  EXPECT_EQ(cycle.degraded_mode, 1u);
+  EXPECT_EQ(cycle.regions_flushed_async, 0u);
+  EXPECT_GT(cycle.regions_flushed_sync, 0u);
+  EXPECT_EQ(delta.nt_write_bytes, 0u);  // The write-back used cache-line stores.
+  workload.VerifyAll();
+  ExpectHeapValid(&vm);
+}
+
 TEST(FaultWriteCacheFallbackTest, DramPressureDegradesWorkersToDirectCopy) {
   Vm vm(FaultVmOptions());
   ChainWorkload workload(&vm, 11);

@@ -160,7 +160,6 @@ TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
                           .Prefetch()
                           .PrefetchHeaderMap()
                           .LabBytes(32 * 1024)
-                          .AutoDegrade(false)
                           .Build();
   EXPECT_EQ(o.collector, CollectorKind::kParallelScavenge);
   EXPECT_EQ(o.gc_threads, 12u);
@@ -174,7 +173,6 @@ TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
   EXPECT_TRUE(o.prefetch);
   EXPECT_TRUE(o.prefetch_header_map);
   EXPECT_EQ(o.lab_bytes, size_t{32} * 1024);
-  EXPECT_FALSE(o.auto_degrade);
 }
 
 TEST(GcOptionsBuilderTest, PresetBaseCanBeTweaked) {

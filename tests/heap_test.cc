@@ -206,8 +206,13 @@ TEST_F(HeapTest, HumongousRegionAllocation) {
 }
 
 TEST_F(HeapTest, RegionTypeNames) {
+  EXPECT_STREQ(RegionTypeName(RegionType::kFree), "free");
   EXPECT_STREQ(RegionTypeName(RegionType::kEden), "eden");
+  EXPECT_STREQ(RegionTypeName(RegionType::kSurvivor), "survivor");
+  EXPECT_STREQ(RegionTypeName(RegionType::kOld), "old");
+  EXPECT_STREQ(RegionTypeName(RegionType::kHumongous), "humongous");
   EXPECT_STREQ(RegionTypeName(RegionType::kWriteCache), "write-cache");
+  EXPECT_STREQ(RegionTypeName(RegionType::kLarge), "large");
 }
 
 }  // namespace

@@ -77,9 +77,6 @@ TEST(PolicySignalsTest, DerivedRatesComeFromTheCycle) {
   cycle.header_map_overflows = 10;
   cycle.prefetches_issued = 200;
   cycle.prefetch_hits = 150;
-  cycle.bytes_copied = 400;
-  cycle.bytes_promoted = 100;
-  cycle.young_cset_bytes = 1600;
   const PolicySignals s = CollectPolicySignals(cycle, 7, /*timeline=*/nullptr);
   EXPECT_EQ(s.pause_id, 7u);
   EXPECT_EQ(s.cycle.header_map_installs, 90u);
@@ -90,8 +87,6 @@ TEST(PolicySignalsTest, DerivedRatesComeFromTheCycle) {
   EXPECT_DOUBLE_EQ(s.steal_taint_fraction(), 2.0 / 8.0);
   EXPECT_DOUBLE_EQ(s.hm_overflow_rate(), 10.0 / 100.0);
   EXPECT_DOUBLE_EQ(s.prefetch_hit_rate(), 150.0 / 200.0);
-  EXPECT_DOUBLE_EQ(s.promoted_fraction(), 100.0 / 400.0);
-  EXPECT_DOUBLE_EQ(s.young_survival_fraction(), 400.0 / 1600.0);
   // No timeline and no fleet: those signals stay at zero, not NaN.
   EXPECT_EQ(s.bandwidth_utilization(), 0.0);
   EXPECT_EQ(s.fleet_stall_fraction(), 0.0);
@@ -277,32 +272,66 @@ TEST(PolicyEngineTest, AsyncFlushHysteresisOnStealTaint) {
 }
 
 TEST(PolicyEngineTest, ThreadRuleAgreesWithBandwidthModel) {
+  // A device-bound read phase with a half-write mix. The engine must shrink
+  // exactly when its own model says fewer workers sustain strictly more
+  // bandwidth (the profile's past-knee decline): at 16 threads the Optane
+  // model holds up (12 workers give less), at 32 it has declined (24 workers
+  // give more than the 2% margin).
+  struct Case {
+    uint32_t threads;
+    bool model_prefers_fewer;
+  };
+  for (const Case c : {Case{16, false}, Case{32, true}}) {
+    SCOPED_TRACE(c.threads);
+    PolicyEngine engine = MakeEngine(EngineOptions(c.threads));
+    const uint64_t pause = Warmup(engine);
+
+    BandwidthModel model(MakeOptaneProfile());
+    MixState mix;
+    mix.write_fraction = 0.5;
+    mix.active_threads = c.threads;
+    const double at_cur = model.TotalBandwidthMbps(mix);
+    const uint32_t down = c.threads - c.threads / 4;  // step = threads * 0.5 / 2.
+    mix.active_threads = down;
+    const double at_down = model.TotalBandwidthMbps(mix);
+    ASSERT_EQ(at_down > at_cur * 1.02, c.model_prefers_fewer);
+
+    PolicySignals s = CalmSignals(pause, engine);
+    s.read_interleave = 0.5;
+    s.read_model_mbps = at_cur;
+    s.read_total_mbps = at_cur * 0.95;  // 95% of the model ceiling: device-bound.
+    engine.OnPauseEnd(s);
+    EXPECT_EQ(engine.tuning().active_gc_threads, c.model_prefers_fewer ? down : c.threads);
+  }
+}
+
+TEST(PolicyEngineTest, ThreadRuleRegrowsAfterFleetShed) {
   const GcOptions options = EngineOptions(16);
   PolicyEngine engine = MakeEngine(options);
   uint64_t pause = Warmup(engine);
 
-  // A device-bound read phase with a half-write mix. The engine must shrink
-  // exactly when its own model says fewer workers sustain strictly more
-  // bandwidth (the profile's past-knee decline).
-  BandwidthModel model(MakeOptaneProfile());
-  MixState mix;
-  mix.write_fraction = 0.5;
-  mix.active_threads = 16;
-  const double at_cur = model.TotalBandwidthMbps(mix);
-  mix.active_threads = 12;  // step = 16 * 0.5 / 2 = 4.
-  const double at_down = model.TotalBandwidthMbps(mix);
+  // The fleet arbiter stalled this tenant for 40% of the interval: shed.
+  PolicySignals shed = CalmSignals(pause++, engine);
+  shed.fleet_stall_ns = 400'000;
+  shed.fleet_interval_ns = 1'000'000;
+  engine.OnPauseEnd(shed);
+  ASSERT_EQ(engine.tuning().active_gc_threads, 12u);
 
-  PolicySignals s = CalmSignals(pause, engine);
-  s.read_interleave = 0.5;
-  s.read_model_mbps = at_cur;
-  s.read_total_mbps = at_cur * 0.95;  // 95% of the model ceiling: device-bound.
-  engine.OnPauseEnd(s);
-  const bool model_prefers_fewer = at_down > at_cur * 1.02;
-  if (model_prefers_fewer) {
-    EXPECT_EQ(engine.tuning().active_gc_threads, 12u);
-  } else {
-    EXPECT_EQ(engine.tuning().active_gc_threads, 16u);
+  // Calm, low-write pauses once the stalls stop: the model holds its
+  // bandwidth at 15 workers, so the added parallelism is free. The first
+  // pause after the shed is inside the knob's cooldown window.
+  for (uint32_t i = 0; i <= PolicyEngine::kCooldownPauses; ++i, ++pause) {
+    PolicySignals calm = CalmSignals(pause, engine);
+    calm.read_interleave = 0.05;
+    calm.read_model_mbps = 2000.0;
+    calm.read_total_mbps = 400.0;
+    engine.OnPauseEnd(calm);
   }
+  EXPECT_EQ(engine.tuning().active_gc_threads, 15u);
+  ASSERT_FALSE(engine.decisions().empty());
+  EXPECT_EQ(engine.decisions().back().knob, PolicyKnob::kGcThreads);
+  EXPECT_EQ(engine.decisions().back().old_value, 12u);
+  EXPECT_EQ(engine.decisions().back().new_value, 15u);
 }
 
 TEST(PolicyEngineTest, ThreadShrinkRequiresDeviceBoundPause) {
