@@ -8,13 +8,17 @@
 #
 # The coverage preset runs the full ctest suite, then
 # scripts/coverage_table.py prints each src/ function's unexecuted line count
-# and the total. It reports; it gates nothing.
+# and the total, and writes them to build-coverage/coverage.json. To see a
+# change's coverage beside its parent's, keep the parent's coverage.json and
+# run `scripts/coverage_table.py build-coverage --compare PARENT.json`. It
+# reports; it gates nothing.
 #
 # The tsan preset builds only nvmgc_tests and runs the tests that start real
-# threads: HeaderMapTest.* (concurrent header-map installs and lookups) and
+# threads: HeaderMapTest.* (concurrent header-map installs and lookups),
 # TaskQueueThreadTest.* (one owner pushing and popping against two
-# StealHalf thieves); the collector itself steps its workers on one host
-# thread.
+# StealHalf thieves) and MemoryDeviceThreadTest.* (one thread binding tenant
+# ranges while readers resolve addresses with TenantFor); the collector itself
+# steps its workers on one host thread.
 #
 # default and sanitize run the full ctest suite, including:
 #   - nvmgc_fault_stress: randomized seeded fault plans with heap verification
@@ -85,7 +89,7 @@ cmake --preset coverage
 cmake --build --preset coverage -j "$(nproc)"
 ctest --preset coverage -j "$(nproc)"
 echo "=== [coverage] unexecuted src/ lines per function ==="
-python3 scripts/coverage_table.py build-coverage
+python3 scripts/coverage_table.py build-coverage --json build-coverage/coverage.json
 
 echo "=== retained bench artifacts ==="
 ls -l build*/artifacts/ 2>/dev/null || true

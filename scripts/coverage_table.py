@@ -2,7 +2,7 @@
 """Unexecuted src/ lines per function, from a --coverage build's gcov data.
 
 Usage:
-    scripts/coverage_table.py [BUILD_DIR]
+    scripts/coverage_table.py [BUILD_DIR] [--json OUT] [--compare BASE.json]
 
 BUILD_DIR (default: build-coverage) is a tree built with the `coverage`
 preset after its tests ran, so every object has its .gcda counts. The script
@@ -12,7 +12,11 @@ line: a line counts as executed when any translation unit executed it (a
 header's inline functions are instrumented in every file that includes it).
 
 It prints each src/ function with unexecuted lines, most unexecuted first,
-then the total of unexecuted and instrumented lines.
+then the total of unexecuted and instrumented lines. --json OUT also writes
+those totals and per-function counts to OUT. --compare BASE.json (a file an
+earlier run wrote with --json, e.g. on the parent commit) prints the base and
+the current totals side by side and every function whose unexecuted count
+changed. The script reports; it gates nothing.
 """
 
 import argparse
@@ -62,9 +66,48 @@ def merged_lines(build_dir):
     return lines
 
 
+def summarize(lines):
+    """Totals and per-function unexecuted counts, in the --json layout."""
+    unexecuted = defaultdict(int)
+    for (path, _), (count, function) in lines.items():
+        if count == 0:
+            unexecuted[(path, function)] += 1
+    rows = sorted(((n, path, fn) for (path, fn), n in unexecuted.items()),
+                  key=lambda r: (-r[0], r[1], r[2]))
+    return {
+        "unexecuted": sum(unexecuted.values()),
+        "instrumented": len(lines),
+        "functions": [{"path": path, "function": fn, "unexecuted": n} for n, path, fn in rows],
+    }
+
+
+def totals_line(summary):
+    total, lines = summary["unexecuted"], summary["instrumented"]
+    executed = 100.0 * (lines - total) / lines if lines else 0.0
+    return f"{total} of {lines} instrumented src/ lines unexecuted ({executed:.1f}% executed)"
+
+
+def compare(base, current):
+    print(f"base:    {totals_line(base)}")
+    print(f"current: {totals_line(current)}")
+    before = {(f["path"], f["function"]): f["unexecuted"] for f in base["functions"]}
+    after = {(f["path"], f["function"]): f["unexecuted"] for f in current["functions"]}
+    changed = sorted(((after.get(k, 0) - before.get(k, 0), k) for k in before.keys() | after.keys()
+                      if after.get(k, 0) != before.get(k, 0)),
+                     key=lambda r: (-abs(r[0]), r[1]))
+    print(f"functions whose unexecuted count changed: {len(changed)}")
+    for delta, (path, fn) in changed:
+        print(f"{before.get((path, fn), 0):5d} -> {after.get((path, fn), 0):5d}  "
+              f"({delta:+d})  {path}  {fn}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("build_dir", nargs="?", default=os.path.join(REPO, "build-coverage"))
+    parser.add_argument("--json", metavar="OUT", help="also write the totals and "
+                        "per-function unexecuted counts to OUT")
+    parser.add_argument("--compare", metavar="BASE.json", help="print BASE.json's totals "
+                        "beside the current ones, and the functions whose count changed")
     args = parser.parse_args()
 
     lines = merged_lines(args.build_dir)
@@ -72,17 +115,18 @@ def main():
         sys.exit(f"no gcov data for src/ under {args.build_dir}: build the coverage "
                  "preset and run its tests first")
 
-    unexecuted = defaultdict(int)
-    for (path, _), (count, function) in lines.items():
-        if count == 0:
-            unexecuted[(path, function)] += 1
-    rows = sorted(((n, path, fn) for (path, fn), n in unexecuted.items()),
-                  key=lambda r: (-r[0], r[1], r[2]))
-    for n, path, fn in rows:
-        print(f"{n:5d}  {path}  {fn}")
-    total = sum(unexecuted.values())
-    print(f"total: {total} of {len(lines)} instrumented src/ lines unexecuted "
-          f"({100.0 * (len(lines) - total) / len(lines):.1f}% executed)")
+    summary = summarize(lines)
+    for f in summary["functions"]:
+        print(f"{f['unexecuted']:5d}  {f['path']}  {f['function']}")
+    print(f"total: {totals_line(summary)}")
+    if args.json:
+        with open(args.json, "w") as out:
+            json.dump(summary, out, indent=1)
+            out.write("\n")
+    if args.compare:
+        with open(args.compare) as f:
+            base = json.load(f)
+        compare(base, summary)
 
 
 if __name__ == "__main__":

@@ -134,6 +134,12 @@ void WriteCache::MaybeAsyncFlush(Region* twin, SimClock* clock, GcCycleStats* st
   if (cache->steal_tainted()) {
     return;  // LIFO tracking broken by work stealing: leave for the sync flush.
   }
+  const FaultInjector* injector = heap_->heap_device()->fault_injector();
+  if (injector != nullptr && injector->ThrottleActive(clock->now_ns())) {
+    // A throttle window opened after the pause began: flushing now would race
+    // the shrunken bandwidth, so the (degraded) write-back takes the pair.
+    return;
+  }
   if (cache->ClaimFlush()) {
     FlushPair(twin, clock, stats, /*async=*/true);
   }

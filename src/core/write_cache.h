@@ -74,7 +74,8 @@ class WriteCache {
   static Address Physical(Heap* heap, Address final_address);
 
   // Asynchronous flush attempt: flushes `twin`'s pair if it is closed, has no
-  // outstanding slots, and was not steal-tainted. Safe to call from any
+  // outstanding slots, was not steal-tainted, and no throttle window of the
+  // heap device's fault injector is open at `clock`. Safe to call from any
   // worker; at most one caller wins the flush.
   void MaybeAsyncFlush(Region* twin, SimClock* clock, GcCycleStats* stats);
 

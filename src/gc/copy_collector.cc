@@ -1,6 +1,7 @@
 #include "src/gc/copy_collector.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/nvm/fault_injector.h"
@@ -24,7 +25,8 @@ constexpr uint32_t kHeaderMapSearchBound = 16;
 
 CopyCollector::CopyCollector(Heap* heap, const GcOptions& options)
     : heap_(heap), options_(options), tuning_(DefaultGcTuning(options)) {
-  NVMGC_CHECK(heap != nullptr && options.gc_threads >= 1);
+  NVMGC_CHECK(heap != nullptr && options.gc_threads >= 1 &&
+              options.gc_threads <= GcOptions::kMaxGcThreads);
   workers_.resize(options.gc_threads);
   for (uint32_t i = 0; i < options.gc_threads; ++i) {
     workers_[i].id = i;
@@ -364,26 +366,32 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
 
 template <typename StepFn>
 void CopyCollector::RunStepped(uint32_t n, StepFn step) {
-  std::vector<bool> idle(n, false);
-  uint32_t idle_count = 0;
-  while (idle_count < n) {
-    Worker* w = nullptr;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (!idle[i] && (w == nullptr || workers_[i].clock.now_ns() < w->clock.now_ns())) {
-        w = &workers_[i];
+  // Bit i is set while worker i is busy (n <= GcOptions::kMaxGcThreads).
+  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  uint64_t busy = all;
+  // Binding only routes emitted events, and a disabled tracer emits none.
+  const bool bind_tracer = tracer_ != nullptr && tracer_->enabled();
+  while (busy != 0) {
+    uint64_t rest = busy;
+    uint32_t id = static_cast<uint32_t>(std::countr_zero(rest));
+    uint64_t min_clock = workers_[id].clock.now_ns();
+    for (rest &= rest - 1; rest != 0; rest &= rest - 1) {
+      const uint32_t i = static_cast<uint32_t>(std::countr_zero(rest));
+      if (workers_[i].clock.now_ns() < min_clock) {
+        id = i;
+        min_clock = workers_[i].clock.now_ns();
       }
     }
-    if (tracer_ != nullptr) {
-      tracer_->BindThread(w->id);
+    Worker* w = &workers_[id];
+    if (bind_tracer) {
+      tracer_->BindThread(id);
     }
     if (!step(w)) {
-      idle[w->id] = true;
-      ++idle_count;
-    } else if (idle_count > 0 && !queues_->queue(w->id).empty()) {
+      busy &= ~(uint64_t{1} << id);
+    } else if (busy != all && !queues_->queue(id).empty()) {
       // Only the stepped worker's queue can have grown: idle workers may
       // steal from it again.
-      idle.assign(n, false);
-      idle_count = 0;
+      busy = all;
     }
   }
 }

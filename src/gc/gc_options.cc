@@ -19,6 +19,10 @@ std::string GcOptions::Validate() const {
     return "gc_threads is 0: the collector needs at least one worker "
            "(GcOptionsBuilder::GcThreads)";
   }
+  if (gc_threads > kMaxGcThreads) {
+    return "gc_threads is above GcOptions::kMaxGcThreads (64): the collector steps "
+           "its workers from a 64-bit busy mask (GcOptionsBuilder::GcThreads)";
+  }
   if (!use_write_cache) {
     if (async_flush) {
       return "async_flush requires use_write_cache: asynchronous flushing streams "

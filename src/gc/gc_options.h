@@ -47,8 +47,11 @@ struct GenerationalOptions {
 };
 
 struct GcOptions {
+  // The collector steps its workers from a 64-bit busy mask.
+  static constexpr uint32_t kMaxGcThreads = 64;
+
   CollectorKind collector = CollectorKind::kG1;
-  uint32_t gc_threads = 8;
+  uint32_t gc_threads = 8;  // In [1, kMaxGcThreads].
 
   // --- Paper optimizations ---
   bool use_write_cache = false;

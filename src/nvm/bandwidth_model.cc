@@ -1,58 +1,30 @@
 #include "src/nvm/bandwidth_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace nvmgc {
 
-double BandwidthModel::ReadCeilingMbps(uint32_t threads) const {
+ThreadTerms BandwidthModel::TermsFor(uint32_t threads) const {
+  ThreadTerms terms;
   const uint32_t t = std::max<uint32_t>(1, threads);
-  const double knee = static_cast<double>(profile_.read_saturation_threads);
-  const double ramp = std::min<double>(t, knee) / knee;
-  return profile_.peak_read_bw_mbps * ramp;
-}
+  terms.threads = t;
 
-double BandwidthModel::WriteCeilingMbps(uint32_t threads, double nt_share) const {
-  const uint32_t t = std::max<uint32_t>(1, threads);
-  const double peak = profile_.peak_write_bw_mbps * (1.0 - nt_share) +
-                      profile_.peak_write_nt_bw_mbps * nt_share;
-  const double knee = static_cast<double>(profile_.write_saturation_threads);
-  const double ramp = std::min<double>(t, knee) / knee;
-  double ceiling = peak * ramp;
-  if (t > knee) {
-    // Beyond the knee additional writers degrade on-DIMM write combining.
-    const double over = static_cast<double>(t) - knee;
-    ceiling *= std::max(0.25, 1.0 - profile_.write_contention_decline * over);
+  const double read_knee = static_cast<double>(profile_.read_saturation_threads);
+  const double read_ramp = std::min<double>(t, read_knee) / read_knee;
+  terms.read_ceiling_mbps = profile_.peak_read_bw_mbps * read_ramp;
+
+  const double write_knee = static_cast<double>(profile_.write_saturation_threads);
+  terms.write_ramp = std::min<double>(t, write_knee) / write_knee;
+  terms.over_knee = t > write_knee;
+  if (terms.over_knee) {
+    const double over = static_cast<double>(t) - write_knee;
+    terms.write_decline = std::max(0.25, 1.0 - profile_.write_contention_decline * over);
   }
-  return ceiling;
-}
 
-double BandwidthModel::MixInterference(double write_fraction, double nt_write_fraction) const {
-  // Only the *mixing* of writes into reads is penalized: the term vanishes at
-  // pure-read (w == 0) and pure-write (w == 1) phases, which is exactly why
-  // the paper splits copy-and-traverse into read-mostly and write-only
-  // sub-phases. Non-temporal write bytes count with a discount because they
-  // bypass the cache hierarchy and the DIMM read-modify-write path.
-  const double regular_w = std::max(0.0, write_fraction - nt_write_fraction);
-  const double effective_w = regular_w + nt_write_fraction * profile_.nt_interference_discount;
-  const double mix_term = 4.0 * effective_w * std::max(0.0, 1.0 - write_fraction);
-  // Quadratic shape: a small residual write share costs little, but the
-  // collapse deepens rapidly as reads and writes approach parity — matching
-  // the measured Optane bandwidth-vs-mix curves, which fall off a cliff
-  // between ~10% and ~50% writes.
-  return 1.0 / (1.0 + profile_.mix_interference * mix_term * mix_term);
-}
-
-double BandwidthModel::TotalBandwidthMbps(const MixState& mix) const {
-  const double w = std::clamp(mix.write_fraction, 0.0, 1.0);
-  const double nt_share_of_writes = w > 1e-9 ? std::clamp(mix.nt_write_fraction / w, 0.0, 1.0)
-                                             : 0.0;
-  const double read_bw = ReadCeilingMbps(mix.active_threads);
-  const double write_bw = WriteCeilingMbps(mix.active_threads, nt_share_of_writes);
-  // Harmonic blend: time to move a byte is the mix-weighted time per direction.
-  const double per_byte = (1.0 - w) / read_bw + w / write_bw;
-  const double base = 1.0 / per_byte;
-  return base * MixInterference(w, std::clamp(mix.nt_write_fraction, 0.0, w));
+  if ((t & (t - 1)) == 0) {
+    terms.inv_threads = 1.0 / static_cast<double>(t);
+  }
+  return terms;
 }
 
 double BandwidthModel::TenantShareFraction(double own_fraction, uint32_t active_tenants) const {
@@ -63,14 +35,6 @@ double BandwidthModel::TenantShareFraction(double own_fraction, uint32_t active_
   const double f = std::clamp(own_fraction, 0.0, 1.0);
   const double share = std::min(1.0, std::max(f, 1.0 / t));
   return share / (1.0 + profile_.tenant_interference * (t - 1.0));
-}
-
-double BandwidthModel::PatternFraction(AccessOp op, AccessPattern pattern) const {
-  if (pattern == AccessPattern::kSequential) {
-    return 1.0;
-  }
-  return op == AccessOp::kRead ? profile_.random_read_bw_fraction
-                               : profile_.random_write_bw_fraction;
 }
 
 }  // namespace nvmgc

@@ -9,7 +9,11 @@
 
 namespace nvmgc {
 
-MemoryDevice::MemoryDevice(DeviceProfile profile) : model_(profile) {}
+MemoryDevice::MemoryDevice(DeviceProfile profile) : model_(profile) {
+  for (uint32_t t = 0; t <= kCachedThreadTerms; ++t) {
+    thread_terms_[t] = model_.TermsFor(t);
+  }
+}
 
 void MemoryDevice::BindTenantRange(uint8_t tenant, uint64_t base, uint64_t bytes) {
   NVMGC_CHECK_MSG(tenant < kMaxTenants, "tenant id out of range: a shared device supports "
@@ -65,13 +69,15 @@ uint64_t MemoryDevice::CostAt(uint64_t epoch, const AccessDescriptor& d, uint8_t
 
   // Bandwidth term: bytes over this thread's share of the device total.
   const BandwidthLedger::Mix window = ledger_.MixAt(epoch);
-  MixState mix;
-  mix.write_fraction = window.write_fraction;
-  mix.nt_write_fraction = window.nt_write_fraction;
-  mix.active_threads = active_threads();
-  const double total_mbps = model_.TotalBandwidthMbps(mix);
-  double share_mbps = total_mbps / static_cast<double>(mix.active_threads) *
-                      model_.PatternFraction(d.op, d.pattern);
+  const ThreadTerms terms = TermsFor(active_threads());
+  const double total_mbps =
+      model_.TotalBandwidthMbps(window.write_fraction, window.nt_write_fraction, terms);
+  // Multiplying by 1/threads is exact only for a power of two (see
+  // ThreadTerms); other counts divide, as the formula always did.
+  const double per_thread_mbps = terms.inv_threads != 0.0
+                                     ? total_mbps * terms.inv_threads
+                                     : total_mbps / static_cast<double>(terms.threads);
+  double share_mbps = per_thread_mbps * model_.PatternFraction(d.op, d.pattern);
   if (multi_tenant()) {
     // Shared device: scale this tenant's share by its occupancy-derived
     // fraction of the device (plus the cross-tenant interleaving penalty).

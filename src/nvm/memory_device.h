@@ -40,6 +40,8 @@ class MetricsRegistry;
 class MemoryDevice {
  public:
   static constexpr uint32_t kMaxTenants = BandwidthLedger::kMaxTenants;
+  // Address ranges BindTenantRange accepts per device.
+  static constexpr size_t kMaxTenantRanges = 16;
 
   explicit MemoryDevice(DeviceProfile profile);
 
@@ -137,13 +139,22 @@ class MemoryDevice {
     uint64_t base = 0;
     uint64_t end = 0;
   };
-  static constexpr size_t kMaxTenantRanges = 16;
+  // Active-thread counts whose ThreadTerms are precomputed at construction;
+  // larger counts compute theirs per access.
+  static constexpr uint32_t kCachedThreadTerms = 64;
+
+  ThreadTerms TermsFor(uint32_t threads) const {
+    return threads <= kCachedThreadTerms ? thread_terms_[threads] : model_.TermsFor(threads);
+  }
 
   // CostNs for the ledger epoch `epoch`; `tenant` is only read on a
   // multi-tenant device.
   uint64_t CostAt(uint64_t epoch, const AccessDescriptor& d, uint8_t tenant) const;
 
   BandwidthModel model_;
+  // Indexed by active-thread count (entry 0 repeats entry 1: a count of 0
+  // reads as 1).
+  ThreadTerms thread_terms_[kCachedThreadTerms + 1];
   BandwidthLedger ledger_;
   AccessHeatmap heatmap_;
   PersistOrderingLedger persist_;

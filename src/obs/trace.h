@@ -9,7 +9,8 @@
 // Concurrency model: each logical GC thread records into its own fixed-size
 // ring buffer; a host thread binds itself to a logical tid
 // (GcTracer::BindThread) and subsequent emits are plain unsynchronized writes
-// into that ring. The collector rebinds before every worker step. When the
+// into that ring. While tracing is enabled, the collector rebinds before every
+// worker step (a disabled tracer emits nothing, so it skips that). When the
 // ring wraps, the oldest events are overwritten and counted as dropped.
 // Export (SortedEvents / WriteChromeTrace) must only run between pauses.
 
@@ -66,8 +67,9 @@ class GcTracer {
   uint32_t control_tid() const { return gc_threads_; }
 
   // Binds the calling host thread to logical thread `tid` for subsequent
-  // emits. Called by the collector before every worker step (and for the
-  // control thread once per pause); rebinding is cheap.
+  // emits. Called by the collector before every worker step while tracing is
+  // enabled (and for the control thread once per traced pause); rebinding is
+  // cheap.
   void BindThread(uint32_t tid);
 
   // Emits a completed span / an instant event on the bound logical thread.

@@ -15,8 +15,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Random::Random(uint64_t seed) {
@@ -26,34 +24,10 @@ Random::Random(uint64_t seed) {
   }
 }
 
-uint64_t Random::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Random::NextBelow(uint64_t bound) {
-  if (bound == 0) {
-    return 0;
-  }
-  // Multiply-shift reduction; bias is negligible for our bounds (< 2^48).
-  return static_cast<uint64_t>((static_cast<__uint128_t>(Next()) * bound) >> 64);
-}
-
 uint64_t Random::NextInRange(uint64_t lo, uint64_t hi) {
   NVMGC_DCHECK(lo <= hi);
   return lo + NextBelow(hi - lo + 1);
 }
-
-double Random::NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
-
-bool Random::NextBool(double probability) { return NextDouble() < probability; }
 
 double ZipfGenerator::Zeta(uint64_t n, double theta) {
   // Exact for small n; truncated + tail-integrated for large n so that building

@@ -273,10 +273,24 @@ TEST(FaultInjectorTest, RandomizedPlansAreSeedDeterministic) {
 
 // --- Directed degradation tests ---
 
+// One GC thread and 3000 nodes: no region is steal-tainted, so without a
+// throttle window the write cache flushes some regions asynchronously, and a
+// degraded pause's zero async flushes shows the throttle at work.
+constexpr uint32_t kAsyncFlushThreads = 1;
+constexpr size_t kAsyncFlushNodes = 3000;
+
 TEST(FaultDegradedModeTest, ThrottleDisablesAsyncAndNtStoresThenRecovers) {
-  Vm vm(FaultVmOptions());
+  {
+    // The uninjected twin: the same pause flushes asynchronously.
+    Vm vm(FaultVmOptions(kAsyncFlushThreads));
+    ChainWorkload workload(&vm, 7);
+    workload.Grow(kAsyncFlushNodes);
+    ASSERT_GT(vm.CollectNow().regions_flushed_async, 0u);
+  }
+
+  Vm vm(FaultVmOptions(kAsyncFlushThreads));
   ChainWorkload workload(&vm, 7);
-  workload.Grow(300);
+  workload.Grow(kAsyncFlushNodes);
 
   FaultPlan plan;
   const uint64_t window_end = vm.now_ns() + 50'000'000;
@@ -311,14 +325,15 @@ TEST(FaultDegradedModeTest, ThrottleDisablesAsyncAndNtStoresThenRecovers) {
 
 TEST(FaultDegradedModeTest, ThrottleOpeningMidPauseDegradesTheWriteBack) {
   // Runs are deterministic, so an uninjected twin locates the pause: the
-  // throttle window opens halfway through its read phase, after the pause
-  // began outside any window.
+  // throttle window opens a quarter of the way into its read phase, after the
+  // pause began outside any window and before the twin's first asynchronous
+  // flush. Every flush after that point waits for the degraded write-back.
   GcCycleStats reference;
   uint64_t reference_nt_bytes = 0;
   {
-    Vm vm(FaultVmOptions());
+    Vm vm(FaultVmOptions(kAsyncFlushThreads));
     ChainWorkload workload(&vm, 7);
-    workload.Grow(300);
+    workload.Grow(kAsyncFlushNodes);
     const DeviceCounters before = vm.heap_device().counters();
     reference = vm.CollectNow();
     reference_nt_bytes = (vm.heap_device().counters() - before).nt_write_bytes;
@@ -326,13 +341,14 @@ TEST(FaultDegradedModeTest, ThrottleOpeningMidPauseDegradesTheWriteBack) {
   ASSERT_EQ(reference.degraded_mode, 0u);
   ASSERT_GT(reference.read_phase_ns, 1u);
   ASSERT_GT(reference_nt_bytes, 0u);
+  ASSERT_GT(reference.regions_flushed_async, 0u);
 
-  Vm vm(FaultVmOptions());
+  Vm vm(FaultVmOptions(kAsyncFlushThreads));
   ChainWorkload workload(&vm, 7);
-  workload.Grow(300);
+  workload.Grow(kAsyncFlushNodes);
   ASSERT_EQ(vm.now_ns(), reference.start_ns);
   FaultPlan plan;
-  plan.AddThrottle(reference.start_ns + reference.read_phase_ns / 2,
+  plan.AddThrottle(reference.start_ns + reference.read_phase_ns / 4,
                    reference.start_ns + 50'000'000, 0.25);
   FaultInjector injector(plan);
   vm.heap_device().AttachFaultInjector(&injector);

@@ -40,6 +40,14 @@ TEST(GcOptionsValidateTest, RejectsZeroGcThreads) {
   ExpectError(o, "gc_threads", "GcThreads");
 }
 
+TEST(GcOptionsValidateTest, RejectsMoreGcThreadsThanTheBusyMaskHolds) {
+  GcOptions o;
+  o.gc_threads = GcOptions::kMaxGcThreads;
+  EXPECT_TRUE(o.valid());
+  o.gc_threads = GcOptions::kMaxGcThreads + 1;
+  ExpectError(o, "gc_threads", "GcThreads");
+}
+
 TEST(GcOptionsValidateTest, RejectsWriteCacheKnobsWithoutWriteCache) {
   {
     GcOptions o;

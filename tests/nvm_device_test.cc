@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "src/nvm/bandwidth_ledger.h"
 #include "src/nvm/bandwidth_model.h"
@@ -85,6 +89,123 @@ TEST(BandwidthModelTest, NvmWriteSideSaturatesEarly) {
 TEST(BandwidthModelTest, DramReadScalesWithThreads) {
   BandwidthModel model(MakeDramProfile());
   EXPECT_GT(model.ReadCeilingMbps(16), 1.9 * model.ReadCeilingMbps(8));
+}
+
+// The bandwidth formula as it read before ThreadTerms split out its
+// thread-count terms, kept verbatim as the reference the split must match bit
+// for bit.
+double RefReadCeilingMbps(const DeviceProfile& p, uint32_t threads) {
+  const uint32_t t = std::max<uint32_t>(1, threads);
+  const double knee = static_cast<double>(p.read_saturation_threads);
+  const double ramp = std::min<double>(t, knee) / knee;
+  return p.peak_read_bw_mbps * ramp;
+}
+
+double RefWriteCeilingMbps(const DeviceProfile& p, uint32_t threads, double nt_share) {
+  const uint32_t t = std::max<uint32_t>(1, threads);
+  const double peak =
+      p.peak_write_bw_mbps * (1.0 - nt_share) + p.peak_write_nt_bw_mbps * nt_share;
+  const double knee = static_cast<double>(p.write_saturation_threads);
+  const double ramp = std::min<double>(t, knee) / knee;
+  double ceiling = peak * ramp;
+  if (t > knee) {
+    const double over = static_cast<double>(t) - knee;
+    ceiling *= std::max(0.25, 1.0 - p.write_contention_decline * over);
+  }
+  return ceiling;
+}
+
+double RefMixInterference(const DeviceProfile& p, double write_fraction,
+                          double nt_write_fraction) {
+  const double regular_w = std::max(0.0, write_fraction - nt_write_fraction);
+  const double effective_w = regular_w + nt_write_fraction * p.nt_interference_discount;
+  const double mix_term = 4.0 * effective_w * std::max(0.0, 1.0 - write_fraction);
+  return 1.0 / (1.0 + p.mix_interference * mix_term * mix_term);
+}
+
+double RefTotalBandwidthMbps(const DeviceProfile& p, const MixState& mix) {
+  const double w = std::clamp(mix.write_fraction, 0.0, 1.0);
+  const double nt_share_of_writes = w > 1e-9 ? std::clamp(mix.nt_write_fraction / w, 0.0, 1.0)
+                                             : 0.0;
+  const double read_bw = RefReadCeilingMbps(p, mix.active_threads);
+  const double write_bw = RefWriteCeilingMbps(p, mix.active_threads, nt_share_of_writes);
+  const double per_byte = (1.0 - w) / read_bw + w / write_bw;
+  const double base = 1.0 / per_byte;
+  return base * RefMixInterference(p, w, std::clamp(mix.nt_write_fraction, 0.0, w));
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(BandwidthModelTest, ThreadTermsMatchReferenceFormula) {
+  // Byte counts as the ledger window holds them: W writes (N of them
+  // non-temporal) out of `total`. The grid covers an empty window, pure
+  // writes (W == total), a write share below the 1e-9 cutoff, N == W, and
+  // totals whose fractions round.
+  const std::vector<uint64_t> totals = {0, 1, 3, 7, 10, 64, 1000, 4097, 999'999'937,
+                                        3'000'000'001};
+  std::vector<MixState> mixes;
+  for (const uint64_t total : totals) {
+    std::vector<uint64_t> writes = {0, 1, total / 3, total / 2, total - total / 10, total};
+    for (const uint64_t w : writes) {
+      if (w > total) {
+        continue;
+      }
+      for (const uint64_t n : {uint64_t{0}, uint64_t{1}, w / 3, w / 2, w - w / 7, w}) {
+        if (n > w) {
+          continue;
+        }
+        MixState mix;
+        if (total > 0) {
+          mix.write_fraction = static_cast<double>(w) / static_cast<double>(total);
+          mix.nt_write_fraction = static_cast<double>(n) / static_cast<double>(total);
+        }
+        mixes.push_back(mix);
+      }
+    }
+  }
+  // Out-of-range fractions, which the formula clamps (nt/w above 1 among
+  // them).
+  mixes.push_back(MixState{1.25, 0.5, 1});
+  mixes.push_back(MixState{-0.1, 0.0, 1});
+  mixes.push_back(MixState{0.4, 0.6, 1});
+  bool saw_tiny_w = false;
+  bool saw_full_nt = false;
+  for (const MixState& mix : mixes) {
+    saw_tiny_w |= mix.write_fraction > 0.0 && mix.write_fraction < 1e-9;
+    saw_full_nt |= mix.write_fraction > 0.0 && mix.nt_write_fraction == mix.write_fraction;
+  }
+  EXPECT_TRUE(saw_tiny_w);
+  EXPECT_TRUE(saw_full_nt);
+
+  for (const DeviceProfile& profile : {MakeOptaneProfile(), MakeDramProfile()}) {
+    const BandwidthModel model(profile);
+    for (uint32_t threads = 0; threads <= 64; ++threads) {
+      SCOPED_TRACE(::testing::Message() << profile.name << " threads=" << threads);
+      const ThreadTerms terms = model.TermsFor(threads);
+      const uint32_t t = std::max<uint32_t>(1, threads);
+      ASSERT_EQ(terms.threads, t);
+      ASSERT_TRUE(SameBits(model.ReadCeilingMbps(threads), RefReadCeilingMbps(profile, threads)));
+      for (const double nt_share : {0.0, 0.3, 1.0 / 3.0, 1.0}) {
+        ASSERT_TRUE(SameBits(model.WriteCeilingMbps(threads, nt_share),
+                             RefWriteCeilingMbps(profile, threads, nt_share)));
+      }
+      const bool power_of_two = (t & (t - 1)) == 0;
+      ASSERT_EQ(terms.inv_threads != 0.0, power_of_two);
+      for (MixState mix : mixes) {
+        mix.active_threads = threads;
+        const double ref = RefTotalBandwidthMbps(profile, mix);
+        ASSERT_TRUE(SameBits(model.TotalBandwidthMbps(mix), ref))
+            << "w=" << mix.write_fraction << " nt=" << mix.nt_write_fraction;
+        ASSERT_TRUE(SameBits(
+            model.TotalBandwidthMbps(mix.write_fraction, mix.nt_write_fraction, terms), ref));
+        if (power_of_two) {
+          // The per-thread share MemoryDevice charges: the reciprocal stands
+          // in for the division only where the two round alike.
+          ASSERT_TRUE(SameBits(ref * terms.inv_threads, ref / static_cast<double>(t)));
+        }
+      }
+    }
+  }
 }
 
 TEST(SimClockTest, AdvanceAndSync) {
@@ -262,6 +383,64 @@ TEST(MemoryDeviceTest, ChargedNsStreamUnchanged) {
   EXPECT_EQ(h.write_ops, 42'384u);
   EXPECT_EQ(h.discontiguous_writes, 17'147u);
   EXPECT_EQ(h.max_region_write_bytes, 300'080u);
+}
+
+// Real threads: one binder publishes tenant ranges while readers resolve
+// addresses in every range. A reader sees tenant 0 (range not yet visible) or
+// the range's own tenant, never a torn range; once the binder has announced a
+// range, readers must resolve it. Run under the tsan preset as well.
+TEST(MemoryDeviceThreadTest, BindTenantRangeWhileReadersResolve) {
+  constexpr uint64_t kBase = uint64_t{1} << 32;
+  constexpr uint64_t kRangeBytes = 1 << 20;
+  constexpr uint32_t kRanges = MemoryDevice::kMaxTenantRanges;
+  constexpr int kReaders = 3;
+  const auto tenant_of = [](uint32_t range) {
+    return static_cast<uint8_t>(1 + range % (MemoryDevice::kMaxTenants - 1));
+  };
+  for (int round = 0; round < 20; ++round) {
+    MemoryDevice dev(MakeOptaneProfile());
+    std::atomic<uint32_t> announced{0};  // Ranges whose BindTenantRange returned.
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> bad{0};
+    std::atomic<uint64_t> resolved{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        uint64_t probe = static_cast<uint64_t>(r);
+        bool last_pass = false;
+        while (!last_pass) {
+          last_pass = done.load(std::memory_order_acquire);
+          for (uint32_t range = 0; range < kRanges; ++range) {
+            const uint32_t known = announced.load(std::memory_order_acquire);
+            const uint64_t address =
+                kBase + range * kRangeBytes + (probe++ * 4160) % kRangeBytes;
+            const uint8_t tenant = dev.TenantFor(address);
+            const bool ok = range < known ? tenant == tenant_of(range)
+                                          : (tenant == 0 || tenant == tenant_of(range));
+            if (!ok) {
+              bad.fetch_add(1, std::memory_order_relaxed);
+            }
+            if (tenant != 0) {
+              resolved.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    for (uint32_t range = 0; range < kRanges; ++range) {
+      dev.BindTenantRange(tenant_of(range), kBase + range * kRangeBytes, kRangeBytes);
+      announced.store(range + 1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : readers) {
+      t.join();
+    }
+    ASSERT_EQ(bad.load(), 0u) << "round " << round;
+    // The readers' last pass ran after every range was announced.
+    EXPECT_GE(resolved.load(), uint64_t{kReaders} * kRanges);
+    EXPECT_TRUE(dev.multi_tenant());
+  }
 }
 
 TEST(BandwidthLedgerTest, MixReflectsRecentTraffic) {
@@ -505,6 +684,90 @@ TEST(PrefetchQueueTest, CapacityEvictsOldest) {
     q.Prefetch(0x100000 + i * 64);
   }
   EXPECT_FALSE(q.Consume(0x40));
+}
+
+// PrefetchQueue as it was before its slot index: a scan of the window for the
+// lowest slot holding the line. Kept verbatim as the reference.
+class ScanPrefetchQueue {
+ public:
+  static constexpr size_t kCapacity = 64;
+
+  ScanPrefetchQueue() { Reset(); }
+
+  void Reset() {
+    for (auto& slot : ring_) {
+      slot = 0;
+    }
+    next_ = 0;
+    issued_ = 0;
+    hits_ = 0;
+  }
+
+  void SetWindow(size_t window) {
+    window_ = window < 1 ? 1 : (window > kCapacity ? kCapacity : window);
+  }
+
+  void Prefetch(uint64_t address) {
+    ring_[next_] = address >> 6;
+    next_ = (next_ + 1) % window_;
+    ++issued_;
+  }
+
+  bool Consume(uint64_t address) {
+    const uint64_t line = address >> 6;
+    for (size_t i = 0; i < window_; ++i) {
+      if (ring_[i] == line) {
+        ring_[i] = 0;
+        ++hits_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  uint64_t issued() const { return issued_; }
+  uint64_t hits() const { return hits_; }
+
+ private:
+  uint64_t ring_[kCapacity];
+  size_t window_ = kCapacity;
+  size_t next_ = 0;
+  uint64_t issued_ = 0;
+  uint64_t hits_ = 0;
+};
+
+TEST(PrefetchQueueTest, MatchesReferenceScan) {
+  uint64_t hits = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Random rng(seed);
+    PrefetchQueue q;
+    ScanPrefetchQueue ref;
+    // Few distinct lines, so lines repeat across slots; line 0 (what an empty
+    // slot holds) among them.
+    const uint64_t lines = 2 + rng.NextBelow(1 + seed * 4);
+    for (int op = 0; op < 20'000; ++op) {
+      const uint64_t address = rng.NextBelow(lines) * 64 + rng.NextBelow(64);
+      const uint64_t kind = rng.NextBelow(100);
+      if (kind < 45) {
+        q.Prefetch(address);
+        ref.Prefetch(address);
+      } else if (kind < 97) {
+        ASSERT_EQ(q.Consume(address), ref.Consume(address)) << "seed=" << seed << " op=" << op;
+      } else if (kind < 99) {
+        // Shrinking and growing, past both clamps.
+        const size_t window = rng.NextBelow(PrefetchQueue::kCapacity + 8);
+        q.SetWindow(window);
+        ref.SetWindow(window);
+      } else if (rng.NextBool(0.2)) {
+        q.Reset();
+        ref.Reset();
+      }
+      ASSERT_EQ(q.hits(), ref.hits()) << "seed=" << seed << " op=" << op;
+      ASSERT_EQ(q.issued(), ref.issued()) << "seed=" << seed << " op=" << op;
+    }
+    hits += q.hits();
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 }  // namespace
