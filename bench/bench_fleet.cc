@@ -16,9 +16,9 @@
 //     of the uncoordinated baseline (QoS must not starve the batch tier).
 //
 // Under --json each tenant x mode pair is one labeled run (gated against
-// BENCH_baseline_fleet.json by CI); under --trace each tenant becomes its own
-// Chrome-trace process, so Perfetto shows the fleet's pause/bandwidth
-// interleaving per Vm. --flight-record points every tenant's recorder at one
+// this bench's runs in BENCH_baseline.json by CI); under --trace each tenant
+// becomes its own Chrome-trace process, so Perfetto shows the fleet's
+// pause/bandwidth interleaving per Vm. --flight-record points every tenant's recorder at one
 // shared directory: the per-tenant incident tags keep the dumps collision-free.
 
 #include <cstdio>

@@ -1,47 +1,28 @@
 #!/usr/bin/env python3
-"""Diff two nvmgc bench JSON files (--json output, schema nvmgc.bench.v1/v2).
+"""Diff two nvmgc bench JSON files (--json output, schema nvmgc.bench.v2).
 
 Runs are matched by label; for each shared label the headline result metrics
 are compared, with deltas reported as percentages of the baseline.
+--fail-any-change fails on any deviation of any result metric, regardless of
+direction; a direction-aware regression gate against the checked-in baseline
+is scripts/bench_gate.py.
 
---fail-above is direction-aware: for time-like metrics (total_ns, gc_ns,
-app_ns) only a candidate *slower* than baseline beyond PCT fails, for
-gc_bandwidth_mbps only a *drop* beyond PCT fails, and improvements are
-reported but never fail; the neutral metrics (gc_count, bytes_allocated) fail
-on any move beyond PCT in either direction. --fail-any-change is the escape
-hatch that fails on any deviation of any result metric, regardless of
-direction.
-
-Histogram percentile digests (schema v2 metrics.histograms) are diffed per
-matched label: keys present on both sides report the p99 move, keys present
-on only one side are annotated as added/removed rather than erroring — new
+Histogram percentile digests (metrics.histograms) are diffed per matched
+label: keys present on both sides report the p99 move, keys present on only
+one side are annotated as added/removed rather than erroring — new
 instrumentation (e.g. the gc.pause.minor.*/major.* split) routinely appears
 in the candidate before the baseline is regenerated. --histograms shows the
 shared-key moves; added/removed annotations always print.
 
 Usage:
   bench_diff.py baseline.json candidate.json [--metric gc_ns] [--top N]
-                [--fail-above PCT] [--fail-any-change] [--histograms]
+                [--fail-any-change] [--histograms]
 """
 
 import argparse
-import json
 import sys
 
-SCHEMAS = ("nvmgc.bench.v1", "nvmgc.bench.v2")
-RESULT_METRICS = ("total_ns", "gc_ns", "app_ns", "gc_count", "bytes_allocated",
-                  "gc_bandwidth_mbps")
-LOWER_IS_BETTER = {"total_ns", "gc_ns", "app_ns"}
-HIGHER_IS_BETTER = {"gc_bandwidth_mbps"}
-# Everything else (gc_count, bytes_allocated) is neutral: any move counts.
-
-
-def load(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") not in SCHEMAS:
-        sys.exit(f"{path}: expected schema in {SCHEMAS}, got {doc.get('schema')!r}")
-    return doc
+from bench_gate import RESULT_METRICS, load
 
 
 def pct(base, cand):
@@ -50,18 +31,9 @@ def pct(base, cand):
     return (cand - base) / base * 100.0
 
 
-def regression_pct(metric, delta_pct):
-    """The share of `delta_pct` that counts against the candidate (>= 0)."""
-    if metric in LOWER_IS_BETTER:
-        return max(0.0, delta_pct)
-    if metric in HIGHER_IS_BETTER:
-        return max(0.0, -delta_pct)
-    return abs(delta_pct)
-
-
 def histograms_of(run):
-    """The run's histogram digests, {} on schema v1 (no KeyError either way)."""
-    return run.get("metrics", {}).get("histograms", {}) or {}
+    """The run's histogram digests."""
+    return run["metrics"]["histograms"]
 
 
 def diff_histograms(label, base_run, cand_run, show_shared):
@@ -95,12 +67,9 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("candidate")
     ap.add_argument("--metric", default="gc_ns", choices=RESULT_METRICS,
-                    help="metric used for ranking and --fail-above (default: gc_ns)")
+                    help="metric used for ranking (default: gc_ns)")
     ap.add_argument("--top", type=int, default=20,
                     help="show only the N largest movers (default: 20; 0 = all)")
-    ap.add_argument("--fail-above", type=float, default=None, metavar="PCT",
-                    help="exit 1 if any run regresses --metric beyond PCT percent "
-                         "(direction-aware; improvements never fail)")
     ap.add_argument("--fail-any-change", action="store_true",
                     help="exit 1 on any deviation of any result metric")
     ap.add_argument("--histograms", action="store_true",
@@ -167,20 +136,6 @@ def main():
                   f"(first: {changed[0][0]} {changed[0][1]}) and --fail-any-change is set")
             return 1
         print("\nOK: all matched runs identical")
-        return 0
-
-    if args.fail_above is not None:
-        worst = max((regression_pct(args.metric, r[1][args.metric][2]) for r in rows),
-                    default=0.0)
-        best = min((r[1][args.metric][2] for r in rows), default=0.0)
-        if args.metric in LOWER_IS_BETTER and best < 0:
-            print(f"\nnote: best {args.metric} improvement {best:.1f}% (does not fail)")
-        if worst > args.fail_above:
-            print(f"\nFAIL: worst {args.metric} regression {worst:.1f}% "
-                  f"> threshold {args.fail_above:.1f}%")
-            return 1
-        print(f"\nOK: worst {args.metric} regression {worst:.1f}% "
-              f"<= threshold {args.fail_above:.1f}%")
     return 0
 
 

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Regression gate: compare a bench JSON run against a checked-in baseline.
+"""Regression gate: compare a bench JSON run against the checked-in baseline.
 
-Runs are matched by label. Every baseline label must be present in the
-candidate (a missing label means the bench silently lost coverage). For each
-matched run every headline result metric is compared against a per-metric,
-direction-aware tolerance:
+The baseline file holds every gated bench: a list of {bench, config, runs}
+records under one schema tag, each run reduced to its label and result. The
+candidate is gated against the baseline runs of its own bench, matched by
+label. The gate fails when the baseline has no runs for the candidate's bench
+or when any of those runs is absent from the candidate (either way the bench
+silently lost coverage). For each matched run every headline result metric
+is compared against a per-metric, direction-aware tolerance:
 
   total_ns / gc_ns / app_ns    fail only when the candidate is SLOWER than
                                baseline * (1 + tol); speedups always pass
@@ -15,51 +18,39 @@ direction-aware tolerance:
 
 Simulated results are deterministic per seed (the collector steps its GC
 workers in simulated-clock order on one host thread), so the time and count
-tolerances are tight. With --floor-ns NS, time metrics additionally need an
-absolute move beyond NS to fail, and gc_bandwidth_mbps is not gated at all
-when the baseline's gc_ns measurement window is below NS (default 0: every
-run is gated).
+tolerances are tight.
 
-Exit code 0 when every metric of every gated pair is within tolerance, 1
+Exit code 0 when every metric of every gated run is within tolerance, 1
 otherwise.
 
 Usage:
-  bench_gate.py BASELINE.json CANDIDATE.json        single pair (classic form)
-  bench_gate.py --baseline BASELINE.json=CANDIDATE.json ...
-                                              repeatable: gate several
-                                              baseline/candidate pairs in one
-                                              invocation; each pair is checked
-                                              independently (every baseline
-                                              label must be present in its own
-                                              candidate) and a failure in any
-                                              pair fails the run
-  common flags:
-                [--tolerance NAME=PCT]...   override one metric's tolerance
-                                            (applies to every pair)
-                [--inject-regression PCT]   self-test: inflate the candidates'
-                                            time metrics by PCT before gating
+  bench_gate.py BASELINE.json CANDIDATE.json [--inject-regression PCT]
+      --inject-regression PCT   self-test: inflate the candidate's time
+                                metrics by PCT before gating
 """
 
 import argparse
 import json
 import sys
 
-SCHEMAS = ("nvmgc.bench.v1", "nvmgc.bench.v2")
+SCHEMA = "nvmgc.bench.v2"
 
 LOWER_IS_BETTER = {"total_ns", "gc_ns", "app_ns"}
 HIGHER_IS_BETTER = {"gc_bandwidth_mbps"}
-NEUTRAL = {"gc_count", "bytes_allocated"}
+# Everything else (gc_count, bytes_allocated) is neutral: any move counts.
 
-# Default tolerances in percent. Two runs of one build agree exactly; the
-# tolerances leave room only for small intended model changes.
-DEFAULT_TOLERANCE = {
+# The headline result metrics and their tolerances in percent. Two runs of
+# one build agree exactly; the tolerances leave room only for small intended
+# model changes.
+TOLERANCE = {
     "total_ns": 2.0,
     "gc_ns": 2.0,
     "app_ns": 2.0,
-    "gc_bandwidth_mbps": 50.0,
     "gc_count": 0.0,
     "bytes_allocated": 1.0,
+    "gc_bandwidth_mbps": 50.0,
 }
+RESULT_METRICS = tuple(TOLERANCE)
 
 
 def load(path):
@@ -67,36 +58,19 @@ def load(path):
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"bench_gate: {path}: cannot load: {e}")
-    if doc.get("schema") not in SCHEMAS:
-        sys.exit(f"bench_gate: {path}: expected schema in {SCHEMAS}, "
-                 f"got {doc.get('schema')!r}")
+        sys.exit(f"{path}: cannot load: {e}")
+    if doc.get("schema") != SCHEMA:
+        sys.exit(f"{path}: expected schema {SCHEMA!r}, got {doc.get('schema')!r}")
     return doc
 
 
-def parse_tolerances(overrides):
-    tol = dict(DEFAULT_TOLERANCE)
-    for item in overrides:
-        name, _, value = item.partition("=")
-        if name not in tol:
-            sys.exit(f"bench_gate: unknown metric in --tolerance: {name!r} "
-                     f"(known: {sorted(tol)})")
-        try:
-            tol[name] = float(value)
-        except ValueError:
-            sys.exit(f"bench_gate: bad --tolerance value: {item!r}")
-    return tol
-
-
-def check_metric(metric, base, cand, tol_pct, floor_ns):
+def check_metric(metric, base, cand, tol_pct):
     """Returns (ok, regression_pct) for one metric comparison."""
     if base == 0:
         return cand == 0, 0.0 if cand == 0 else float("inf")
     delta_pct = (cand - base) / base * 100.0
     if metric in LOWER_IS_BETTER:
         regression = max(0.0, delta_pct)
-        if metric.endswith("_ns") and cand - base <= floor_ns:
-            return True, regression  # Within the absolute floor.
     elif metric in HIGHER_IS_BETTER:
         regression = max(0.0, -delta_pct)
     else:
@@ -104,12 +78,18 @@ def check_metric(metric, base, cand, tol_pct, floor_ns):
     return regression <= tol_pct, regression
 
 
-def gate_pair(baseline_path, candidate_path, tolerances, floor_ns, inject_pct):
-    """Gates one baseline/candidate pair. Returns True when it passes."""
+def gate(baseline_path, candidate_path, inject_pct):
+    """Gates one candidate against its bench's baseline runs. True on pass."""
     base_doc = load(baseline_path)
     cand_doc = load(candidate_path)
-    base = {r["label"]: r["result"] for r in base_doc["runs"]}
+    bench = cand_doc["bench"]
+    base = {r["label"]: r["result"]
+            for b in base_doc.get("benches", []) if b["bench"] == bench
+            for r in b["runs"]}
     cand = {r["label"]: r["result"] for r in cand_doc["runs"]}
+    if not base:
+        print(f"bench_gate: FAIL: {baseline_path} has no runs for bench {bench!r}")
+        return False
 
     if inject_pct is not None:
         factor = 1.0 + inject_pct / 100.0
@@ -130,18 +110,13 @@ def gate_pair(baseline_path, candidate_path, tolerances, floor_ns, inject_pct):
 
     failures = []
     worst = {}  # metric -> worst regression pct seen.
-    skipped_bandwidth = 0
     for label in sorted(base):
-        for metric, tol_pct in tolerances.items():
+        for metric, tol_pct in TOLERANCE.items():
             b, c = base[label].get(metric), cand[label].get(metric)
             if b is None or c is None:
                 failures.append((label, metric, "metric missing from result"))
                 continue
-            if (metric == "gc_bandwidth_mbps"
-                    and base[label].get("gc_ns", 0) < floor_ns):
-                skipped_bandwidth += 1
-                continue
-            ok, regression = check_metric(metric, b, c, tol_pct, floor_ns)
+            ok, regression = check_metric(metric, b, c, tol_pct)
             worst[metric] = max(worst.get(metric, 0.0), regression)
             if not ok:
                 failures.append(
@@ -149,13 +124,10 @@ def gate_pair(baseline_path, candidate_path, tolerances, floor_ns, inject_pct):
                      f"baseline {b:.6g} -> candidate {c:.6g} "
                      f"(regression {regression:.1f}% > tolerance {tol_pct:.1f}%)"))
 
-    print(f"bench_gate: {base_doc['bench']}: {len(base)} gated run(s)")
-    if skipped_bandwidth:
-        print(f"  gc_bandwidth_mbps ungated for {skipped_bandwidth} run(s) with "
-              f"baseline gc_ns < {floor_ns:.0f} ns")
+    print(f"bench_gate: {bench}: {len(base)} gated run(s)")
     for metric in sorted(worst):
         print(f"  {metric:<18} worst regression {worst[metric]:6.1f}% "
-              f"(tolerance {tolerances[metric]:.1f}%)")
+              f"(tolerance {TOLERANCE[metric]:.1f}%)")
     if failures:
         print(f"\nbench_gate: FAIL: {len(failures)} metric(s) out of tolerance")
         for label, metric, detail in failures[:20]:
@@ -170,52 +142,13 @@ def gate_pair(baseline_path, candidate_path, tolerances, floor_ns, inject_pct):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("baseline", nargs="?",
-                    help="baseline JSON (classic two-positional form)")
-    ap.add_argument("candidate", nargs="?",
-                    help="candidate JSON (classic two-positional form)")
-    ap.add_argument("--baseline", action="append", default=[], dest="pairs",
-                    metavar="BASELINE=CANDIDATE",
-                    help="repeatable baseline/candidate pair; each pair is "
-                         "gated independently in one invocation")
-    ap.add_argument("--tolerance", action="append", default=[], metavar="NAME=PCT",
-                    help="override one metric's tolerance, e.g. gc_ns=30")
-    ap.add_argument("--floor-ns", type=float, default=0.0, metavar="NS",
-                    help="absolute floor: a time metric must also move "
-                         "by more than NS to fail, and gc_bandwidth_mbps is "
-                         "ungated when the baseline gc_ns window is below NS "
-                         "(default: 0)")
+    ap.add_argument("baseline", help="checked-in baseline JSON (all gated benches)")
+    ap.add_argument("candidate", help="bench --json output to gate")
     ap.add_argument("--inject-regression", type=float, default=None, metavar="PCT",
                     help="self-test: inflate candidate time metrics by PCT "
                          "before gating (the gate must then fail)")
     args = ap.parse_args()
-
-    pairs = []
-    for item in args.pairs:
-        baseline, sep, candidate = item.partition("=")
-        if not sep or not baseline or not candidate:
-            sys.exit(f"bench_gate: bad --baseline value {item!r} "
-                     "(expected BASELINE=CANDIDATE)")
-        pairs.append((baseline, candidate))
-    if args.baseline is not None:
-        if args.candidate is None:
-            sys.exit("bench_gate: positional BASELINE needs a CANDIDATE")
-        pairs.append((args.baseline, args.candidate))
-    if not pairs:
-        sys.exit("bench_gate: nothing to gate: pass BASELINE CANDIDATE or "
-                 "--baseline BASELINE=CANDIDATE")
-
-    tolerances = parse_tolerances(args.tolerance)
-    failed = 0
-    for i, (baseline, candidate) in enumerate(pairs):
-        if i:
-            print()
-        if not gate_pair(baseline, candidate, tolerances, args.floor_ns,
-                         args.inject_regression):
-            failed += 1
-    if len(pairs) > 1:
-        print(f"\nbench_gate: {len(pairs) - failed}/{len(pairs)} pair(s) passed")
-    return 1 if failed else 0
+    return 0 if gate(args.baseline, args.candidate, args.inject_regression) else 1
 
 
 if __name__ == "__main__":

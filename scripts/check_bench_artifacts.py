@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Validate the artifacts a bench writes with --json / --trace.
 
-Checks that the result JSON follows schema nvmgc.bench.v1 or v2 (required
-keys, well-formed runs, per-pause snapshots keyed by the stable dotted metric
-names; v2 adds histogram percentile digests, optional per-run bandwidth
-timelines and extra scalars) and that the trace file is a loadable
+Checks that the result JSON follows schema nvmgc.bench.v2 (required keys,
+well-formed runs, per-pause snapshots keyed by the stable dotted metric
+names, histogram percentile digests, extra scalars and optional per-run
+bandwidth timelines) and that the trace file is a loadable
 Chrome-trace JSON with nested GC phase spans. Used by CI after the smoke
 bench; exits nonzero with a message on the first violation.
 
@@ -19,9 +19,8 @@ import json
 import os
 import sys
 
-SCHEMAS = ("nvmgc.bench.v1", "nvmgc.bench.v2")
-RESULT_KEYS = {"total_ns", "gc_ns", "app_ns", "gc_count", "bytes_allocated",
-               "gc_bandwidth_mbps"}
+from bench_gate import RESULT_METRICS, load
+
 # The GcPauseMetricNames() entries this script reads from pause values.
 # ctest nvmgc_script_metric_names checks each against the C++ table, so a
 # rename there fails a test instead of silently emptying a check here.
@@ -90,16 +89,7 @@ def check_timeline(path, i, timeline):
 
 
 def check_json(path, require_pauses, require_timeline):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: cannot load: {e}")
-    if doc.get("schema") not in SCHEMAS:
-        fail(f"{path}: schema is {doc.get('schema')!r}, expected one of {SCHEMAS}")
-    v2 = doc["schema"] == "nvmgc.bench.v2"
-    if require_timeline and not v2:
-        fail(f"{path}: --require-timeline needs schema v2, got {doc['schema']!r}")
+    doc = load(path)
     for key in ("bench", "config", "runs"):
         if key not in doc:
             fail(f"{path}: missing top-level key {key!r}")
@@ -114,22 +104,21 @@ def check_json(path, require_pauses, require_timeline):
         missing = RUN_KEYS - run.keys()
         if missing:
             fail(f"{path}: runs[{i}] missing keys {sorted(missing)}")
-        if RESULT_KEYS - run["result"].keys():
-            fail(f"{path}: runs[{i}].result missing keys "
-                 f"{sorted(RESULT_KEYS - run['result'].keys())}")
+        missing = set(RESULT_METRICS) - run["result"].keys()
+        if missing:
+            fail(f"{path}: runs[{i}].result missing keys {sorted(missing)}")
         for sub in ("counters", "gauges"):
             if sub not in run["metrics"]:
                 fail(f"{path}: runs[{i}].metrics missing {sub!r}")
-        if v2:
-            if "histograms" not in run["metrics"]:
-                fail(f"{path}: runs[{i}].metrics missing 'histograms' (schema v2)")
-            check_histograms(path, i, run["metrics"]["histograms"])
-            if "extra" not in run:
-                fail(f"{path}: runs[{i}] missing 'extra' (schema v2)")
-            if not isinstance(run["extra"], dict):
-                fail(f"{path}: runs[{i}].extra is not an object")
-            if "timeline" in run:
-                total_samples += check_timeline(path, i, run["timeline"])
+        if "histograms" not in run["metrics"]:
+            fail(f"{path}: runs[{i}].metrics missing 'histograms'")
+        check_histograms(path, i, run["metrics"]["histograms"])
+        if "extra" not in run:
+            fail(f"{path}: runs[{i}] missing 'extra'")
+        if not isinstance(run["extra"], dict):
+            fail(f"{path}: runs[{i}].extra is not an object")
+        if "timeline" in run:
+            total_samples += check_timeline(path, i, run["timeline"])
         for j, pause in enumerate(run["pauses"]):
             for key in ("id", "start_ns", "values"):
                 if key not in pause:
