@@ -73,6 +73,7 @@ struct ConfigResult {
   uint64_t total_gc_ns = 0;
   uint64_t total_ns = 0;
   size_t gc_count = 0;
+  uint64_t bytes_allocated = 0;
   size_t decisions = 0;
   uint64_t retreats = 0;
 };
@@ -94,7 +95,7 @@ ConfigResult RunPhases(BenchContext& ctx, const BenchConfig& config, uint64_t se
     p.total_allocation_bytes =
         static_cast<size_t>(static_cast<double>(p.total_allocation_bytes) * scale);
     const uint64_t gc_before = vm.gc_time_ns();
-    SyntheticApp(&vm, p).Run();
+    r.bytes_allocated += SyntheticApp(&vm, p).Run().bytes_allocated;
     r.phase_gc_ns[phase] = vm.gc_time_ns() - gc_before;
   }
   r.total_gc_ns = vm.gc_time_ns();
@@ -118,6 +119,8 @@ ConfigResult RunPhases(BenchContext& ctx, const BenchConfig& config, uint64_t se
     record.result.gc_ns = r.total_gc_ns;
     record.result.app_ns = r.total_ns - r.total_gc_ns;
     record.result.gc_count = r.gc_count;
+    record.result.bytes_allocated = r.bytes_allocated;
+    record.result.gc_bandwidth_mbps = GcBandwidthMbps(vm.gc_stats());
     record.pauses = vm.metrics().pauses();
     record.counters = vm.metrics().counters();
     record.gauges = vm.metrics().gauges();

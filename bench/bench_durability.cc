@@ -53,7 +53,7 @@ DurabilityRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
     p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
     Vm vm(options);
     SyntheticApp app(&vm, p);
-    app.Run();
+    const WorkloadResult run = app.Run();
     const GcCycleStats totals = vm.gc_stats().Totals();
     result.gc_seconds += static_cast<double>(vm.gc_time_ns()) / 1e9;
     result.persist_seconds += static_cast<double>(totals.persist_ns) / 1e9;
@@ -78,6 +78,8 @@ DurabilityRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
       record.result.gc_ns = vm.gc_time_ns();
       record.result.app_ns = vm.now_ns() - vm.gc_time_ns();
       record.result.gc_count = vm.gc_count();
+      record.result.bytes_allocated = run.bytes_allocated;
+      record.result.gc_bandwidth_mbps = run.gc_bandwidth_mbps;
       record.pauses = vm.metrics().pauses();
       record.counters = vm.metrics().counters();
       record.gauges = vm.metrics().gauges();

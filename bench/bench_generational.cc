@@ -85,9 +85,10 @@ GenRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
     WorkloadProfile p = ScaledProfile(profile);
     p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
     Vm vm(options);
+    uint64_t bytes_allocated = 0;
     {
       SyntheticApp app(&vm, p);
-      app.Run();
+      bytes_allocated = app.Run().bytes_allocated;
       if (generational) {
         // Guarantee at least one full-heap cycle per run: the major-pause
         // invariant needs data even when old-gen pressure stays low.
@@ -129,6 +130,9 @@ GenRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
       record.result.gc_ns = vm.gc_time_ns();
       record.result.app_ns = vm.now_ns() - vm.gc_time_ns();
       record.result.gc_count = vm.gc_count();
+      record.result.bytes_allocated = bytes_allocated;
+      // Over every pause, the forced major included, like gc_ns.
+      record.result.gc_bandwidth_mbps = GcBandwidthMbps(vm.gc_stats());
       record.pauses = vm.metrics().pauses();
       record.counters = vm.metrics().counters();
       record.gauges = vm.metrics().gauges();

@@ -24,9 +24,7 @@ WriteCache::WriteCache(Heap* heap, const GcOptions& options)
       unlimited_(options.unlimited_write_cache),
       async_(options.async_flush) {
   NVMGC_CHECK(heap != nullptr);
-  capacity_bytes_.store(options.write_cache_bytes != 0
-                            ? options.write_cache_bytes
-                            : heap->heap_arena_bytes() / 32,  // Paper default: heap/32.
+  capacity_bytes_.store(options.WriteCacheBytesFor(heap->heap_arena_bytes()),
                         std::memory_order_relaxed);
 }
 

@@ -33,23 +33,11 @@ std::vector<uint64_t> BandwidthArbiter::EndWindow(const std::vector<uint64_t>& b
   NVMGC_CHECK(bytes.size() == tenants_.size());
   ++windows_closed_;
 
-  uint64_t fleet_bytes = 0;
   for (size_t i = 0; i < bytes.size(); ++i) {
-    fleet_bytes += bytes[i];
     tenants_[i].stats.total_bytes += bytes[i];
   }
 
-  const uint64_t capacity_bytes = MbpsToBytes(options_.device_capacity_mbps, kWindowNs);
-  const bool contended =
-      capacity_bytes == 0 ||
-      static_cast<double>(fleet_bytes) >
-          kContentionFraction * static_cast<double>(capacity_bytes);
-
   std::vector<uint64_t> stalls(tenants_.size(), 0);
-  if (!contended) {
-    return stalls;
-  }
-
   for (size_t i = 0; i < tenants_.size(); ++i) {
     Tenant& t = tenants_[i];
     if (t.budget_mbps <= 0.0 || t.tier == QosTier::kServing) {

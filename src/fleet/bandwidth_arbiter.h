@@ -9,15 +9,15 @@
 //   * A tenant with no budget (budget_mbps <= 0) is never throttled.
 //   * Serving-tier tenants are never throttled: their budget is an
 //     entitlement the lower tiers are throttled *toward*, not a cap.
-//   * Nothing is throttled while the device is uncontended (fleet bytes in
-//     the window below kContentionFraction of what the device could move):
-//     idle bandwidth is free, the arbiter is work-conserving.
-//   * Otherwise a batch/background tenant that moved more than
+//   * A batch/background tenant that moved more than
 //     kGrace x budget pays back the overshoot at its budget rate:
 //     stall = over_bytes / budget_rate, doubled for background
 //     (kBackgroundPenalty) — and only when some strictly higher-priority
 //     tenant actually competed in the window (nonzero bytes), because
 //     throttling with no higher-priority demand would just idle the device.
+//
+// Budgets are strict contracts: every window counts as contended, however
+// little the fleet moved, so the arbiter is not work-conserving.
 //
 // Pure simulated-time bookkeeping: no Vm or device dependencies, fully
 // deterministic, unit-testable in isolation.
@@ -33,14 +33,6 @@
 
 namespace nvmgc {
 
-struct ArbiterOptions {
-  // The device total the contention test compares against. <= 0 (the
-  // default) means "always contended" — budgets are strict contracts. Set it
-  // (e.g. to an achievable device bandwidth) to make the arbiter
-  // work-conserving: under-capacity windows are never throttled.
-  double device_capacity_mbps = 0.0;
-};
-
 struct ArbiterTenantStats {
   uint64_t windows_throttled = 0;
   uint64_t total_stall_ns = 0;
@@ -54,16 +46,11 @@ class BandwidthArbiter {
   // Over-budget tolerance before a throttle: 1.10 = 10% slack, so tenants
   // riding exactly at budget are not flapped by bucket-boundary noise.
   static constexpr double kGrace = 1.10;
-  // A window counts as contended when fleet bytes exceed this fraction of
-  // device capacity x window.
-  static constexpr double kContentionFraction = 0.5;
   // Background overshoot is paid back at this multiple of the base stall.
   static constexpr double kBackgroundPenalty = 2.0;
   // Stall ceiling, in windows, so a pathological burst cannot freeze a
   // tenant for the rest of the run.
   static constexpr double kMaxStallWindows = 8.0;
-
-  explicit BandwidthArbiter(const ArbiterOptions& options) : options_(options) {}
 
   // Registers a tenant; ids are assigned densely in call order and must match
   // the indices of the byte vectors handed to EndWindow.
@@ -78,7 +65,6 @@ class BandwidthArbiter {
   const ArbiterTenantStats& stats(uint32_t tenant) const { return tenants_[tenant].stats; }
   QosTier tier(uint32_t tenant) const { return tenants_[tenant].tier; }
   double budget_mbps(uint32_t tenant) const { return tenants_[tenant].budget_mbps; }
-  const ArbiterOptions& options() const { return options_; }
 
   // Budget converted to bytes per window (what EndWindow compares against).
   uint64_t BudgetBytesPerWindow(uint32_t tenant) const;
@@ -90,7 +76,6 @@ class BandwidthArbiter {
     ArbiterTenantStats stats;
   };
 
-  ArbiterOptions options_;
   std::vector<Tenant> tenants_;
   uint64_t windows_closed_ = 0;
 };

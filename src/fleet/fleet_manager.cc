@@ -11,8 +11,7 @@ FleetOptions::FleetOptions() : device(MakeOptaneProfile()) {}
 
 FleetManager::FleetManager(const FleetOptions& options)
     : options_(options),
-      device_(std::make_unique<MemoryDevice>(options.device)),
-      arbiter_(options.arbiter) {}
+      device_(std::make_unique<MemoryDevice>(options.device)) {}
 
 FleetManager::~FleetManager() {
   // Tenant Vms hold raw pointers to this manager (GcCoordinator) and to the

@@ -52,7 +52,6 @@ struct FleetOptions {
   // Coordination switches (both off = the uncoordinated baseline).
   bool arbitration = true;
   bool pause_coordination = true;
-  ArbiterOptions arbiter;
 
   FleetOptions();  // Defaults device to MakeOptaneProfile().
 };

@@ -36,9 +36,8 @@ CopyCollector::CopyCollector(Heap* heap, const GcOptions& options)
     write_cache_ = std::make_unique<WriteCache>(heap_, options_);
   }
   if (options_.use_header_map) {
-    const size_t bytes = options_.header_map_bytes != 0 ? options_.header_map_bytes
-                                                        : heap_->heap_arena_bytes() / 32;
-    header_map_ = std::make_unique<HeaderMap>(bytes, kHeaderMapSearchBound, heap_->dram_device());
+    header_map_ = std::make_unique<HeaderMap>(options_.HeaderMapBytesFor(heap_->heap_arena_bytes()),
+                                              kHeaderMapSearchBound, heap_->dram_device());
     header_map_->set_key_origin(heap_->heap_base());
   }
   if (options_.durable) {
@@ -47,15 +46,6 @@ CopyCollector::CopyCollector(Heap* heap, const GcOptions& options)
                     "durability enabled but the heap's commit area is too small: the Vm "
                     "must size HeapConfig::commit_area_bytes from ComputeCommitLayout");
   }
-}
-
-bool CopyCollector::StageableThroughCache(size_t) const { return true; }
-
-uint32_t CopyCollector::TenureThreshold() const {
-  if (options_.generational.enabled) {
-    return options_.generational.tenure_threshold;
-  }
-  return heap_->config().tenure_age;
 }
 
 void CopyCollector::set_tracer(GcTracer* tracer) {
@@ -288,7 +278,6 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   cycle.is_major = kind == GcKind::kMajor ? 1 : 0;
   cycle.young_cset_bytes = young_cset_bytes;
   cycle.old_cset_bytes = old_cset_bytes;
-  cycle.tenure_threshold_used = TenureThreshold();
   if (header_map_ != nullptr) {
     // Header-map counters are monotonic; report per-cycle deltas.
     cycle.header_map_installs = header_map_->installs() - last_hm_installs_;
@@ -350,7 +339,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
       tracer_->EmitCounter("gen.tenured_bytes", "gen", pause_end,
                            static_cast<double>(cycle.bytes_promoted));
       tracer_->EmitCounter("gen.tenure_threshold", "gen", pause_end,
-                           static_cast<double>(cycle.tenure_threshold_used));
+                           static_cast<double>(heap_->config().tenure_age));
       tracer_->EmitCounter("gen.survivor_overflow_bytes", "gen", pause_end,
                            static_cast<double>(cycle.survivor_overflow_bytes));
     }
@@ -539,7 +528,7 @@ Address CopyCollector::Evacuate(Worker* w, Address old_addr) {
   // In a major collection old objects are evacuated old->old; they are
   // already tenured, so they never demote back into the young generation.
   const bool already_old = src_region->type() == RegionType::kOld;
-  const bool promote = already_old || age + 1 >= TenureThreshold();
+  const bool promote = already_old || age + 1 >= heap_->config().tenure_age;
   w->clock.Advance(kEvacCpuNs);
 
   CopyTarget target;

@@ -1,5 +1,6 @@
-// Parallel stop-the-world copying young collector (the engine shared by the
-// G1-style and Parallel-Scavenge-style collectors).
+// Parallel stop-the-world copying young collector: the G1-style and the
+// Parallel-Scavenge-style collector differ only in PS's LAB copy policy (see
+// StageableThroughCache) and in their name.
 //
 // The collection set is every young region (eden + survivors of the previous
 // cycle). Roots are the mutator handles plus each young region's remembered
@@ -47,8 +48,11 @@ namespace nvmgc {
 
 class CopyCollector {
  public:
+  // PS's local allocation buffer size; objects larger than kLabBytes/4 are
+  // copied directly (PS's "irregular" copies that bypass LABs).
+  static constexpr size_t kLabBytes = 64 * 1024;
+
   CopyCollector(Heap* heap, const GcOptions& options);
-  virtual ~CopyCollector() = default;
 
   CopyCollector(const CopyCollector&) = delete;
   CopyCollector& operator=(const CopyCollector&) = delete;
@@ -76,7 +80,7 @@ class CopyCollector {
   const GcTuning& tuning() const { return tuning_; }
   HeaderMap* header_map() { return header_map_.get(); }
   WriteCache* write_cache() { return write_cache_.get(); }
-  virtual const char* name() const { return "copy"; }
+  const char* name() const { return CollectorKindName(options_.collector); }
 
   // Attaches the tracer that receives pause / phase / flush / steal events
   // (forwarded to the write cache and header map). The tracer must outlive
@@ -102,12 +106,6 @@ class CopyCollector {
   // record sealed (the seal fence completed). Crash sweeps use this to
   // predict which epoch recovery must land on for a given power-cut instant.
   const std::vector<uint64_t>& commit_instants() const { return commit_instants_; }
-
- protected:
-  // Policy hook: may this object be staged through the write cache? PS copies
-  // objects larger than a LAB fraction outside its buffers, which the cache
-  // cannot absorb (Section 4.4).
-  virtual bool StageableThroughCache(size_t size) const;
 
  private:
   struct Worker {
@@ -141,10 +139,12 @@ class CopyCollector {
 
   bool HeaderMapActive() const;
   MemoryDevice* DeviceForAddress(Address a);
-  // Copy count at which a survivor tenures: GenerationalOptions::
-  // tenure_threshold when the generational heap is on, HeapConfig::tenure_age
-  // otherwise.
-  uint32_t TenureThreshold() const;
+  // May this object be staged through the write cache? PS copies objects
+  // larger than a LAB fraction outside its buffers, which the cache cannot
+  // absorb (Section 4.4).
+  bool StageableThroughCache(size_t size) const {
+    return options_.collector != CollectorKind::kParallelScavenge || size <= kLabBytes / 4;
+  }
 
   // Durability-mode pause epilogue (control thread, after cset reclaim):
   // flushes new live regions, writes the in-place-update redo log, seals the
@@ -197,29 +197,6 @@ class CopyCollector {
   uint64_t last_hm_hits_ = 0;
   uint64_t last_hm_fault_probes_ = 0;
   GcStats stats_;
-};
-
-// Garbage-First-style configuration: regional survivor targets, software
-// prefetching on by default.
-class G1Collector : public CopyCollector {
- public:
-  G1Collector(Heap* heap, const GcOptions& options) : CopyCollector(heap, options) {}
-  const char* name() const override { return "g1"; }
-};
-
-// Parallel-Scavenge-style configuration: objects beyond the LAB fraction are
-// copied directly and bypass the write cache.
-class PsCollector : public CopyCollector {
- public:
-  PsCollector(Heap* heap, const GcOptions& options)
-      : CopyCollector(heap, options), lab_bytes_(options.lab_bytes) {}
-  const char* name() const override { return "ps"; }
-
- protected:
-  bool StageableThroughCache(size_t size) const override { return size <= lab_bytes_ / 4; }
-
- private:
-  size_t lab_bytes_;
 };
 
 }  // namespace nvmgc

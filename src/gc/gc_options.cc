@@ -64,32 +64,6 @@ std::string GcOptions::Validate() const {
     return "prefetch_header_map requires prefetch: header-map probe prefetching "
            "extends object prefetching, it cannot run alone (enable Prefetch())";
   }
-  if (collector == CollectorKind::kParallelScavenge && lab_bytes == 0) {
-    return "lab_bytes is 0 with the ParallelScavenge collector: every object would "
-           "bypass the local allocation buffers (use LabBytes(n) with n > 0)";
-  }
-  if (!generational.enabled) {
-    if (generational.young_gen_bytes != 0 ||
-        generational.tenure_threshold != 3 ||
-        generational.large_object_threshold != 0) {
-      return "generational sub-options are set but generational.enabled is false: "
-             "they would silently be ignored (enable Generational() or drop the "
-             "GenerationalOptions overrides)";
-    }
-  } else {
-    if (generational.tenure_threshold < 1 || generational.tenure_threshold > 15) {
-      return "generational.tenure_threshold outside [1, 15]: the object age field "
-             "is 4 bits wide, and a threshold of 0 would tenure everything on its "
-             "first copy (fix it via Generational(GenerationalOptions))";
-    }
-    if (generational.large_object_threshold != 0 &&
-        generational.large_object_threshold < 1024) {
-      return "generational.large_object_threshold below 1 KiB: ordinary small "
-             "objects would flood the never-copied large-object space (use 0 for "
-             "the region-derived default or raise it via "
-             "Generational(GenerationalOptions))";
-    }
-  }
   if (adaptive_policy && use_write_cache && unlimited_write_cache) {
     return "adaptive_policy contradicts unlimited_write_cache: the controller "
            "tunes a bounded capacity cap (drop UnlimitedWriteCache() or "
@@ -106,7 +80,7 @@ GcTuning DefaultGcTuning(const GcOptions& options) {
       options.use_header_map && options.gc_threads >= options.header_map_min_threads;
   t.header_map_entries = 0;  // Keep the constructed table size.
   t.async_flush = options.async_flush;
-  t.prefetch_window = 64;  // PrefetchQueue::kCapacity (full distance).
+  // prefetch_window keeps its default: the full PrefetchQueue::kCapacity.
   return t;
 }
 
@@ -158,10 +132,6 @@ GcOptionsBuilder& GcOptionsBuilder::PrefetchHeaderMap(bool on) {
   o_.prefetch_header_map = on;
   return *this;
 }
-GcOptionsBuilder& GcOptionsBuilder::LabBytes(size_t bytes) {
-  o_.lab_bytes = bytes;
-  return *this;
-}
 GcOptionsBuilder& GcOptionsBuilder::AdaptivePolicy(bool on) {
   o_.adaptive_policy = on;
   return *this;
@@ -172,10 +142,6 @@ GcOptionsBuilder& GcOptionsBuilder::Durability(bool on) {
 }
 GcOptionsBuilder& GcOptionsBuilder::Generational(bool on) {
   o_.generational.enabled = on;
-  return *this;
-}
-GcOptionsBuilder& GcOptionsBuilder::Generational(const GenerationalOptions& generational) {
-  o_.generational = generational;
   return *this;
 }
 

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/nvm/prefetch_queue.h"
+
 namespace nvmgc {
 
 enum class CollectorKind : uint8_t {
@@ -25,25 +27,18 @@ const char* CollectorKindName(CollectorKind kind);
 // when enabled, allocation goes to a DRAM-resident young generation (eden +
 // survivor regions served from the DRAM arena), survivors age in place and
 // are tenured into NVM old regions — through the write cache when it is on —
-// once they reach tenure_threshold copies. Objects at or above
-// large_object_threshold bypass the young generation entirely and are placed
-// in the NVM large-object space, never copied. Minor collections evacuate
-// only the young generation (the old→young remembered set provides the extra
+// once they reach HeapConfig::tenure_age copies. The young generation is a
+// quarter of the heap (the paper's 16 GiB heap / 4 GiB young space), and
+// objects of at least region_bytes/8 bypass it entirely: they are placed in
+// the NVM large-object space, never copied. Minor collections evacuate only
+// the young generation (the old→young remembered set provides the extra
 // roots); major collections also evacuate old regions. The young generation
 // is deliberately volatile: like the DRAM header map, it holds no committed
 // state, so durability's commit protocol covers only the NVM generations.
+// Only the switch is settable; callers, the benchmark suite among them, read
+// it as gc.generational.enabled.
 struct GenerationalOptions {
   bool enabled = false;
-  // Young-generation budget in bytes (eden + survivor); 0 = heap/4, matching
-  // the paper's 16 GiB heap / 4 GiB young space. Rounded to whole regions and
-  // bounds-checked against the heap geometry by the Vm constructor.
-  size_t young_gen_bytes = 0;
-  // Copy count after which a survivor is tenured to NVM, in [1, 15] (the age
-  // field is 4 bits wide).
-  uint32_t tenure_threshold = 3;
-  // Objects of at least this many bytes go straight to the NVM large-object
-  // space; 0 = region_bytes/8, derived from the heap geometry by the Vm.
-  size_t large_object_threshold = 0;
 };
 
 struct GcOptions {
@@ -78,10 +73,6 @@ struct GcOptions {
   // Extend prefetching to header-map probe lines.
   bool prefetch_header_map = false;
 
-  // PS only: local allocation buffer size; objects larger than lab_bytes/4
-  // are copied directly (PS's "irregular" copies that bypass LABs).
-  size_t lab_bytes = 64 * 1024;
-
   // --- Durability ---
   // Opt-in crash consistency for the NVM heap (src/nvm/persist_ledger.h +
   // src/recovery/): the write cache's sequential write-back becomes a
@@ -104,6 +95,16 @@ struct GcOptions {
   // DRAM young generation with age-based tenuring into the NVM old
   // generation (see GenerationalOptions).
   GenerationalOptions generational;
+
+  // Write-cache and header-map capacities for a heap arena of
+  // `heap_arena_bytes`: the explicit write_cache_bytes / header_map_bytes,
+  // or the paper default of heap/32 when they are 0.
+  size_t WriteCacheBytesFor(size_t heap_arena_bytes) const {
+    return write_cache_bytes != 0 ? write_cache_bytes : heap_arena_bytes / 32;
+  }
+  size_t HeaderMapBytesFor(size_t heap_arena_bytes) const {
+    return header_map_bytes != 0 ? header_map_bytes : heap_arena_bytes / 32;
+  }
 
   // Returns an empty string when the configuration is coherent, otherwise an
   // actionable description of the first problem found (what is wrong and
@@ -130,7 +131,7 @@ struct GcTuning {
   bool async_flush = false;
   // Outstanding-prefetch budget (the prefetch distance), clamped to
   // [1, PrefetchQueue::kCapacity].
-  uint32_t prefetch_window = 64;
+  uint32_t prefetch_window = PrefetchQueue::kCapacity;
 };
 
 GcTuning DefaultGcTuning(const GcOptions& options);
@@ -155,11 +156,9 @@ class GcOptionsBuilder {
   GcOptionsBuilder& AsyncFlush(bool on = true);
   GcOptionsBuilder& Prefetch(bool on = true);
   GcOptionsBuilder& PrefetchHeaderMap(bool on = true);
-  GcOptionsBuilder& LabBytes(size_t bytes);
   GcOptionsBuilder& AdaptivePolicy(bool on = true);
   GcOptionsBuilder& Durability(bool on = true);
   GcOptionsBuilder& Generational(bool on = true);
-  GcOptionsBuilder& Generational(const GenerationalOptions& generational);
 
   // Validates and returns the options; dies with the Validate() message on an
   // invalid combination.

@@ -32,7 +32,6 @@ struct GcCycleStats {
   uint64_t young_cset_bytes = 0;         // Young-region bytes in the collection set.
   uint64_t old_cset_bytes = 0;           // Old-region bytes in the cset (major only).
   uint64_t survivor_overflow_bytes = 0;  // Promoted early: DRAM survivor space full.
-  uint64_t tenure_threshold_used = 0;    // Threshold in effect for this cycle.
 
   uint64_t objects_copied = 0;
   uint64_t bytes_copied = 0;
@@ -83,7 +82,6 @@ struct GcCycleStats {
 // How a field folds when cycles (or worker-local partial cycles) combine.
 enum class FieldMerge : uint8_t {
   kSum,   // Counters and durations add.
-  kLast,  // A per-cycle setting: the latest value wins.
   kNone,  // A timestamp: meaningless in a total, left untouched.
 };
 
@@ -105,7 +103,6 @@ inline constexpr GcCycleField kGcCycleFields[] = {
     {"gen.young_cset_bytes", &GcCycleStats::young_cset_bytes, FieldMerge::kSum},
     {"gen.old_cset_bytes", &GcCycleStats::old_cset_bytes, FieldMerge::kSum},
     {"gen.survivor_overflow_bytes", &GcCycleStats::survivor_overflow_bytes, FieldMerge::kSum},
-    {nullptr, &GcCycleStats::tenure_threshold_used, FieldMerge::kLast},
     {"gc.objects_copied", &GcCycleStats::objects_copied, FieldMerge::kSum},
     {"gc.bytes_copied", &GcCycleStats::bytes_copied, FieldMerge::kSum},
     {"gc.objects_promoted", &GcCycleStats::objects_promoted, FieldMerge::kSum},
@@ -157,8 +154,6 @@ inline void GcCycleStats::Accumulate(const GcCycleStats& other) {
   for (const GcCycleField& f : kGcCycleFields) {
     if (f.merge == FieldMerge::kSum) {
       this->*f.member += other.*f.member;
-    } else if (f.merge == FieldMerge::kLast) {
-      this->*f.member = other.*f.member;
     }
   }
 }

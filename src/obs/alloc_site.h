@@ -8,7 +8,7 @@
 // was live at age `a` before the pause and was not copied died at age `a` —
 // producing per-site lifetime histograms, tenuring rates, and NVM
 // write-amplification: exactly the demographics needed to judge
-// GenerationalOptions::tenure_threshold and to steer a pause-time SLO mode.
+// HeapConfig::tenure_age and to steer a pause-time SLO mode.
 //
 // Threading: births happen on the host (mutator) thread; GC workers fill
 // worker-local SiteWorkerDelta vectors which the control thread merges and

@@ -95,8 +95,7 @@ PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
   max_cache_bytes_ =
       std::max(std::min(cache_arena_bytes, heap_arena_bytes / 8), kMinWriteCacheBytes);
 
-  const size_t hm_bytes = options.header_map_bytes != 0 ? options.header_map_bytes
-                                                        : heap_arena_bytes / 32;
+  const size_t hm_bytes = options.HeaderMapBytesFor(heap_arena_bytes);
   const size_t initial_hm_entries = std::bit_floor(std::max<size_t>(hm_bytes / 16, 16));
   min_hm_entries_ = 16;
   max_hm_entries_ =
@@ -105,11 +104,8 @@ PolicyEngine::PolicyEngine(const GcOptions& options, size_t heap_arena_bytes,
   // The initial tuning is the static configuration, with the sentinel values
   // resolved so every later decision has a concrete old_value.
   tuning_ = DefaultGcTuning(options);
-  const size_t initial_cache = options.write_cache_bytes != 0
-                                   ? options.write_cache_bytes
-                                   : heap_arena_bytes / 32;
-  tuning_.write_cache_capacity_bytes =
-      std::clamp(initial_cache, kMinWriteCacheBytes, max_cache_bytes_);
+  tuning_.write_cache_capacity_bytes = std::clamp(
+      options.WriteCacheBytesFor(heap_arena_bytes), kMinWriteCacheBytes, max_cache_bytes_);
   tuning_.header_map_entries = initial_hm_entries;
 }
 

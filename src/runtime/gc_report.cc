@@ -100,7 +100,7 @@ void PrintGcSummary(Vm* vm, std::FILE* out) {
   if (totals.is_major > 0) {
     std::fprintf(out, "  major cycles:    %llu (tenure threshold %llu)\n",
                  static_cast<unsigned long long>(totals.is_major),
-                 static_cast<unsigned long long>(totals.tenure_threshold_used));
+                 static_cast<unsigned long long>(vm->heap().config().tenure_age));
   }
   std::fprintf(out, "  total pause:     %.2f ms\n", static_cast<double>(totals.pause_ns) / 1e6);
   if (!cycles.empty()) {

@@ -13,14 +13,10 @@ constexpr uint64_t kBarrierCpuNs = 3;  // Write-barrier filter.
 Address Mutator::Allocate(const AllocRequest& request) {
   const Klass& klass = vm_->heap_->klasses().Get(request.klass);
   const size_t size = obj::SizeOf(klass, request.array_length);
-  const GenerationalOptions& gen = vm_->options().gc.generational;
-  if (gen.enabled && size <= vm_->heap_->region_bytes()) {
-    const size_t threshold = gen.large_object_threshold != 0
-                                 ? gen.large_object_threshold
-                                 : vm_->heap_->region_bytes() / 8;
-    if (request.large_object || size >= threshold) {
-      return AllocateLargeObject(klass, request.array_length, size, request.site);
-    }
+  if (vm_->options().gc.generational.enabled && size <= vm_->heap_->region_bytes() &&
+      (request.large_object || size >= vm_->heap_->region_bytes() / 8)) {
+    // Large objects skip the young generation for the never-copied NVM space.
+    return AllocateLargeObject(klass, request.array_length, size, request.site);
   }
   if (size > vm_->heap_->region_bytes() / 2) {
     return AllocateHumongous(klass, request.array_length, size, request.site);

@@ -20,7 +20,8 @@ class Vm;
 // regular klasses. `large_object` hints that the allocation belongs in the
 // large-object space even below the size threshold — meaningful only on a
 // generational heap, ignored elsewhere. Size-based routing (humongous, and
-// the generational large-object threshold) applies regardless of the hint.
+// the generational large-object threshold of region_bytes/8) applies
+// regardless of the hint.
 // `site` is an allocation-site tag from Vm::RegisterAllocSite (0 = untagged);
 // it is carried in the object's spare mark bits and drives the per-site
 // lifetime/tenuring/write-amplification demographics (src/obs/alloc_site.h).

@@ -25,20 +25,21 @@ constexpr size_t kTraceRingCapacity = 4096;
 Vm::Vm(const VmOptions& options) : options_(options) {
   const std::string gc_error = options.gc.Validate();
   NVMGC_CHECK_MSG(gc_error.empty(), gc_error.c_str());
+  NVMGC_CHECK_MSG(options.heap.tenure_age >= 1 && options.heap.tenure_age <= 15,
+                  "HeapConfig::tenure_age outside [1, 15]: the object age field is 4 bits "
+                  "wide, and an age of 0 would tenure everything on its first copy");
   if (options_.gc.generational.enabled) {
     // Derive the young-generation geometry before the heap is mapped: the
-    // young generation (eden + survivor semispaces) lives in the DRAM cache
+    // young generation (eden + survivor semispaces) is a quarter of the heap,
+    // the paper's 16 GiB heap / 4 GiB young space. It lives in the DRAM cache
     // arena, so dram_cache_regions grows by the young budget and the
     // write-cache staging capacity the config asked for is untouched.
     HeapConfig& h = options_.heap;
-    const GenerationalOptions& gen = options_.gc.generational;
-    const size_t heap_bytes = static_cast<size_t>(h.region_bytes) * h.heap_regions;
-    const size_t young_bytes = gen.young_gen_bytes != 0 ? gen.young_gen_bytes : heap_bytes / 4;
-    const uint32_t young_regions = static_cast<uint32_t>(young_bytes / h.region_bytes);
+    const uint32_t young_regions = h.heap_regions / 4;
     NVMGC_CHECK_MSG(young_regions >= 2,
-                    "generational young generation too small: young_gen_bytes must cover at "
-                    "least two regions (one eden + one survivor) — raise "
-                    "GenerationalOptions::young_gen_bytes or shrink HeapConfig::region_bytes");
+                    "generational young generation too small: a quarter of the heap must "
+                    "cover at least two regions (one eden + one survivor) — raise "
+                    "HeapConfig::heap_regions to at least 8");
     const uint32_t survivor = std::max<uint32_t>(
         1, static_cast<uint32_t>(std::ceil(young_regions * kSurvivorFraction)));
     h.generational = true;
@@ -91,14 +92,7 @@ Vm::Vm(const VmOptions& options) : options_(options) {
   }
   tracer_ = std::make_unique<GcTracer>(options.gc.gc_threads, kTraceRingCapacity);
   tracer_->set_enabled(options.trace_gc);
-  switch (options.gc.collector) {
-    case CollectorKind::kG1:
-      collector_ = std::make_unique<G1Collector>(heap_.get(), options.gc);
-      break;
-    case CollectorKind::kParallelScavenge:
-      collector_ = std::make_unique<PsCollector>(heap_.get(), options.gc);
-      break;
-  }
+  collector_ = std::make_unique<CopyCollector>(heap_.get(), options.gc);
   collector_->set_tracer(tracer_.get());
   timeline_ = std::make_unique<DeviceTimeline>(heap_device_);
   collector_->set_timeline(timeline_.get());
@@ -167,10 +161,13 @@ std::vector<Address*> Vm::RootSlots() {
   return slots;
 }
 
+bool Vm::OldGenerationUnderPressure() const {
+  return heap_->free_region_count() < options_.heap.heap_regions / 4;
+}
+
 GcCycleStats Vm::CollectNow() {
   GcKind kind = GcKind::kMinor;
-  if (options_.gc.generational.enabled &&
-      heap_->free_region_count() < options_.heap.heap_regions / 4) {
+  if (options_.gc.generational.enabled && OldGenerationUnderPressure()) {
     // Old-generation pressure: escalate to a major cycle that also evacuates
     // (and thereby compacts) the old regions.
     kind = GcKind::kMajor;
@@ -209,7 +206,7 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
   metrics_.RecordPause(std::move(snap));
   if (options_.gc.generational.enabled) {
     // Per-cycle value, not a sum — a gauge, refreshed every pause.
-    metrics_.SetGauge("gen.tenure_threshold", cycle.tenure_threshold_used);
+    metrics_.SetGauge("gen.tenure_threshold", options_.heap.tenure_age);
     metrics_.SetGauge("gen.eden_quota_regions", heap_->config().eden_regions);
     metrics_.SetGauge("gen.survivor_regions", heap_->config().survivor_regions);
   }
@@ -279,7 +276,7 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
   // Concurrent-cycle analog: when the old generation has eaten most of the
   // heap, reclaim wholly-dead old regions. Like G1's concurrent marking it is
   // not charged to the application clock.
-  if (heap_->free_region_count() < options_.heap.heap_regions / 4) {
+  if (OldGenerationUnderPressure()) {
     ReclaimDeadOldRegions(heap_.get(), RootSlots());
     ++old_reclaim_count_;
   }

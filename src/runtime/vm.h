@@ -36,7 +36,7 @@ class Mutator;
 struct VmOptions {
   // Heap geometry. With gc.generational.enabled the Vm derives the young-
   // generation split before constructing the heap: eden_regions and the
-  // survivor quota come from GenerationalOptions, and dram_cache_regions
+  // survivor quota split a quarter of heap_regions, and dram_cache_regions
   // grows by the young budget so write-cache staging capacity is preserved.
   HeapConfig heap;
   GcOptions gc;
@@ -167,6 +167,9 @@ class Vm {
   // Refreshes lifetime gauges (device ledgers, cache occupancy, header-map
   // and fault-injector counters) in the metrics registry.
   void ExportLifetimeMetrics();
+  // Fewer than a quarter of the heap regions are free: escalates generational
+  // collections to majors and triggers the dead-old-region reclaim.
+  bool OldGenerationUnderPressure() const;
 
   VmOptions options_;
   // Owned when options_.shared_heap_device is null; heap_device_ always

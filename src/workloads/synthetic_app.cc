@@ -140,19 +140,21 @@ WorkloadResult SyntheticApp::Run() {
   result.app_ns = result.total_ns - result.gc_ns;
   result.gc_count = vm_->gc_count() - start_gcs;
   result.bytes_allocated = allocated_bytes_;
+  result.gc_bandwidth_mbps = GcBandwidthMbps(vm_->gc_stats());
+  return result;
+}
 
-  // Average heap-device bandwidth during GC: bytes moved per pause second.
+double GcBandwidthMbps(const GcStats& stats) {
   uint64_t gc_bytes = 0;
   uint64_t gc_ns = 0;
-  for (const auto& cycle : vm_->gc_stats().cycles()) {
+  for (const auto& cycle : stats.cycles()) {
     gc_bytes += cycle.device_read_bytes + cycle.device_write_bytes;
     gc_ns += cycle.pause_ns;
   }
-  if (gc_ns > 0) {
-    result.gc_bandwidth_mbps = static_cast<double>(gc_bytes) / 1e6 /
-                               (static_cast<double>(gc_ns) / 1e9);
+  if (gc_ns == 0) {
+    return 0.0;
   }
-  return result;
+  return static_cast<double>(gc_bytes) / 1e6 / (static_cast<double>(gc_ns) / 1e9);
 }
 
 WorkloadResult RunWorkload(const WorkloadProfile& profile, const VmOptions& options,

@@ -73,7 +73,7 @@ struct WorkloadResult {
   uint64_t app_ns = 0;  // total - gc
   size_t gc_count = 0;
   uint64_t bytes_allocated = 0;
-  // Average NVM bandwidth consumed during GC pauses (MB/s).
+  // Average NVM bandwidth consumed during GC pauses (MB/s; GcBandwidthMbps).
   double gc_bandwidth_mbps = 0.0;
 
   double gc_seconds() const { return static_cast<double>(gc_ns) / 1e9; }
@@ -123,6 +123,10 @@ class SyntheticApp {
 
   uint64_t allocated_bytes_ = 0;
 };
+
+// Average heap-device bandwidth over every pause in `stats`: bytes moved per
+// pause second, in MB/s (0 when no pause ran).
+double GcBandwidthMbps(const GcStats& stats);
 
 // Convenience: construct a VM for `device`/`gc`, run `profile`, return result.
 WorkloadResult RunWorkload(const WorkloadProfile& profile, const HeapConfig& heap,

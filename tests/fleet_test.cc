@@ -223,14 +223,8 @@ TEST(MemoryDeviceTenantTest, SingleBoundTenantCostsMatchUnboundDevice) {
 
 // --- BandwidthArbiter ---
 
-ArbiterOptions StrictArbiter() {
-  ArbiterOptions o;
-  o.device_capacity_mbps = 0.0;  // Always contended: budgets are contracts.
-  return o;
-}
-
 TEST(BandwidthArbiterTest, ServingIsNeverThrottled) {
-  BandwidthArbiter arb(StrictArbiter());
+  BandwidthArbiter arb;
   const uint32_t serving = arb.AddTenant(QosTier::kServing, 100.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
   const auto stalls = arb.EndWindow({10'000'000, 10'000'000});
@@ -241,7 +235,7 @@ TEST(BandwidthArbiterTest, ServingIsNeverThrottled) {
 }
 
 TEST(BandwidthArbiterTest, NoThrottleWithoutHigherTierDemand) {
-  BandwidthArbiter arb(StrictArbiter());
+  BandwidthArbiter arb;
   arb.AddTenant(QosTier::kServing, 100.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
   // Serving idle this window: throttling batch would only idle the device.
@@ -250,7 +244,7 @@ TEST(BandwidthArbiterTest, NoThrottleWithoutHigherTierDemand) {
 }
 
 TEST(BandwidthArbiterTest, StallEqualsOvershootAtBudgetRate) {
-  BandwidthArbiter arb(StrictArbiter());
+  BandwidthArbiter arb;
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
   const uint32_t background = arb.AddTenant(QosTier::kBackground, 100.0);
@@ -265,7 +259,7 @@ TEST(BandwidthArbiterTest, StallEqualsOvershootAtBudgetRate) {
 }
 
 TEST(BandwidthArbiterTest, StallIsClamped) {
-  BandwidthArbiter arb(StrictArbiter());
+  BandwidthArbiter arb;
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 1.0);
   const auto stalls = arb.EndWindow({1000, 1'000'000'000});
@@ -273,29 +267,15 @@ TEST(BandwidthArbiterTest, StallIsClamped) {
 }
 
 TEST(BandwidthArbiterTest, UnbudgetedTenantIsExempt) {
-  BandwidthArbiter arb(StrictArbiter());
+  BandwidthArbiter arb;
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 0.0);
   const auto stalls = arb.EndWindow({1000, 1'000'000'000});
   EXPECT_EQ(stalls[batch], 0u);
 }
 
-TEST(BandwidthArbiterTest, WorkConservingUnderCapacity) {
-  ArbiterOptions o = StrictArbiter();
-  o.device_capacity_mbps = 1000.0;  // 1'000'000 bytes/window capacity.
-  BandwidthArbiter arb(o);
-  arb.AddTenant(QosTier::kServing, 500.0);
-  const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
-  // Fleet total 201'000 bytes < 500'000 threshold (kContentionFraction 0.5):
-  // idle bandwidth is free
-  // even though batch is over budget.
-  EXPECT_EQ(arb.EndWindow({1000, 200'000})[batch], 0u);
-  // Past the contention threshold the same overshoot is throttled.
-  EXPECT_GT(arb.EndWindow({400'000, 200'000})[batch], 0u);
-}
-
 TEST(BandwidthArbiterTest, StatsAccumulate) {
-  BandwidthArbiter arb(StrictArbiter());
+  BandwidthArbiter arb;
   arb.AddTenant(QosTier::kServing, 500.0);
   const uint32_t batch = arb.AddTenant(QosTier::kBatch, 100.0);
   arb.EndWindow({1000, 210'000});

@@ -101,16 +101,6 @@ TEST(GcOptionsValidateTest, RejectsHeaderMapPrefetchWithoutPrefetch) {
   ExpectError(o, "prefetch_header_map requires prefetch", "Prefetch()");
 }
 
-TEST(GcOptionsValidateTest, RejectsZeroLabBytesForParallelScavenge) {
-  GcOptions o;
-  o.collector = CollectorKind::kParallelScavenge;
-  o.lab_bytes = 0;
-  ExpectError(o, "lab_bytes", "LabBytes");
-  // G1 never uses LABs, so the same setting is fine there.
-  o.collector = CollectorKind::kG1;
-  EXPECT_TRUE(o.valid());
-}
-
 TEST(GcOptionsValidateTest, AdaptivePresetAndBuilderAreValid) {
   for (const CollectorKind kind :
        {CollectorKind::kG1, CollectorKind::kParallelScavenge}) {
@@ -167,7 +157,6 @@ TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
                           .AsyncFlush()
                           .Prefetch()
                           .PrefetchHeaderMap()
-                          .LabBytes(32 * 1024)
                           .Build();
   EXPECT_EQ(o.collector, CollectorKind::kParallelScavenge);
   EXPECT_EQ(o.gc_threads, 12u);
@@ -180,7 +169,6 @@ TEST(GcOptionsBuilderTest, ChainsSetEveryField) {
   EXPECT_TRUE(o.async_flush);
   EXPECT_TRUE(o.prefetch);
   EXPECT_TRUE(o.prefetch_header_map);
-  EXPECT_EQ(o.lab_bytes, size_t{32} * 1024);
 }
 
 TEST(GcOptionsBuilderTest, PresetBaseCanBeTweaked) {
@@ -224,63 +212,32 @@ TEST(GcOptionsValidateTest, GenerationalPresetAndBuilderAreValid) {
   EXPECT_FALSE(off.generational.enabled);
 }
 
-TEST(GcOptionsValidateTest, GenerationalOptionsOverload) {
-  GenerationalOptions gen;
-  gen.enabled = true;
-  gen.young_gen_bytes = 8 * 1024 * 1024;
-  gen.tenure_threshold = 5;
-  gen.large_object_threshold = 16 * 1024;
-  const GcOptions o = GcOptionsBuilder().Generational(gen).Build();
-  EXPECT_EQ(o.generational.young_gen_bytes, 8u * 1024 * 1024);
-  EXPECT_EQ(o.generational.tenure_threshold, 5u);
-  EXPECT_EQ(o.generational.large_object_threshold, 16u * 1024);
-}
-
-TEST(GcOptionsValidateTest, RejectsGenerationalKnobsWhileDisabled) {
-  {
-    GcOptions o;
-    o.generational.young_gen_bytes = 1024 * 1024;
-    ExpectError(o, "generational sub-options are set but generational.enabled is false",
-                "Generational()");
-  }
-  {
-    GcOptions o;
-    o.generational.tenure_threshold = 7;
-    ExpectError(o, "generational sub-options", "Generational()");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsBadTenureThreshold) {
-  for (const uint32_t bad : {0u, 16u, 100u}) {
-    GcOptions o;
-    o.generational.enabled = true;
-    o.generational.tenure_threshold = bad;
-    ExpectError(o, "generational.tenure_threshold", "tenure_threshold");
-  }
-}
-
-TEST(GcOptionsValidateTest, RejectsTinyLargeObjectThreshold) {
-  GcOptions o;
-  o.generational.enabled = true;
-  o.generational.large_object_threshold = 512;
-  ExpectError(o, "generational.large_object_threshold", "large_object_threshold");
-}
-
 TEST(GcOptionsDeathTest, VmRejectsDegenerateYoungGeneration) {
-  // One region cannot hold both an eden and a survivor space; the geometry
-  // check lives in the Vm constructor because it needs HeapConfig.
+  // A quarter of a 4-region heap is one region, which cannot hold both an
+  // eden and a survivor space; the geometry check lives in the Vm constructor
+  // because it needs HeapConfig.
   VmOptions o;
   o.heap.region_bytes = 64 * 1024;
-  o.heap.heap_regions = 64;
+  o.heap.heap_regions = 4;
   o.heap.dram_cache_regions = 8;
   o.heap.eden_regions = 8;
-  GenerationalOptions gen;
-  gen.enabled = true;
-  gen.young_gen_bytes = 64 * 1024;  // Exactly one region.
-  o.gc = GcOptionsBuilder(GenerationalGcOptions(CollectorKind::kG1, 4))
-             .Generational(gen)
-             .Build();
+  o.gc = GenerationalGcOptions(CollectorKind::kG1, 4);
   EXPECT_DEATH(Vm vm(o), "young generation too small");
+}
+
+TEST(GcOptionsDeathTest, VmRejectsTenureAgeOutsideTheAgeField) {
+  // The object age field is 4 bits wide, and an age of 0 would tenure every
+  // object on its first copy; the range check needs HeapConfig, so it lives
+  // in the Vm constructor.
+  for (const uint32_t bad : {0u, 16u}) {
+    VmOptions o;
+    o.heap.region_bytes = 64 * 1024;
+    o.heap.heap_regions = 64;
+    o.heap.dram_cache_regions = 8;
+    o.heap.eden_regions = 8;
+    o.heap.tenure_age = bad;
+    EXPECT_DEATH(Vm vm(o), "tenure_age outside") << bad;
+  }
 }
 
 TEST(GcOptionsDeathTest, VmRejectsDurabilityOnDramHeap) {

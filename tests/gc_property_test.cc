@@ -193,10 +193,12 @@ TEST(GcMechanismTest, AsyncFlushWorks) {
 TEST(GcMechanismTest, PsLabPolicyBypassesCacheForLargeObjects) {
   WorkloadProfile profile = RenaissanceProfile("naive-bayes");  // Large arrays.
   profile.total_allocation_bytes = 12 * 1024 * 1024;
+  // Arrays above kLabBytes/4 (16 KiB), which PS copies directly, and at most
+  // region_bytes/2 (32 KiB), so they are copied at all rather than humongous.
+  profile.array_bytes_min = CopyCollector::kLabBytes / 4 + 1024;
+  profile.array_bytes_max = 24 * 1024;
   auto overflow_share = [&](CollectorKind kind) {
-    VmOptions o = SweepVm(kind, 4, true, false, false);
-    o.gc.lab_bytes = 16 * 1024;  // Objects > 4 KiB copied directly.
-    Vm vm(o);
+    Vm vm(SweepVm(kind, 4, true, false, false));
     SyntheticApp app(&vm, profile);
     app.Run();
     const GcCycleStats totals = vm.gc_stats().Totals();

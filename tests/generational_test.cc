@@ -17,23 +17,16 @@
 namespace nvmgc {
 namespace {
 
-// Small generational VM: 32 MiB heap, young generation derived by the Vm
-// from GcOptions::generational (default: heap/4 = 128 regions, 16 survivor).
-VmOptions GenVmOptions(uint32_t tenure_threshold = 3, size_t young_gen_bytes = 0,
-                       size_t large_object_threshold = 0) {
+// Small generational VM: by default a 32 MiB heap whose young generation the
+// Vm derives as heap/4 = 128 regions (16 of them survivor).
+VmOptions GenVmOptions(uint32_t tenure_age = 3, uint32_t heap_regions = 512) {
   VmOptions o;
   o.heap.region_bytes = 64 * 1024;
-  o.heap.heap_regions = 512;
+  o.heap.heap_regions = heap_regions;
   o.heap.dram_cache_regions = 128;
   o.heap.heap_device = DeviceKind::kNvm;
-  GenerationalOptions gen;
-  gen.enabled = true;
-  gen.tenure_threshold = tenure_threshold;
-  gen.young_gen_bytes = young_gen_bytes;
-  gen.large_object_threshold = large_object_threshold;
-  o.gc = GcOptionsBuilder(GenerationalGcOptions(CollectorKind::kG1, 4))
-             .Generational(gen)
-             .Build();
+  o.heap.tenure_age = tenure_age;
+  o.gc = GenerationalGcOptions(CollectorKind::kG1, 4);
   return o;
 }
 
@@ -85,7 +78,7 @@ TEST(GenerationalHeapTest, TenuringProgressionAgesThroughSurvivorToOld) {
 }
 
 TEST(GenerationalHeapTest, TenureThresholdOnePromotesOnFirstCopy) {
-  Vm vm(GenVmOptions(/*tenure_threshold=*/1));
+  Vm vm(GenVmOptions(/*tenure_age=*/1));
   Mutator* m = vm.CreateMutator();
   const KlassId node = vm.heap().klasses().RegisterRegular("Node", 2, 16);
   const RootHandle root = vm.NewRoot(m->Allocate({node}));
@@ -96,7 +89,7 @@ TEST(GenerationalHeapTest, TenureThresholdOnePromotesOnFirstCopy) {
 }
 
 TEST(GenerationalHeapTest, OldToYoungRemsetKeepsYoungAlive) {
-  Vm vm(GenVmOptions(/*tenure_threshold=*/1));
+  Vm vm(GenVmOptions(/*tenure_age=*/1));
   Mutator* m = vm.CreateMutator();
   const KlassId node = vm.heap().klasses().RegisterRegular("Node", 2, 16);
   const RootHandle root = vm.NewRoot(m->Allocate({node}));
@@ -115,7 +108,7 @@ TEST(GenerationalHeapTest, OldToYoungRemsetKeepsYoungAlive) {
 }
 
 TEST(GenerationalHeapTest, RemsetStaysCorrectUnderRepeatedMutation) {
-  Vm vm(GenVmOptions(/*tenure_threshold=*/1));
+  Vm vm(GenVmOptions(/*tenure_age=*/1));
   Mutator* m = vm.CreateMutator();
   const KlassId node = vm.heap().klasses().RegisterRegular("Node", 2, 16);
   const Klass& k = vm.heap().klasses().Get(node);
@@ -140,8 +133,8 @@ TEST(GenerationalHeapTest, RemsetStaysCorrectUnderRepeatedMutation) {
 }
 
 TEST(GenerationalHeapTest, LargeObjectRoutingAtThresholdBoundary) {
-  const size_t kThresholdBytes = 4096;
-  Vm vm(GenVmOptions(3, 0, kThresholdBytes));
+  Vm vm(GenVmOptions());
+  const size_t kThresholdBytes = vm.heap().region_bytes() / 8;  // 8 KiB.
   Mutator* m = vm.CreateMutator();
   const KlassId bytes = vm.heap().klasses().RegisterByteArray("byte[]");
   const Klass& k = vm.heap().klasses().Get(bytes);
@@ -195,10 +188,11 @@ TEST(GenerationalHeapTest, LargeRefArrayEdgesSurviveMinorAndMajor) {
 }
 
 TEST(GenerationalHeapTest, SurvivorOverflowPromotesEarlyInsteadOfFailing) {
-  // Tiny young generation: 4 regions -> 1 survivor region (64 KiB). A live
-  // set twice that size cannot fit the survivor space, so the overflow path
-  // must promote the excess straight to NVM old regions.
-  Vm vm(GenVmOptions(/*tenure_threshold=*/3, /*young_gen_bytes=*/4 * 64 * 1024));
+  // Tiny young generation: a 16-region heap gives 4 young regions -> 1
+  // survivor region (64 KiB). A live set twice that size cannot fit the
+  // survivor space, so the overflow path must promote the excess straight to
+  // NVM old regions.
+  Vm vm(GenVmOptions(/*tenure_age=*/3, /*heap_regions=*/16));
   Mutator* m = vm.CreateMutator();
   const KlassId bytes = vm.heap().klasses().RegisterByteArray("byte[]");
   std::vector<RootHandle> roots;
@@ -233,7 +227,7 @@ TEST(GenerationalHeapTest, MinorAndMajorCyclesReportTheirKind) {
 }
 
 TEST(GenerationalHeapTest, MajorCollectionCompactsOldGeneration) {
-  Vm vm(GenVmOptions(/*tenure_threshold=*/1));
+  Vm vm(GenVmOptions(/*tenure_age=*/1));
   Mutator* m = vm.CreateMutator();
   const KlassId bytes = vm.heap().klasses().RegisterByteArray("byte[]");
   std::vector<RootHandle> roots;

@@ -106,9 +106,7 @@ TEST(HostFootprintTest, FourGibHeapCollectsAndVerifies) {
   o.heap.region_bytes = 1024 * 1024;
   o.heap.heap_regions = 4096;
   o.heap.dram_cache_regions = 64;
-  GenerationalOptions gen;
-  gen.enabled = true;
-  o.gc = GcOptionsBuilder(GenerationalGcOptions(CollectorKind::kG1, 4)).Generational(gen).Build();
+  o.gc = GenerationalGcOptions(CollectorKind::kG1, 4);
   Vm vm(o);
   ASSERT_EQ(vm.heap().heap_arena_bytes(), size_t{4} << 30);
 

@@ -84,14 +84,12 @@ TEST(MetricsRegistryTest, SnapshotFromCycleUsesTheStableNames) {
   cycle.header_map_installs = 7;
   cycle.device_read_bytes = 8192;
   cycle.degraded_mode = 1;
-  cycle.tenure_threshold_used = 6;
   const PauseSnapshot snap = SnapshotFromCycle(3, cycle);
   EXPECT_EQ(snap.id, 3u);
   EXPECT_EQ(snap.start_ns, 42u);
   // The snapshot keys are exactly GcPauseMetricNames() — the documented
   // stable scheme consumers (bench JSON, CI checker) rely on: every field but
-  // start_ns (the snapshot's own timestamp) and tenure_threshold_used (a
-  // gauge), each name once.
+  // start_ns (the snapshot's own timestamp), each name once.
   const std::vector<std::string>& names = GcPauseMetricNames();
   EXPECT_EQ(names.size(), 35u);
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size());
@@ -160,16 +158,12 @@ TEST(GcStatsTest, TotalsFollowEachFieldsMergeRule) {
   stats.Add(b);
   const GcCycleStats t = stats.Totals();
   for (const GcCycleField& f : kGcCycleFields) {
-    const uint64_t sum = a.*f.member + b.*f.member;
-    const uint64_t last = b.*f.member;
-    const uint64_t want =
-        f.merge == FieldMerge::kSum ? sum : f.merge == FieldMerge::kLast ? last : 0;
+    const uint64_t want = f.merge == FieldMerge::kSum ? a.*f.member + b.*f.member : 0;
     EXPECT_EQ(t.*f.member, want) << (f.metric != nullptr ? f.metric : "(no metric)");
   }
   EXPECT_EQ(t.pause_ns, a.pause_ns + b.pause_ns);
   EXPECT_EQ(t.persist_commit_bytes, a.persist_commit_bytes + b.persist_commit_bytes);
-  EXPECT_EQ(t.tenure_threshold_used, b.tenure_threshold_used);  // Last value.
-  EXPECT_EQ(t.start_ns, 0u);                                     // Not a total.
+  EXPECT_EQ(t.start_ns, 0u);  // Not a total.
   EXPECT_EQ(stats.total_pause_ns(), t.pause_ns);
 }
 

@@ -162,6 +162,22 @@ TEST(GcReportTest, SummaryIncludesOptimizationEffectiveness) {
   EXPECT_NE(std::strstr(buf, "header map"), nullptr);
 }
 
+TEST(GcReportTest, SummaryPrintsMajorCyclesWithTenureThreshold) {
+  VmOptions o = SmallVm();
+  o.gc = GenerationalGcOptions(CollectorKind::kG1, 4);
+  Vm vm(o);
+  Mutator* m = vm.CreateMutator();
+  const KlassId node = vm.heap().klasses().RegisterRegular("N", 1, 16);
+  const RootHandle root = vm.NewRoot(m->Allocate({node}));
+  vm.CollectNow(GcKind::kMajor);
+  char buf[8192] = {0};
+  std::FILE* mem = fmemopen(buf, sizeof(buf), "w");
+  PrintGcSummary(&vm, mem);
+  std::fclose(mem);
+  EXPECT_NE(std::strstr(buf, "  major cycles:    1 (tenure threshold 3)\n"), nullptr) << buf;
+  static_cast<void>(root);
+}
+
 TEST(GlobalRootTest, ReleasesItsSlotOnDestruction) {
   Vm vm(SmallVm());
   Mutator* m = vm.CreateMutator();
