@@ -10,9 +10,10 @@ demographics, and a companion Chrome-trace file for Perfetto.
 
 Default mode prints a human-readable digest: the trigger banner, the retained
 pause timeline, and the top allocation sites by NVM traffic. With --validate
-it instead checks the incident (and its companion trace) against the schema
-and exits nonzero on the first violation — CI runs this over the incidents a
-deliberately-seeded anomaly run produced.
+it instead checks the incident (and its companion trace) against the schema,
+and each pause's derived kind/degraded/retreat keys against its counters and
+decisions, and exits nonzero on the first violation — CI runs this over the
+incidents a deliberately-seeded anomaly run produced.
 
 Usage: fr_analyze.py PATH [--validate] [--top N]
        PATH is one incident-*.json file or a directory searched recursively.
@@ -30,8 +31,9 @@ signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 # The GcPauseMetricNames() entries this script reads from pause counters.
 # ctest nvmgc_script_metric_names checks each against the C++ table, so a
 # rename there fails a test instead of silently emptying a check here.
-PAUSE_METRICS = ("gc.pause_ns", "gc.bytes_copied")
-PAUSE_NS, BYTES_COPIED = PAUSE_METRICS
+PAUSE_METRICS = ("gc.pause_ns", "gc.bytes_copied", "gc.major_pauses",
+                 "gc.degraded_pauses")
+PAUSE_NS, BYTES_COPIED, MAJOR_PAUSES, DEGRADED_PAUSES = PAUSE_METRICS
 TRIGGER_KINDS = {"pause_threshold", "p99_outlier", "degraded", "retreat",
                  "survivor_overflow", "explicit", "crash"}
 TRIGGER_KEYS = {"kind", "pause_id", "observed_ns", "threshold_ns", "detail"}
@@ -103,8 +105,18 @@ def validate_incident(path, doc):
             fail(f"{path}: pauses[{i}] missing keys {sorted(missing)}")
         if not isinstance(p["counters"], dict) or not p["counters"]:
             fail(f"{path}: pauses[{i}].counters missing or empty")
-        if PAUSE_NS not in p["counters"]:
-            fail(f"{path}: pauses[{i}].counters lacks {PAUSE_NS}")
+        for name in PAUSE_METRICS:
+            if name not in p["counters"]:
+                fail(f"{path}: pauses[{i}].counters lacks {name}")
+        # kind, degraded and retreat are derived from the pause's counters
+        # and decisions; each must agree with its single source.
+        derived = {"kind": "major" if p["counters"][MAJOR_PAUSES] == 1 else "minor",
+                   "degraded": p["counters"][DEGRADED_PAUSES] == 1,
+                   "retreat": any(d.get("retreat") for d in p["decisions"])}
+        for key, want in derived.items():
+            if p[key] != want:
+                fail(f"{path}: pauses[{i}].{key} is {p[key]!r}, but its counters "
+                     f"and decisions give {want!r}")
         for j, s in enumerate(p["sites"]):
             missing = PAUSE_SITE_KEYS - s.keys()
             if missing:

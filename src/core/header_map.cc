@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "src/nvm/fault_injector.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 
@@ -29,15 +28,15 @@ void HeaderMap::AllocateEntries(size_t entries) {
   mask_ = entries - 1;
 }
 
-void HeaderMap::ChargeProbe(SimClock* clock, PrefetchQueue* prefetch,
-                            Address probe_addr) const {
+void HeaderMap::ChargeProbe(SimClock* clock, PrefetchQueue* prefetch, Address probe_addr,
+                            GcCycleStats* stats) const {
   AccessDescriptor d = RandomRead(probe_addr, sizeof(Entry));
   if (prefetch != nullptr && prefetch->Consume(probe_addr)) {
     d.prefetched = true;
   }
   FaultInjector* injector = dram_->fault_injector();
-  if (injector != nullptr && injector->AnyFaultActive(clock->now_ns())) {
-    fault_probes_.fetch_add(1, std::memory_order_relaxed);
+  if (stats != nullptr && injector != nullptr && injector->AnyFaultActive(clock->now_ns())) {
+    ++stats->header_map_fault_probes;
   }
   dram_->Access(clock, d);
   clock->Advance(kProbeCpuNs);
@@ -52,19 +51,20 @@ void HeaderMap::PrefetchProbe(Address old_addr, PrefetchQueue* prefetch) const {
 }
 
 Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
-                       PrefetchQueue* prefetch, std::vector<uint32_t>* journal) {
+                       PrefetchQueue* prefetch, std::vector<uint32_t>* journal,
+                       GcCycleStats* stats) {
   NVMGC_DCHECK(old_addr != kNullAddress && new_addr != kNullAddress);
   size_t idx = IndexFor(old_addr);
   uint32_t cnt = 0;
   while (true) {
     ++cnt;
     if (cnt > search_bound_) {
-      overflows_.fetch_add(1, std::memory_order_relaxed);
+      if (stats != nullptr) ++stats->header_map_overflows;
       return kNullAddress;  // Caller installs into the NVM header.
     }
     idx = (idx + 1) & mask_;
     Entry& entry = entries_[idx];
-    ChargeProbe(clock, prefetch, reinterpret_cast<Address>(&entry));
+    ChargeProbe(clock, prefetch, reinterpret_cast<Address>(&entry), stats);
     Address probed_key = Key(entry).load(std::memory_order_acquire);
     if (probed_key != old_addr) {
       if (probed_key != kNullAddress) {
@@ -77,7 +77,7 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
         // Won the slot: publish the value.
         Value(entry).store(new_addr, std::memory_order_release);
         dram_->Access(clock, RandomWrite(reinterpret_cast<Address>(&entry), 16));
-        installs_.fetch_add(1, std::memory_order_relaxed);
+        if (stats != nullptr) ++stats->header_map_installs;
         if (journal != nullptr) {
           journal->push_back(static_cast<uint32_t>(idx));
         }
@@ -89,7 +89,7 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
         while (true) {
           const Address value = Value(entry).load(std::memory_order_acquire);
           if (value != kNullAddress) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
+            if (stats != nullptr) ++stats->header_map_hits;
             return value;
           }
         }
@@ -100,14 +100,15 @@ Address HeaderMap::Put(Address old_addr, Address new_addr, SimClock* clock,
     while (true) {
       const Address value = Value(entry).load(std::memory_order_acquire);
       if (value != kNullAddress) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        if (stats != nullptr) ++stats->header_map_hits;
         return value;
       }
     }
   }
 }
 
-Address HeaderMap::Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetch) const {
+Address HeaderMap::Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetch,
+                       GcCycleStats* stats) const {
   size_t idx = IndexFor(old_addr);
   uint32_t cnt = 0;
   while (true) {
@@ -117,7 +118,7 @@ Address HeaderMap::Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetc
     }
     idx = (idx + 1) & mask_;
     Entry& entry = entries_[idx];
-    ChargeProbe(clock, prefetch, reinterpret_cast<Address>(&entry));
+    ChargeProbe(clock, prefetch, reinterpret_cast<Address>(&entry), stats);
     const Address probed_key = Key(entry).load(std::memory_order_acquire);
     if (probed_key == kNullAddress) {
       return kNullAddress;  // Probe chain ends at the first free slot.
@@ -127,26 +128,11 @@ Address HeaderMap::Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetc
       while (true) {
         const Address value = Value(entry).load(std::memory_order_acquire);
         if (value != kNullAddress) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          if (stats != nullptr) ++stats->header_map_hits;
           return value;
         }
       }
     }
-  }
-}
-
-void HeaderMap::ClearStripe(uint32_t worker, uint32_t total_workers, SimClock* clock) {
-  const size_t entries = capacity();
-  const size_t per = (entries + total_workers - 1) / total_workers;
-  const size_t begin = std::min(entries, per * worker);
-  const size_t end = std::min(entries, begin + per);
-  for (size_t i = begin; i < end; ++i) {
-    Key(entries_[i]).store(kNullAddress, std::memory_order_relaxed);
-    Value(entries_[i]).store(kNullAddress, std::memory_order_relaxed);
-  }
-  if (end > begin) {
-    dram_->Access(clock, SequentialWrite(reinterpret_cast<Address>(&entries_[begin]),
-                                         static_cast<uint32_t>((end - begin) * sizeof(Entry))));
   }
 }
 
@@ -168,14 +154,6 @@ void HeaderMap::ResizeEntries(size_t entries) {
   }
   NVMGC_DCHECK(OccupiedEntries() == 0);  // Between pauses the map is empty.
   AllocateEntries(entries);
-}
-
-void HeaderMap::ExportMetrics(MetricsRegistry* metrics) const {
-  metrics->SetGauge("hm.capacity_entries", capacity());
-  metrics->SetGauge("hm.lifetime.installs", installs());
-  metrics->SetGauge("hm.lifetime.overflows", overflows());
-  metrics->SetGauge("hm.lifetime.hits", hits());
-  metrics->SetGauge("hm.lifetime.fault_probes", fault_probes());
 }
 
 size_t HeaderMap::OccupiedEntries() const {

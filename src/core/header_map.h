@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "src/gc/gc_stats.h"
 #include "src/heap/object.h"
 #include "src/nvm/memory_device.h"
 #include "src/nvm/prefetch_queue.h"
@@ -28,7 +29,6 @@
 namespace nvmgc {
 
 class GcTracer;
-class MetricsRegistry;
 
 class HeaderMap {
  public:
@@ -43,22 +43,22 @@ class HeaderMap {
   //                           the NVM header).
   // When `journal` is non-null, the index of a won entry is recorded so the
   // end-of-pause clear touches only occupied entries (see ClearJournal).
+  // When `stats` is non-null, the call counts into the caller's cycle: an
+  // install, an overflow or a hit, plus every probe charged under an active
+  // DRAM fault (header_map_fault_probes).
   Address Put(Address old_addr, Address new_addr, SimClock* clock, PrefetchQueue* prefetch,
-              std::vector<uint32_t>* journal = nullptr);
+              std::vector<uint32_t>* journal = nullptr, GcCycleStats* stats = nullptr);
 
   // Algorithm 1 GET. Returns the forwarding pointer or kNullAddress if absent
-  // from the map (caller must then consult the NVM header).
-  Address Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetch) const;
+  // from the map (caller must then consult the NVM header). Counts hits and
+  // faulted probes into `stats` when it is non-null.
+  Address Get(Address old_addr, SimClock* clock, PrefetchQueue* prefetch,
+              GcCycleStats* stats = nullptr) const;
 
   // Issues a software prefetch for the probe line of `old_addr` (used when a
   // reference is pushed, Section 4.3 "extend the original prefetching
   // instructions to consider the random read operations on the header map").
   void PrefetchProbe(Address old_addr, PrefetchQueue* prefetch) const;
-
-  // Clears the stripe belonging to `worker` of `total_workers`, charging
-  // sequential DRAM writes. All GC threads empty the map simultaneously.
-  // (Simple but touches the whole capacity; the collector uses ClearJournal.)
-  void ClearStripe(uint32_t worker, uint32_t total_workers, SimClock* clock);
 
   // Clears exactly the entries this worker installed during the pause (its
   // journal from Put) and empties the journal. Equivalent to the paper's
@@ -88,21 +88,9 @@ class HeaderMap {
   // pointer can be dropped. Used by the adaptive policy engine.
   void ResizeEntries(size_t entries);
 
-  // Stats (monotonic across a run; the collector snapshots deltas).
-  uint64_t installs() const { return installs_.load(std::memory_order_relaxed); }
-  uint64_t overflows() const { return overflows_.load(std::memory_order_relaxed); }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  // Probes charged while the DRAM device had an active fault window; under
-  // fault-lengthened probing these are the puts/gets whose contention drives
-  // the bounded window into the NVM-header fallback (overflows above).
-  uint64_t fault_probes() const { return fault_probes_.load(std::memory_order_relaxed); }
-
   // Observability: when a tracer is attached, each worker's end-of-pause
   // journal clear emits an "hm.clear" span. The tracer must outlive the map.
   void set_tracer(GcTracer* tracer) { tracer_ = tracer; }
-  // Publishes lifetime gauges ("hm.capacity_entries", "hm.lifetime.installs",
-  // "hm.lifetime.overflows", "hm.lifetime.hits", "hm.lifetime.fault_probes").
-  void ExportMetrics(MetricsRegistry* metrics) const;
 
  private:
   // Two plain words, so a freshly mapped zero page is a table of empty
@@ -128,7 +116,8 @@ class HeaderMap {
     return static_cast<size_t>((key >> 3) * 0x9e3779b97f4a7c15ULL >> 32) & mask_;
   }
 
-  void ChargeProbe(SimClock* clock, PrefetchQueue* prefetch, Address probe_addr) const;
+  void ChargeProbe(SimClock* clock, PrefetchQueue* prefetch, Address probe_addr,
+                   GcCycleStats* stats) const;
 
   // Maps `entries` empty slots starting on a cache line (the table's byte
   // size is a multiple of 64), so which entries share a probe line does not
@@ -141,11 +130,6 @@ class HeaderMap {
   size_t mask_;
   MappedArray<Entry> entries_;
   Address key_origin_ = 0;
-
-  mutable std::atomic<uint64_t> installs_{0};
-  mutable std::atomic<uint64_t> overflows_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> fault_probes_{0};
 };
 
 }  // namespace nvmgc

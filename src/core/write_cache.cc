@@ -215,7 +215,6 @@ void WriteCache::FlushPair(Region* twin, SimClock* clock, GcCycleStats* stats, b
 
 void WriteCache::ExportMetrics(MetricsRegistry* metrics) const {
   metrics->SetGauge("cache.capacity_bytes", unlimited_ ? 0 : capacity_bytes());
-  metrics->SetGauge("cache.staged_bytes_now", staged_bytes());
   metrics->SetGauge("cache.unlimited", unlimited_ ? 1 : 0);
 }
 

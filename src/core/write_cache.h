@@ -110,8 +110,7 @@ class WriteCache {
   // "cache.flush.sync" / "cache.flush.async" span on the flushing worker's
   // timeline. The tracer must outlive the cache.
   void set_tracer(GcTracer* tracer) { tracer_ = tracer; }
-  // Publishes configuration/occupancy gauges ("cache.capacity_bytes",
-  // "cache.staged_bytes_now", "cache.unlimited").
+  // Publishes configuration gauges ("cache.capacity_bytes", "cache.unlimited").
   void ExportMetrics(MetricsRegistry* metrics) const;
 
   // Degraded mode (set per pause by the collector under sustained device

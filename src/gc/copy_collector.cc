@@ -175,7 +175,8 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
     });
   }
 
-  const DeviceCounters before = heap_->heap_device()->counters();
+  const DeviceCounters heap_before = heap_->heap_device()->counters();
+  const DeviceCounters dram_before = heap_->dram_device()->counters();
 
   // --- Read-mostly sub-phase: parallel copy-and-traverse. ---
   for (uint32_t i = 0; i < n; ++i) {
@@ -278,20 +279,12 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   cycle.is_major = kind == GcKind::kMajor ? 1 : 0;
   cycle.young_cset_bytes = young_cset_bytes;
   cycle.old_cset_bytes = old_cset_bytes;
-  if (header_map_ != nullptr) {
-    // Header-map counters are monotonic; report per-cycle deltas.
-    cycle.header_map_installs = header_map_->installs() - last_hm_installs_;
-    cycle.header_map_overflows = header_map_->overflows() - last_hm_overflows_;
-    cycle.header_map_hits = header_map_->hits() - last_hm_hits_;
-    cycle.header_map_fault_probes = header_map_->fault_probes() - last_hm_fault_probes_;
-    last_hm_installs_ = header_map_->installs();
-    last_hm_overflows_ = header_map_->overflows();
-    last_hm_hits_ = header_map_->hits();
-    last_hm_fault_probes_ = header_map_->fault_probes();
-  }
-  const DeviceCounters after = heap_->heap_device()->counters();
-  cycle.device_read_bytes = (after - before).read_bytes;
-  cycle.device_write_bytes = (after - before).write_bytes;
+  const DeviceCounters heap_delta = heap_->heap_device()->counters() - heap_before;
+  const DeviceCounters dram_delta = heap_->dram_device()->counters() - dram_before;
+  cycle.device_read_bytes = heap_delta.read_bytes;
+  cycle.device_write_bytes = heap_delta.write_bytes;
+  cycle.dram_read_bytes = dram_delta.read_bytes;
+  cycle.dram_write_bytes = dram_delta.write_bytes;
 
   // Drain the ledger buckets into the bandwidth timeline while they are still
   // resident (the ring spans ~9.6 ms of simulated time). Phase windows are
@@ -503,7 +496,7 @@ Address CopyCollector::Evacuate(Worker* w, Address old_addr) {
   PrefetchQueue* hm_prefetch = options_.prefetch_header_map ? &w->hm_prefetch : nullptr;
 
   if (hm) {
-    const Address fwd = header_map_->Get(old_addr, &w->clock, hm_prefetch);
+    const Address fwd = header_map_->Get(old_addr, &w->clock, hm_prefetch, &w->local);
     if (fwd != kNullAddress) {
       return fwd;
     }
@@ -537,7 +530,8 @@ Address CopyCollector::Evacuate(Worker* w, Address old_addr) {
   // Install the forwarding pointer; exactly one thread wins.
   Address winner;
   if (hm) {
-    winner = header_map_->Put(old_addr, target.final, &w->clock, hm_prefetch, &w->hm_journal);
+    winner = header_map_->Put(old_addr, target.final, &w->clock, hm_prefetch, &w->hm_journal,
+                              &w->local);
     if (winner == kNullAddress) {
       // Bounded probe window exhausted: fall back to the NVM header.
       src_dev->Access(&w->clock, RandomWrite(old_addr, 8));

@@ -192,10 +192,6 @@ class CopyCollector {
   GcKind kind_ = GcKind::kMinor;  // Kind of the pause currently running.
   CommitLayout commit_layout_;  // Durability mode only.
   std::vector<uint64_t> commit_instants_;
-  uint64_t last_hm_installs_ = 0;
-  uint64_t last_hm_overflows_ = 0;
-  uint64_t last_hm_hits_ = 0;
-  uint64_t last_hm_fault_probes_ = 0;
   GcStats stats_;
 };
 

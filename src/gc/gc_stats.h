@@ -59,9 +59,12 @@ struct GcCycleStats {
   uint64_t degraded_mode = 0;           // 1 when async/NT stores were disabled.
   uint64_t header_map_fault_probes = 0;  // HM probes charged under an active fault.
 
-  // Device traffic deltas over the pause (heap device).
+  // Device traffic deltas over the pause: the heap device, and the DRAM
+  // device (staging copies, header-map probes and clears).
   uint64_t device_read_bytes = 0;
   uint64_t device_write_bytes = 0;
+  uint64_t dram_read_bytes = 0;
+  uint64_t dram_write_bytes = 0;
 
   // Prefetching.
   uint64_t prefetches_issued = 0;
@@ -73,6 +76,8 @@ struct GcCycleStats {
   uint64_t persist_ns = 0;            // Simulated time in flushes + fences.
   uint64_t persist_redo_entries = 0;  // In-place-update redo log entries.
   uint64_t persist_commit_bytes = 0;  // Commit record payload bytes written.
+
+  GcKind kind() const { return is_major != 0 ? GcKind::kMajor : GcKind::kMinor; }
 
   // Folds `other` into this cycle, field by field, under each field's
   // kGcCycleFields merge rule.
@@ -92,8 +97,9 @@ struct GcCycleField {
 };
 
 // The single list of GcCycleStats fields. Totals, worker merges, per-pause
-// metric snapshots and their name list (src/obs/metrics.cc) all iterate it,
-// so a field cannot be dropped from one of them by a forgotten edit.
+// metric snapshots and their name list (src/obs/metrics.cc), and through
+// them the lifetime counters and incident counters, all iterate it, so a
+// field cannot be dropped from one of them by a forgotten edit.
 inline constexpr GcCycleField kGcCycleFields[] = {
     {nullptr, &GcCycleStats::start_ns, FieldMerge::kNone},
     {"gc.pause_ns", &GcCycleStats::pause_ns, FieldMerge::kSum},
@@ -124,6 +130,8 @@ inline constexpr GcCycleField kGcCycleFields[] = {
     {"hm.fault_probes", &GcCycleStats::header_map_fault_probes, FieldMerge::kSum},
     {"device.heap.read_bytes", &GcCycleStats::device_read_bytes, FieldMerge::kSum},
     {"device.heap.write_bytes", &GcCycleStats::device_write_bytes, FieldMerge::kSum},
+    {"device.dram.read_bytes", &GcCycleStats::dram_read_bytes, FieldMerge::kSum},
+    {"device.dram.write_bytes", &GcCycleStats::dram_write_bytes, FieldMerge::kSum},
     {"prefetch.issued", &GcCycleStats::prefetches_issued, FieldMerge::kSum},
     {"prefetch.hits", &GcCycleStats::prefetch_hits, FieldMerge::kSum},
     {"persist.flush_lines", &GcCycleStats::persist_flush_lines, FieldMerge::kSum},

@@ -68,6 +68,11 @@ void AppendSiteFields(std::string* out, const SitePauseDelta& s) {
   AppendU64(out, "staged_bytes", s.staged_bytes, /*comma=*/false);
 }
 
+bool AnyRetreat(const FlightPauseRecord& p) {
+  return std::any_of(p.decisions.begin(), p.decisions.end(),
+                     [](const PolicyDecision& d) { return d.retreat; });
+}
+
 // Chrome-trace timestamp: simulated ns in microseconds.
 void AppendTs(std::string* out, uint64_t ns) {
   char buf[48];
@@ -135,25 +140,23 @@ FrTriggerInfo FlightRecorder::Evaluate(const FlightPauseRecord& record) const {
       return info;
     }
   }
-  if (record.degraded) {
+  if (record.stats.degraded_mode != 0) {
     info.kind = FrTrigger::kDegraded;
     info.detail = "pause ran in degraded mode";
     return info;
   }
-  if (record.retreat) {
-    info.kind = FrTrigger::kRetreat;
-    for (const PolicyDecision& d : record.decisions) {
-      if (d.retreat) {
-        info.detail = "policy retreat: " + d.reason;
-        break;
-      }
+  for (const PolicyDecision& d : record.decisions) {
+    if (d.retreat) {
+      info.kind = FrTrigger::kRetreat;
+      info.detail = "policy retreat: " + d.reason;
+      return info;
     }
-    return info;
   }
   if (record.stats.survivor_overflow_bytes > 0) {
     info.kind = FrTrigger::kSurvivorOverflow;
-    info.observed_ns = record.stats.survivor_overflow_bytes;
-    info.detail = "survivor space overflowed; survivors promoted early";
+    info.detail = "survivor space overflowed by " +
+                  std::to_string(record.stats.survivor_overflow_bytes) +
+                  " bytes; survivors promoted early";
     return info;
   }
   return info;
@@ -257,19 +260,17 @@ std::string FlightRecorder::SerializeIncident(const FrTriggerInfo& trigger,
     first_pause = false;
     out += '{';
     AppendU64(&out, "pause_id", p.pause_id);
-    AppendStr(&out, "kind", GcKindName(p.kind));
-    AppendBool(&out, "degraded", p.degraded);
-    AppendBool(&out, "retreat", p.retreat);
+    AppendStr(&out, "kind", GcKindName(p.stats.kind()));
+    AppendBool(&out, "degraded", p.stats.degraded_mode != 0);
+    AppendBool(&out, "retreat", AnyRetreat(p));
     AppendU64(&out, "start_ns", p.stats.start_ns);
     AppendU64(&out, "pause_ns", p.stats.pause_ns);
     AppendU64(&out, "read_phase_ns", p.stats.read_phase_ns);
     AppendU64(&out, "writeback_phase_ns", p.stats.writeback_phase_ns);
     out += "\"counters\":{";
-    // The stable dotted names (gc_stats.h kGcCycleFields) + the pause's DRAM
-    // traffic, exactly what the per-pause MetricsRegistry snapshot carries.
-    PauseSnapshot snap = SnapshotFromCycle(p.pause_id, p.stats);
-    snap.values["device.dram.read_bytes"] = p.dram_read_bytes;
-    snap.values["device.dram.write_bytes"] = p.dram_write_bytes;
+    // The stable dotted names (gc_stats.h kGcCycleFields), exactly what the
+    // per-pause MetricsRegistry snapshot carries.
+    const PauseSnapshot snap = SnapshotFromCycle(p.pause_id, p.stats);
     bool first_counter = true;
     for (const auto& [name, value] : snap.values) {
       if (!first_counter) out += ',';
@@ -390,10 +391,10 @@ std::string FlightRecorder::SerializeTrace() const {
       out += buf;
       out += "\"args\":{";
       AppendU64(&out, "pause_id", p.pause_id);
-      AppendStr(&out, "kind", GcKindName(p.kind), /*comma=*/false);
+      AppendStr(&out, "kind", GcKindName(p.stats.kind()), /*comma=*/false);
       out += "}}";
     }
-    if (p.degraded) {
+    if (p.stats.degraded_mode != 0) {
       if (!first) out += ',';
       first = false;
       out += "{\"ph\":\"i\",\"name\":\"gc.degraded\",\"cat\":\"gc\",\"s\":\"g\","

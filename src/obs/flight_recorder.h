@@ -1,10 +1,10 @@
 // GC flight recorder: always-on, bounded-memory retention of the last N
 // pauses of rich context — per-phase durations, the full per-pause counter
-// set (persist.* / device.* included), policy decisions, degraded/fault
-// state, per-pause NVM bandwidth samples, and per-allocation-site
-// demographics — dumped as a self-contained incident file the moment an
-// anomaly trigger fires, so tail pauses can be attributed after the fact
-// instead of reconstructed.
+// set (the GcCycleStats fields under GcPauseMetricNames(), persist.* and
+// device.* included), policy decisions, degraded/fault state, per-pause NVM
+// bandwidth samples, and per-allocation-site demographics — dumped as a
+// self-contained incident file the moment an anomaly trigger fires, so tail
+// pauses can be attributed after the fact instead of reconstructed.
 //
 // Triggers (first match wins, evaluated per pause):
 //   pause_threshold    pause_ns > FlightRecorderOptions::pause_threshold_ns
@@ -13,6 +13,7 @@
 //   retreat            the policy engine took a retreat decision this pause
 //                      (includes the durability fence-stall retreat)
 //   survivor_overflow  survivors promoted early because survivor space filled
+//                      (the overflow bytes go in the trigger's detail)
 //   explicit           Vm::DumpFlightRecord()
 //   crash              CrashInjector captured a power-cut image
 //
@@ -83,15 +84,12 @@ struct FrTriggerInfo {
   std::string detail;
 };
 
-// Everything the recorder retains about one pause.
+// Everything the recorder retains about one pause. The incident's per-pause
+// "kind", "degraded" and "retreat" keys are derived at dump time from
+// stats.is_major, stats.degraded_mode and the decisions' retreat flags.
 struct FlightPauseRecord {
   uint64_t pause_id = 0;
-  GcKind kind = GcKind::kMinor;
-  bool degraded = false;
-  bool retreat = false;  // Any policy retreat decision at this pause.
-  GcCycleStats stats;    // Serialized through the stable dotted names at dump.
-  uint64_t dram_read_bytes = 0;
-  uint64_t dram_write_bytes = 0;
+  GcCycleStats stats;  // Serialized through the stable dotted names at dump.
   std::vector<PolicyDecision> decisions;   // Decisions made at this pause end.
   std::vector<TimelineSample> timeline;    // This pause's bandwidth samples.
   std::vector<SitePauseDelta> sites;       // Per-site demographics of the pause.

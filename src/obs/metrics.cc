@@ -122,19 +122,13 @@ PauseSnapshot SnapshotFromCycle(uint64_t id, const GcCycleStats& cycle) {
   return snap;
 }
 
-void RecordGcCycleHistograms(MetricsRegistry* registry, const GcCycleStats& cycle) {
-  registry->RecordHistogram("gc.pause_ns", cycle.pause_ns);
-  registry->RecordHistogram("gc.read_phase_ns", cycle.read_phase_ns);
-  registry->RecordHistogram("gc.writeback_phase_ns", cycle.writeback_phase_ns);
-  const std::string kind_prefix =
-      std::string("gc.pause.") + (cycle.is_major != 0 ? "major" : "minor") + ".";
-  registry->RecordHistogram(kind_prefix + "pause_ns", cycle.pause_ns);
-  registry->RecordHistogram(kind_prefix + "read_phase_ns", cycle.read_phase_ns);
-  registry->RecordHistogram(kind_prefix + "writeback_phase_ns", cycle.writeback_phase_ns);
-}
-
 void RecordGcCycle(MetricsRegistry* registry, const GcCycleStats& cycle) {
-  RecordGcCycleHistograms(registry, cycle);
+  const std::string kind_prefix = std::string("gc.pause.") + GcKindName(cycle.kind()) + ".";
+  for (const std::string& prefix : {std::string("gc."), kind_prefix}) {
+    registry->RecordHistogram(prefix + "pause_ns", cycle.pause_ns);
+    registry->RecordHistogram(prefix + "read_phase_ns", cycle.read_phase_ns);
+    registry->RecordHistogram(prefix + "writeback_phase_ns", cycle.writeback_phase_ns);
+  }
   registry->RecordPause(SnapshotFromCycle(registry->pauses().size(), cycle));
 }
 

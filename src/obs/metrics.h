@@ -1,12 +1,13 @@
-// Unified metrics registry: every counter the runtime produces — GcCycleStats,
-// write-cache and header-map counters, fault-injector counters, MemoryDevice
-// traffic ledgers — under stable dotted names (see DESIGN.md §6 for the naming
-// scheme), with per-pause snapshots and process-lifetime aggregation.
+// Unified metrics registry: every counter the runtime produces — the per-pause
+// GcCycleStats fields (write-cache, header-map and per-pause device traffic
+// included), fault-injector counters, MemoryDevice lifetime ledgers — under
+// stable dotted names (see DESIGN.md §6 for the naming scheme), with per-pause
+// snapshots and process-lifetime aggregation.
 //
 // Threading: the registry is owned by the Vm and mutated only on the control
 // thread (pause boundaries, end-of-run exports). Parallel GC phases never
 // touch it — workers accumulate into their own GcCycleStats and the merged
-// cycle is recorded once per pause.
+// cycle is recorded once per pause, by RecordGcCycle.
 
 #ifndef NVMGC_SRC_OBS_METRICS_H_
 #define NVMGC_SRC_OBS_METRICS_H_
@@ -97,15 +98,13 @@ const std::vector<std::string>& GcPauseMetricNames();
 // Maps one merged GC cycle to a snapshot keyed by GcPauseMetricNames().
 PauseSnapshot SnapshotFromCycle(uint64_t id, const GcCycleStats& cycle);
 
-// Records the per-pause duration histograms for one cycle: the aggregate
-// gc.pause_ns / gc.read_phase_ns / gc.writeback_phase_ns tracks plus the
-// kind-split gc.pause.minor.* / gc.pause.major.* tracks (derived from
-// cycle.is_major; non-generational runs only ever populate the minor tracks,
-// so percentile dashboards stay comparable across modes).
-void RecordGcCycleHistograms(MetricsRegistry* registry, const GcCycleStats& cycle);
-
-// Records `cycle` into `registry`: per-pause snapshot + lifetime counters +
-// the duration histograms of RecordGcCycleHistograms().
+// Records one merged GC cycle, the only per-pause recording path: its
+// snapshot (keyed by GcPauseMetricNames(), so also the lifetime counters of
+// the same names) and the duration histograms — the aggregate gc.pause_ns /
+// gc.read_phase_ns / gc.writeback_phase_ns tracks plus the kind-split
+// gc.pause.minor.* / gc.pause.major.* tracks (from cycle.is_major;
+// non-generational runs only ever populate the minor tracks, so percentile
+// dashboards stay comparable across modes).
 void RecordGcCycle(MetricsRegistry* registry, const GcCycleStats& cycle);
 
 }  // namespace nvmgc

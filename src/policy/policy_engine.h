@@ -119,14 +119,6 @@ class PolicyEngine {
                 static_cast<ptrdiff_t>(std::min(from, decisions_.size())),
             decisions_.end()};
   }
-  // True when any decision in the same slice was a retreat (the degraded /
-  // fence-stall guardrail) — one of the flight recorder's anomaly triggers.
-  bool AnyRetreatSince(size_t from) const {
-    for (size_t i = std::min(from, decisions_.size()); i < decisions_.size(); ++i) {
-      if (decisions_[i].retreat) return true;
-    }
-    return false;
-  }
 
   // Resolved clamp ranges (exposed for tests and the report).
   uint32_t min_threads() const { return kMinGcThreads; }

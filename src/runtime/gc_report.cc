@@ -30,7 +30,7 @@ std::string FormatGcCycle(size_t id, const GcCycleStats& cycle) {
       "[%8.3fs] GC(%zu) pause %s %.2fms (read %.2fms, write-back %.2fms) "
       "copied %s / %llu objects, promoted %s, refs %llu, steals %llu",
       static_cast<double>(cycle.start_ns) / 1e9, id,
-      cycle.is_major != 0 ? "major" : "minor",
+      GcKindName(cycle.kind()),
       static_cast<double>(cycle.pause_ns) / 1e6,
       static_cast<double>(cycle.read_phase_ns) / 1e6,
       static_cast<double>(cycle.writeback_phase_ns) / 1e6,

@@ -189,21 +189,13 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
     }
   }
   const uint64_t pause_start_ns = clock_.now_ns();
-  const DeviceCounters dram_before = dram_device_->counters();
   const size_t timeline_from = timeline_->size();
   const uint64_t pause_id = metrics_.pauses().size();
   const GcCycleStats cycle = collector_->Collect(RootSlots(), &clock_, kind);
-  const DeviceCounters dram_delta = dram_device_->counters() - dram_before;
 
-  // Per-pause snapshot: the merged cycle under stable dotted names, plus the
-  // DRAM-side traffic of the pause (staging writes, header-map probes).
-  PauseSnapshot snap = SnapshotFromCycle(pause_id, cycle);
-  snap.values["device.dram.read_bytes"] = dram_delta.read_bytes;
-  snap.values["device.dram.write_bytes"] = dram_delta.write_bytes;
-  // Aggregate + kind-split duration histograms (the minor/major split keeps
-  // percentile dashboards comparable across modes; see metrics.h).
-  RecordGcCycleHistograms(&metrics_, cycle);
-  metrics_.RecordPause(std::move(snap));
+  // The merged cycle under its stable dotted names: per-pause snapshot,
+  // lifetime counters and duration histograms (see metrics.h).
+  RecordGcCycle(&metrics_, cycle);
   if (options_.gc.generational.enabled) {
     // Per-cycle value, not a sum — a gauge, refreshed every pause.
     metrics_.SetGauge("gen.tenure_threshold", options_.heap.tenure_age);
@@ -240,13 +232,8 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
   if (flight_rec_->enabled()) {
     FlightPauseRecord record;
     record.pause_id = pause_id;
-    record.kind = kind;
-    record.degraded = cycle.degraded_mode != 0;
     record.stats = cycle;
-    record.dram_read_bytes = dram_delta.read_bytes;
-    record.dram_write_bytes = dram_delta.write_bytes;
     if (policy_ != nullptr) {
-      record.retreat = policy_->AnyRetreatSince(policy_decisions_seen_);
       record.decisions = policy_->DecisionsSince(policy_decisions_seen_);
       policy_decisions_seen_ = policy_->decisions().size();
     }
@@ -298,7 +285,7 @@ void Vm::ExportLifetimeMetrics() {
     collector_->write_cache()->ExportMetrics(&metrics_);
   }
   if (collector_->header_map() != nullptr) {
-    collector_->header_map()->ExportMetrics(&metrics_);
+    metrics_.SetGauge("hm.capacity_entries", collector_->header_map()->capacity());
   }
   FaultInjector* injector = heap_device_->fault_injector();
   if (injector != nullptr) {

@@ -19,6 +19,7 @@
 #include "src/runtime/mutator.h"
 #include "src/runtime/vm.h"
 #include "src/util/random.h"
+#include "src/util/table_printer.h"
 
 namespace nvmgc {
 namespace {
@@ -411,6 +412,47 @@ TEST(FaultReportTest, SummarySurfacesDegradationCounters) {
   EXPECT_NE(line.find("cache fallback: 2 workers"), std::string::npos);
   EXPECT_NE(line.find("3 pair denials"), std::string::npos);
   EXPECT_NE(line.find("5 probes under fault"), std::string::npos);
+}
+
+TEST(FaultReportTest, SummaryPrintsFaultRowsUnderThrottleAndDramPressure) {
+  Vm vm(FaultVmOptions());
+  ChainWorkload workload(&vm, 13);
+  workload.Grow(400);
+
+  FaultPlan plan;
+  plan.AddThrottle(0, UINT64_MAX, 0.25);
+  plan.AddDramPressure(0, UINT64_MAX);
+  FaultInjector injector(plan);
+  vm.heap_device().AttachFaultInjector(&injector);
+  vm.dram_device().AttachFaultInjector(&injector);
+  vm.CollectNow();
+  workload.Grow(100);
+  vm.CollectNow();
+
+  const GcCycleStats totals = vm.gc_stats().Totals();
+  ASSERT_EQ(totals.degraded_mode, 2u);
+  ASSERT_GT(totals.cache_fallback_workers, 0u);
+  ASSERT_GT(totals.header_map_fault_probes, 0u);
+  char buf[8192] = {0};
+  std::FILE* mem = fmemopen(buf, sizeof(buf), "w");
+  PrintGcSummary(&vm, mem);
+  std::fclose(mem);
+  const std::string summary = buf;
+  EXPECT_NE(summary.find("  degraded cycles: 2 of 2 (sync flush, cache-line stores)\n"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("  cache fallback:  " + std::to_string(totals.cache_fallback_workers) +
+                         " worker degradations, " +
+                         std::to_string(totals.cache_fault_denials) + " pair denials, " +
+                         FormatSiBytes(totals.cache_fallback_bytes) + " direct\n"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("  faulted probes:  " +
+                         std::to_string(totals.header_map_fault_probes) +
+                         " header-map probes under an active fault\n"),
+            std::string::npos)
+      << summary;
+  workload.VerifyAll();
 }
 
 // --- Capstone: randomized fault schedules across many GC cycles ---

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "src/runtime/global_root.h"
 #include "src/runtime/mutator.h"
 #include "src/runtime/vm.h"
+#include "src/workloads/synthetic_app.h"
 
 namespace nvmgc {
 namespace {
@@ -201,11 +203,11 @@ TEST(FlightRecorderTest, StateTriggersAndPriority) {
   FlightRecorder fr(o);
 
   FlightPauseRecord degraded = MakePause(0, 100);
-  degraded.degraded = true;
+  degraded.stats.degraded_mode = 1;
   EXPECT_EQ(fr.RecordPause(std::move(degraded)), FrTrigger::kDegraded);
 
+  // A pause whose decisions include a retreat fires the retreat trigger.
   FlightPauseRecord retreat = MakePause(1, 100);
-  retreat.retreat = true;
   PolicyDecision d;
   d.retreat = true;
   d.reason = "fence stall";
@@ -216,11 +218,14 @@ TEST(FlightRecorderTest, StateTriggersAndPriority) {
   FlightPauseRecord overflow = MakePause(2, 100);
   overflow.stats.survivor_overflow_bytes = 4096;
   EXPECT_EQ(fr.RecordPause(std::move(overflow)), FrTrigger::kSurvivorOverflow);
-  EXPECT_EQ(fr.last_trigger().observed_ns, 4096u);
+  // observed_ns is the pause duration for every trigger; the overflow bytes
+  // go in the detail.
+  EXPECT_EQ(fr.last_trigger().observed_ns, 100u);
+  EXPECT_NE(fr.last_trigger().detail.find("4096 bytes"), std::string::npos);
 
   // Absolute threshold outranks the state triggers.
   FlightPauseRecord both = MakePause(3, 20000);
-  both.degraded = true;
+  both.stats.degraded_mode = 1;
   EXPECT_EQ(fr.RecordPause(std::move(both)), FrTrigger::kPauseThreshold);
 }
 
@@ -367,6 +372,43 @@ TEST(FlightRecorderVmTest, ExplicitDumpProducesValidatableIncident) {
   }
   EXPECT_NE(report.find("flight recorder:"), std::string::npos);
   EXPECT_NE(report.find("test.dump"), std::string::npos);
+}
+
+// An incident from an adaptive-policy Vm carries the policy decisions in its
+// JSON and as policy.* instants in its companion trace, and passes the
+// incident validator (which also checks each pause's derived kind, degraded
+// and retreat keys against its counters and decisions).
+TEST(FlightRecorderVmTest, AdaptiveIncidentCarriesPolicyDecisions) {
+  const std::string dir = testing::TempDir() + "/fr_vm_adaptive";
+  std::filesystem::remove_all(dir);
+  VmOptions o = SmallVm();
+  o.heap.heap_regions = 512;
+  o.heap.dram_cache_regions = 96;
+  o.heap.eden_regions = 64;
+  o.gc = AdaptiveOptions(CollectorKind::kG1, 8);
+  Vm vm(o);
+  WorkloadProfile profile;
+  profile.name = "fr-adaptive";
+  profile.survival_fraction = 0.3;
+  profile.live_window_bytes = 4 * 1024 * 1024;
+  profile.total_allocation_bytes = 16 * 1024 * 1024;
+  SyntheticApp app(&vm, profile);
+  app.Run();
+  ASSERT_LE(vm.gc_count(), FlightRecorder::kRetainPauses);  // Every pause retained.
+  ASSERT_FALSE(vm.policy()->decisions().empty());
+
+  const std::string path = vm.DumpFlightRecord(dir);
+  ASSERT_FALSE(path.empty());
+  const std::string json = ReadFile(path);
+  EXPECT_NE(json.find("\"decisions\":[{\"knob\":"), std::string::npos);
+  const std::string trace = ReadFile(dir + "/incident-0.trace.json");
+  EXPECT_NE(trace.find("\"name\":\"policy."), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"policy\""), std::string::npos);
+#ifdef NVMGC_PYTHON
+  const std::string validate = std::string(NVMGC_PYTHON) + " " NVMGC_SOURCE_DIR
+                               "/scripts/fr_analyze.py --validate " + dir;
+  EXPECT_EQ(std::system(validate.c_str()), 0) << validate;
+#endif
 }
 
 TEST(FlightRecorderVmTest, PauseThresholdOptionTriggersAutoDump) {

@@ -1,5 +1,6 @@
 // Tests for the header map (paper Algorithm 1): bounded closed hashing with
-// CAS-claimed keys, value spinning, overflow fallback, and parallel clearing.
+// CAS-claimed keys, value spinning, overflow fallback, journal clearing, and
+// the per-caller install/overflow/hit counts.
 
 #include <gtest/gtest.h>
 
@@ -32,11 +33,15 @@ TEST_F(HeaderMapTest, GetMissReturnsNull) {
 }
 
 TEST_F(HeaderMapTest, SecondPutForSameKeyReturnsWinner) {
-  EXPECT_EQ(map_.Put(0x1000, 0x2000, &clock_, nullptr), 0x2000u);
+  GcCycleStats stats;
+  EXPECT_EQ(map_.Put(0x1000, 0x2000, &clock_, nullptr, nullptr, &stats), 0x2000u);
   // A losing thread gets the winner's value, not its own.
-  EXPECT_EQ(map_.Put(0x1000, 0x3000, &clock_, nullptr), 0x2000u);
-  EXPECT_EQ(map_.installs(), 1u);
-  EXPECT_GE(map_.hits(), 1u);
+  EXPECT_EQ(map_.Put(0x1000, 0x3000, &clock_, nullptr, nullptr, &stats), 0x2000u);
+  EXPECT_EQ(stats.header_map_installs, 1u);
+  EXPECT_EQ(stats.header_map_hits, 1u);
+  EXPECT_EQ(map_.Get(0x1000, &clock_, nullptr, &stats), 0x2000u);
+  EXPECT_EQ(stats.header_map_hits, 2u);
+  EXPECT_EQ(stats.header_map_overflows, 0u);
 }
 
 TEST_F(HeaderMapTest, ManyDistinctKeys) {
@@ -54,14 +59,16 @@ TEST_F(HeaderMapTest, OverflowReturnsNullAndCounts) {
   MemoryDevice dram(MakeDramProfile());
   HeaderMap tiny(16 * 16 /* 16 entries */, 2 /* probe window */, &dram);
   SimClock clock;
+  GcCycleStats stats;
   int overflows = 0;
   for (Address k = 8; k <= 8 * 64; k += 8) {
-    if (tiny.Put(k, k + 1, &clock, nullptr) == kNullAddress) {
+    if (tiny.Put(k, k + 1, &clock, nullptr, nullptr, &stats) == kNullAddress) {
       ++overflows;
     }
   }
   EXPECT_GT(overflows, 0);
-  EXPECT_EQ(tiny.overflows(), static_cast<uint64_t>(overflows));
+  EXPECT_EQ(stats.header_map_overflows, static_cast<uint64_t>(overflows));
+  EXPECT_EQ(stats.header_map_installs + stats.header_map_overflows, 64u);
   // Keys that overflowed on put must also miss on get (caller then reads the
   // NVM header) — the probe windows are identical.
   SimClock c2;
@@ -71,19 +78,6 @@ TEST_F(HeaderMapTest, OverflowReturnsNullAndCounts) {
       EXPECT_EQ(got, k + 1);
     }
   }
-}
-
-TEST_F(HeaderMapTest, ClearStripeEmptiesMap) {
-  for (Address k = 8; k <= 8 * 50; k += 8) {
-    map_.Put(k, k + 1, &clock_, nullptr);
-  }
-  EXPECT_GT(map_.OccupiedEntries(), 0u);
-  constexpr uint32_t kWorkers = 4;
-  for (uint32_t w = 0; w < kWorkers; ++w) {
-    map_.ClearStripe(w, kWorkers, &clock_);
-  }
-  EXPECT_EQ(map_.OccupiedEntries(), 0u);
-  EXPECT_EQ(map_.Get(8, &clock_, nullptr), kNullAddress);
 }
 
 TEST_F(HeaderMapTest, ClearJournalClearsExactlyOwnInstalls) {
@@ -134,6 +128,7 @@ TEST_F(HeaderMapTest, ConcurrentPutsAgreeOnOneWinner) {
   MemoryDevice dram(MakeDramProfile());
   HeaderMap map(16 * 1024, 16, &dram);
   std::vector<std::vector<Address>> results(kThreads, std::vector<Address>(kKeys));
+  std::vector<GcCycleStats> stats(kThreads);
   std::atomic<int> barrier{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -145,7 +140,7 @@ TEST_F(HeaderMapTest, ConcurrentPutsAgreeOnOneWinner) {
       for (int k = 0; k < kKeys; ++k) {
         const Address key = 0x100000 + static_cast<Address>(k) * 8;
         const Address my_value = 0x200000 + static_cast<Address>(t) * 0x10000 + k * 8;
-        results[t][k] = map.Put(key, my_value, &clock, nullptr);
+        results[t][k] = map.Put(key, my_value, &clock, nullptr, nullptr, &stats[t]);
       }
     });
   }
@@ -161,7 +156,13 @@ TEST_F(HeaderMapTest, ConcurrentPutsAgreeOnOneWinner) {
       EXPECT_EQ(results[t][k], stored) << "thread " << t << " key " << k;
     }
   }
-  EXPECT_EQ(map.installs(), static_cast<uint64_t>(kKeys));
+  // Each key has one winner; every loser resolved it as a hit.
+  GcCycleStats total;
+  for (const GcCycleStats& s : stats) {
+    total.Accumulate(s);
+  }
+  EXPECT_EQ(total.header_map_installs, static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(total.header_map_hits, static_cast<uint64_t>(kKeys) * (kThreads - 1));
 }
 
 // Keys are hashed by their offset from the key origin, so two maps whose
@@ -176,10 +177,11 @@ TEST_F(HeaderMapTest, ArenaOffsetsNotHostAddressesDecideCollisions) {
     HeaderMap map(64 * 16 /* 64 entries */, 4, &dram);
     map.set_key_origin(origin);
     SimClock clock;
+    GcCycleStats stats;
     for (uint64_t i = 0; i < 48; ++i) {
-      map.Put(origin + (i * 7919 * 24) % (1 << 20), 0x10, &clock, nullptr);
+      map.Put(origin + (i * 7919 * 24) % (1 << 20), 0x10, &clock, nullptr, nullptr, &stats);
     }
-    return Run{map.installs(), map.overflows(), clock.now_ns()};
+    return Run{stats.header_map_installs, stats.header_map_overflows, clock.now_ns()};
   };
   const Run a = run(0x10000000);
   const Run b = run(0x7f3a12345670);

@@ -91,7 +91,7 @@ TEST(MetricsRegistryTest, SnapshotFromCycleUsesTheStableNames) {
   // stable scheme consumers (bench JSON, CI checker) rely on: every field but
   // start_ns (the snapshot's own timestamp), each name once.
   const std::vector<std::string>& names = GcPauseMetricNames();
-  EXPECT_EQ(names.size(), 35u);
+  EXPECT_EQ(names.size(), 37u);
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size());
   ASSERT_EQ(snap.values.size(), names.size());
   for (const std::string& name : names) {

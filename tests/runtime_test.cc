@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/runtime/gc_report.h"
 #include "src/runtime/global_root.h"
@@ -176,6 +179,42 @@ TEST(GcReportTest, SummaryPrintsMajorCyclesWithTenureThreshold) {
   std::fclose(mem);
   EXPECT_NE(std::strstr(buf, "  major cycles:    1 (tenure threshold 3)\n"), nullptr) << buf;
   static_cast<void>(root);
+}
+
+// Every per-pause fact is counted once, in GcCycleStats: each pause snapshot
+// is keyed by exactly GcPauseMetricNames(), and the DRAM traffic the
+// collector measured per pause sums to the lifetime counters.
+TEST(VmTest, PauseSnapshotsCarryExactlyThePauseMetricNames) {
+  Vm vm(SmallVm());
+  Mutator* m = vm.CreateMutator();
+  const KlassId node = vm.heap().klasses().RegisterRegular("N", 1, 16);
+  std::vector<RootHandle> roots;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 1000; ++i) {
+      roots.push_back(vm.NewRoot(m->Allocate({node})));
+    }
+    vm.CollectNow();
+  }
+  const std::vector<std::string>& names = GcPauseMetricNames();
+  const std::set<std::string> want(names.begin(), names.end());
+  ASSERT_EQ(vm.metrics().pauses().size(), 3u);
+  for (const PauseSnapshot& pause : vm.metrics().pauses()) {
+    std::set<std::string> keys;
+    for (const auto& [name, value] : pause.values) {
+      keys.insert(name);
+    }
+    EXPECT_EQ(keys, want) << "pause " << pause.id;
+  }
+  uint64_t dram_read = 0;
+  uint64_t dram_write = 0;
+  for (const GcCycleStats& cycle : vm.gc_stats().cycles()) {
+    dram_read += cycle.dram_read_bytes;
+    dram_write += cycle.dram_write_bytes;
+  }
+  EXPECT_GT(dram_read, 0u);  // Header-map probes.
+  EXPECT_GT(dram_write, 0u);  // Staging copies and header-map installs.
+  EXPECT_EQ(vm.metrics().counter("device.dram.read_bytes"), dram_read);
+  EXPECT_EQ(vm.metrics().counter("device.dram.write_bytes"), dram_write);
 }
 
 TEST(GlobalRootTest, ReleasesItsSlotOnDestruction) {
