@@ -31,7 +31,9 @@ std::vector<DeviceCounters> BinnedSeries(const MemoryDevice& device) {
   return bins;
 }
 
-void RunSeries(DeviceKind device, const char* title) {
+// Prints one device's series; returns the number of bins that overlap a GC
+// pause.
+size_t RunSeries(DeviceKind device, const char* title) {
   VmOptions options;
   options.heap = DefaultHeap(device);
   options.gc = MakeGcOptions(GcVariant::kVanilla, 20);
@@ -86,14 +88,22 @@ void RunSeries(DeviceKind device, const char* title) {
     std::printf("mean total bandwidth: GC %.0f MB/s vs app %.0f MB/s\n\n", gc_total / gc_n,
                 app_total / app_n);
   }
+  return gc_n;
 }
 
 int Main(BenchContext&) {
   std::printf("=== Figure 3: bandwidth statistics for als ===\n\n");
-  RunSeries(DeviceKind::kDram, "Figure 3a: DRAM");
-  RunSeries(DeviceKind::kNvm, "Figure 3b: NVM");
+  const size_t dram_gc_bins = RunSeries(DeviceKind::kDram, "Figure 3a: DRAM");
+  const size_t nvm_gc_bins = RunSeries(DeviceKind::kNvm, "Figure 3b: NVM");
   std::printf("expected shape: GC-phase bandwidth exceeds app-phase bandwidth on BOTH\n"
               "devices for als (its app phase leaves NVM bandwidth unsaturated).\n");
+  if (dram_gc_bins == 0 || nvm_gc_bins == 0) {
+    // The figure compares GC-phase with app-phase bandwidth: a run in which
+    // als never collects shows neither.
+    std::fprintf(stderr, "fig03: als never collected (GC bins: DRAM %zu, NVM %zu); "
+                         "raise --scale\n", dram_gc_bins, nvm_gc_bins);
+    return 1;
+  }
   return 0;
 }
 

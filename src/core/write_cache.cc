@@ -45,7 +45,7 @@ bool WriteCache::Allocate(WriteCacheWorkerState* state, size_t bytes, Allocation
         return false;  // Cap reached: caller copies directly into NVM.
       }
       FaultInjector* injector = heap_->dram_device()->fault_injector();
-      if (injector != nullptr && !injector->AllowRegionPairAllocation(clock->now_ns())) {
+      if (injector != nullptr && injector->DramPressureActive(clock->now_ns())) {
         // DRAM-pressure fault: staging memory is gone for now. Unlike the
         // capacity cap (re-checked per object), this degrades the worker for
         // the rest of the pause.

@@ -56,15 +56,6 @@ Heap::Heap(const HeapConfig& config, MemoryDevice* heap_device, MemoryDevice* dr
                                  DeviceKind::kDram);
     free_cache_regions_.push_back(cache_region_count_ - 1 - i);
   }
-
-  // Bind each device's per-region access heatmap to the arena it serves, so
-  // every access charged from now on is attributed to its heap region.
-  // AddArena (not Configure) keeps co-tenant arenas intact when the heap
-  // device is shared across Vms (fleet mode).
-  heap_device_->heatmap().AddArena(heap_base_, config.region_bytes, heap_region_count_);
-  if (cache_region_count_ > 0) {
-    dram_device_->heatmap().AddArena(cache_base_, config.region_bytes, cache_region_count_);
-  }
 }
 
 Region* Heap::AllocateFromFreeList(std::vector<uint32_t>* free_list, Region* regions,

@@ -190,14 +190,6 @@ bool FaultInjector::DramPressureActive(uint64_t now_ns) const {
   return false;
 }
 
-bool FaultInjector::AllowRegionPairAllocation(uint64_t now_ns) {
-  if (DramPressureActive(now_ns)) {
-    dram_denials_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 bool FaultInjector::AnyFaultActive(uint64_t now_ns) const {
   for (const FaultWindow& w : plan_.windows) {
     if (w.Contains(now_ns)) {
@@ -215,7 +207,6 @@ FaultStats FaultInjector::stats() const {
   s.stalls_injected = stalls_injected_.load(std::memory_order_relaxed);
   s.stall_retries = stall_retries_.load(std::memory_order_relaxed);
   s.stall_extra_ns = stall_extra_ns_.load(std::memory_order_relaxed);
-  s.dram_denials = dram_denials_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -227,7 +218,6 @@ void FaultInjector::ExportMetrics(MetricsRegistry* metrics, const std::string& p
   metrics->SetGauge(prefix + ".stalls_injected", s.stalls_injected);
   metrics->SetGauge(prefix + ".stall_retries", s.stall_retries);
   metrics->SetGauge(prefix + ".stall_extra_ns", s.stall_extra_ns);
-  metrics->SetGauge(prefix + ".dram_denials", s.dram_denials);
 }
 
 }  // namespace nvmgc

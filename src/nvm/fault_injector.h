@@ -97,7 +97,6 @@ struct FaultStats {
   uint64_t stalls_injected = 0;
   uint64_t stall_retries = 0;    // Backoff rounds across all stalls.
   uint64_t stall_extra_ns = 0;   // Total simulated ns added by stalls.
-  uint64_t dram_denials = 0;     // Region-pair allocations denied.
 };
 
 class FaultInjector {
@@ -118,9 +117,9 @@ class FaultInjector {
   // Product of active throttle fractions (1.0 when nominal).
   double BandwidthFraction(uint64_t now_ns) const;
 
-  // DRAM-pressure gate for write-cache region-pair allocation. Returns false
-  // (and counts a denial) while a kDramPressure window is active.
-  bool AllowRegionPairAllocation(uint64_t now_ns);
+  // DRAM-pressure gate for write-cache region-pair allocation: true while a
+  // kDramPressure window is active. The write cache counts each denial it
+  // takes in GcCycleStats::cache_fault_denials.
   bool DramPressureActive(uint64_t now_ns) const;
 
   // True when any window is active (used for fault-attribution counters).
@@ -145,7 +144,6 @@ class FaultInjector {
   std::atomic<uint64_t> stalls_injected_{0};
   std::atomic<uint64_t> stall_retries_{0};
   std::atomic<uint64_t> stall_extra_ns_{0};
-  std::atomic<uint64_t> dram_denials_{0};
 };
 
 }  // namespace nvmgc

@@ -107,7 +107,6 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
   clock->Advance(cost);
 
   ledger_.ChargeEpoch(epoch, d, tenant);
-  heatmap_.Charge(d);
   if (d.op == AccessOp::kWrite && persist_.enabled()) {
     persist_.NoteWrite(d.address, d.bytes);
   }
@@ -129,8 +128,6 @@ void MemoryDevice::ExportMetrics(MetricsRegistry* metrics, const std::string& pr
   metrics->SetGauge(prefix + ".lifetime.nt_write_bytes", c.nt_write_bytes);
   metrics->SetGauge(prefix + ".lifetime.read_ops", c.read_ops);
   metrics->SetGauge(prefix + ".lifetime.write_ops", c.write_ops);
-  heatmap_.ExportMetrics(metrics, prefix);
-  persist_.ExportMetrics(metrics, prefix);
 }
 
 MixState MemoryDevice::CurrentMix(uint64_t now_ns) const {

@@ -1,6 +1,6 @@
 // Simulated memory device: the global arbiter that charges simulated time for
 // every heap access. Its traffic statistics are read from the one record each
-// access charges, the BandwidthLedger (the heatmap adds the per-region view).
+// access charges, the BandwidthLedger.
 //
 // This is the substitution point for real Optane hardware (see DESIGN.md §2):
 // heap bytes physically live in host RAM, but all timing comes from the
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/nvm/access.h"
-#include "src/nvm/access_heatmap.h"
 #include "src/nvm/bandwidth_ledger.h"
 #include "src/nvm/bandwidth_model.h"
 #include "src/nvm/device_profile.h"
@@ -110,11 +109,6 @@ class MemoryDevice {
   // buckets into per-pause bandwidth series).
   const BandwidthLedger& ledger() const { return ledger_; }
 
-  // Per-region access heatmap. Unconfigured (and thus free) until the heap
-  // binds its arena via heatmap().Configure(); see src/nvm/access_heatmap.h.
-  AccessHeatmap& heatmap() { return heatmap_; }
-  const AccessHeatmap& heatmap() const { return heatmap_; }
-
   // Persistence state tracker (durability mode). Unconfigured (and thus
   // free — one relaxed load per write) until the runtime binds the arena via
   // persist().Configure(); see src/nvm/persist_ledger.h.
@@ -123,8 +117,7 @@ class MemoryDevice {
 
   // Publishes the lifetime traffic ledger as gauges under
   // "<prefix>.lifetime.*" (read_bytes, write_bytes, nt_write_bytes, read_ops,
-  // write_ops) — e.g. "device.heap.lifetime.read_bytes" — plus the heatmap
-  // aggregates under "<prefix>.heatmap.*" when the heatmap is configured.
+  // write_ops) — e.g. "device.heap.lifetime.read_bytes".
   void ExportMetrics(MetricsRegistry* metrics, const std::string& prefix) const;
 
   const DeviceProfile& profile() const { return model_.profile(); }
@@ -156,7 +149,6 @@ class MemoryDevice {
   // reads as 1).
   ThreadTerms thread_terms_[kCachedThreadTerms + 1];
   BandwidthLedger ledger_;
-  AccessHeatmap heatmap_;
   PersistOrderingLedger persist_;
 
   std::atomic<uint32_t> active_threads_{0};

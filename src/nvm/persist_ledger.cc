@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/nvm/sim_clock.h"
-#include "src/obs/metrics.h"
 #include "src/util/check.h"
 
 namespace nvmgc {
@@ -18,9 +17,6 @@ void PersistOrderingLedger::Configure(uint64_t base, uint64_t bytes, uint64_t fl
   fence_ns_ = fence_ns;
   line_count_ = (bytes + 63) / 64;
   lines_ = MapZeroedArray<uint8_t>(line_count_, 1);
-  flush_lines_.store(0, std::memory_order_relaxed);
-  fences_.store(0, std::memory_order_relaxed);
-  persist_ns_.store(0, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
 }
 
@@ -81,16 +77,6 @@ CrashImage PersistOrderingLedger::TakeCrashImage() {
   return image;
 }
 
-void PersistOrderingLedger::ExportMetrics(MetricsRegistry* metrics,
-                                          const std::string& prefix) const {
-  if (!enabled()) {
-    return;
-  }
-  metrics->SetGauge(prefix + ".persist.flush_lines", flush_lines());
-  metrics->SetGauge(prefix + ".persist.fences", fences());
-  metrics->SetGauge(prefix + ".persist.ns", persist_ns());
-}
-
 void PersistBatch::FlushRange(uint64_t address, uint64_t bytes, SimClock* clock) {
   if (ledger_ == nullptr || !ledger_->enabled() || bytes == 0) {
     return;
@@ -121,8 +107,6 @@ void PersistBatch::FlushRange(uint64_t address, uint64_t bytes, SimClock* clock)
     clock->Advance(cost);
     flush_lines_ += flushed;
     persist_ns_ += cost;
-    ledger_->flush_lines_.fetch_add(flushed, std::memory_order_relaxed);
-    ledger_->persist_ns_.fetch_add(cost, std::memory_order_relaxed);
   }
 }
 
@@ -133,8 +117,6 @@ void PersistBatch::Fence(SimClock* clock) {
   clock->Advance(ledger_->fence_ns_);
   ++fences_;
   persist_ns_ += ledger_->fence_ns_;
-  ledger_->fences_.fetch_add(1, std::memory_order_relaxed);
-  ledger_->persist_ns_.fetch_add(ledger_->fence_ns_, std::memory_order_relaxed);
 
   // Promote this batch's flushed lines to durable. A line re-dirtied since
   // its flush stays dirty — its new content was never flushed, so the fence

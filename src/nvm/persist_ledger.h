@@ -33,14 +33,12 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/util/mapped_array.h"
 
 namespace nvmgc {
 
-class MetricsRegistry;
 class SimClock;
 
 // Byte value crash images are initialized with; any line never captured at a
@@ -89,19 +87,10 @@ class PersistOrderingLedger {
   // Surrenders the armed capture image (the ledger stays configured).
   CrashImage TakeCrashImage();
 
-  // --- Lifetime counters ---
-  uint64_t flush_lines() const { return flush_lines_.load(std::memory_order_relaxed); }
-  uint64_t fences() const { return fences_.load(std::memory_order_relaxed); }
-  uint64_t persist_ns() const { return persist_ns_.load(std::memory_order_relaxed); }
-
   uint64_t flush_line_ns() const { return flush_line_ns_; }
   uint64_t fence_ns() const { return fence_ns_; }
   uint64_t base() const { return base_; }
   uint64_t bytes() const { return bytes_; }
-
-  // Publishes lifetime gauges under "<prefix>.persist.*" (flush_lines,
-  // fences, persist_ns). No-op when disabled.
-  void ExportMetrics(MetricsRegistry* metrics, const std::string& prefix) const;
 
  private:
   friend class PersistBatch;
@@ -133,10 +122,6 @@ class PersistOrderingLedger {
   // run writes cost host memory. Accessed through Line().
   MappedArray<uint8_t> lines_;
   uint64_t line_count_ = 0;
-
-  std::atomic<uint64_t> flush_lines_{0};
-  std::atomic<uint64_t> fences_{0};
-  std::atomic<uint64_t> persist_ns_{0};
 
   // Crash capture. Fences are rare (a handful per pause), so a mutex around
   // the capture step costs nothing measurable.

@@ -34,7 +34,7 @@ void TablePrinter::Print(std::FILE* out) const {
   };
   print_row(header_);
   for (size_t c = 0; c < header_.size(); ++c) {
-    std::fprintf(out, "|%s-", c == 0 ? "" : "-");
+    std::fputs(c == 0 ? "|-" : "--", out);
     for (size_t i = 0; i < widths[c]; ++i) {
       std::fputc('-', out);
     }

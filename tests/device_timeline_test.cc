@@ -1,10 +1,9 @@
-// Tests for the per-pause NVM bandwidth timeline (src/obs/device_timeline.h)
-// and the per-region access heatmap (src/nvm/access_heatmap.h): unit-level
-// bucket draining, and the integration-level claims the instrumentation
-// exists to demonstrate — the optimized collector's read phase is
-// read-dominated and its write-back phase write-dominated on the NVM device,
-// and the write cache turns scattered survivor writes into contiguous
-// streams.
+// Tests for the per-pause NVM bandwidth timeline (src/obs/device_timeline.h):
+// unit-level bucket draining, and the integration-level claims the
+// instrumentation exists to demonstrate — the optimized collector's read
+// phase is read-dominated and its write-back phase write-dominated on the NVM
+// device, and the write cache turns scattered survivor writes into a few
+// whole-region writes.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/nvm/access_heatmap.h"
 #include "src/nvm/device_profile.h"
 #include "src/nvm/memory_device.h"
 #include "src/obs/device_timeline.h"
@@ -92,66 +90,6 @@ TEST(DeviceTimelineTest, EvictedEpochsCountAsMissing) {
   const size_t n = timeline.SamplePhase(1, GcPhaseKind::kRead, 0, 3 * bucket_ns, 1);
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(timeline.missing_buckets(), 3u);
-}
-
-// ---------- AccessHeatmap unit tests ----------
-
-TEST(AccessHeatmapTest, TracksPerRegionBytesAndDiscontiguity) {
-  AccessHeatmap heatmap;
-  EXPECT_FALSE(heatmap.configured());
-  heatmap.Charge(SequentialWrite(0x1000, 64));  // Ignored while unconfigured.
-
-  const uint64_t base = 0x10000;
-  const uint64_t region_bytes = 4096;
-  heatmap.Configure(base, region_bytes, /*regions=*/4);
-  ASSERT_TRUE(heatmap.configured());
-  EXPECT_EQ(heatmap.regions(), 4u);
-
-  // Region 0: a contiguous stream of three writes.
-  heatmap.Charge(SequentialWrite(base, 128));
-  heatmap.Charge(SequentialWrite(base + 128, 128));
-  heatmap.Charge(SequentialWrite(base + 256, 128));
-  // Region 1: two scattered 8-byte writes (both discontiguous after the 1st).
-  heatmap.Charge(RandomWrite(base + region_bytes + 512, 8));
-  heatmap.Charge(RandomWrite(base + region_bytes + 64, 8));
-  // Region 2: reads only.
-  heatmap.Charge(SequentialRead(base + 2 * region_bytes, 256));
-  // Outside the arena: ignored.
-  heatmap.Charge(SequentialWrite(base + 4 * region_bytes, 64));
-  heatmap.Charge(SequentialWrite(base - 8, 8));
-
-  const std::vector<RegionHeat> snap = heatmap.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap[0].write_bytes, 384u);
-  EXPECT_EQ(snap[0].write_ops, 3u);
-  EXPECT_EQ(snap[0].discontiguous_writes, 0u);
-  EXPECT_DOUBLE_EQ(snap[0].contiguous_write_fraction(), 1.0);
-  EXPECT_EQ(snap[1].write_ops, 2u);
-  // The first write opens the stream (no predecessor); the second jumps.
-  EXPECT_EQ(snap[1].discontiguous_writes, 1u);
-  EXPECT_EQ(snap[2].read_bytes, 256u);
-  EXPECT_EQ(snap[2].write_ops, 0u);
-  EXPECT_EQ(snap[3].write_ops, 0u);
-
-  const HeatmapTotals totals = heatmap.Totals();
-  EXPECT_EQ(totals.regions_written, 2u);
-  EXPECT_EQ(totals.regions_read, 1u);
-  EXPECT_EQ(totals.write_ops, 5u);
-  EXPECT_EQ(totals.discontiguous_writes, 1u);
-  EXPECT_EQ(totals.max_region_write_bytes, 384u);
-}
-
-TEST(AccessHeatmapTest, ExportMetricsPublishesAggregateGauges) {
-  AccessHeatmap heatmap;
-  heatmap.Configure(0x1000, 4096, 2);
-  heatmap.Charge(SequentialWrite(0x1000, 64));
-  heatmap.Charge(SequentialWrite(0x1000 + 256, 64));  // Jumps: discontiguous.
-  MetricsRegistry metrics;
-  heatmap.ExportMetrics(&metrics, "device.heap");
-  EXPECT_EQ(metrics.gauges().at("device.heap.heatmap.regions_written"), 1u);
-  EXPECT_EQ(metrics.gauges().at("device.heap.heatmap.write_ops"), 2u);
-  EXPECT_EQ(metrics.gauges().at("device.heap.heatmap.discontiguous_writes"), 1u);
-  EXPECT_EQ(metrics.gauges().at("device.heap.heatmap.contiguous_write_permille"), 500u);
 }
 
 // ---------- Integration: a real collector run ----------
@@ -274,26 +212,56 @@ TEST(DeviceTimelineIntegrationTest, TracerCarriesCounterTracks) {
   EXPECT_NE(chrome.find("\"args\":{\"value\":"), std::string::npos);
 }
 
-// The heatmap must show the write cache's sequentialization effect: the
-// vanilla collector scatters forwarding-pointer installs across NVM regions,
-// while the optimized one only writes NVM through contiguous region flushes.
+// A collection of `nodes` live 1 KiB arrays under one root table: the NVM
+// write ops its pause issued (the heap device's ledger delta around
+// CollectNow) and the pause's stats.
+struct PauseWrites {
+  uint64_t nvm_write_ops = 0;
+  GcCycleStats cycle;
+};
+
+PauseWrites CollectLiveNodes(const GcOptions& gc, size_t nodes) {
+  Vm vm(TimelineVm(gc));
+  Mutator* m = vm.CreateMutator();
+  const KlassId refs = vm.heap().klasses().RegisterRefArray("Object[]");
+  const KlassId blob = vm.heap().klasses().RegisterByteArray("byte[]");
+  GlobalRoot table(vm, m->Allocate({refs, nodes}));
+  for (size_t i = 0; i < nodes; ++i) {
+    m->WriteRef(table.Get(), i, m->Allocate({blob, 1024}));
+  }
+  const uint64_t before = vm.heap_device().counters().write_ops;
+  PauseWrites out;
+  out.cycle = vm.CollectNow();
+  out.nvm_write_ops = vm.heap_device().counters().write_ops - before;
+  return out;
+}
+
+// The paper's spatial claim, counted exactly. 384 live nodes fit the write
+// cache, so every survivor is staged in DRAM: with the header map on, the
+// optimized pause writes NVM only to flush whole regions, one write each.
+// Without the header map each forwarding install is one more small NVM write
+// per copied object. The vanilla collector copies each object straight into
+// NVM and installs its forwarding pointer there too: two or more scattered
+// writes per object.
 TEST(AccessHeatmapIntegrationTest, WriteCacheSequentializesNvmWrites) {
-  Vm vanilla(TimelineVm(VanillaOptions(CollectorKind::kG1, 4)));
-  RunLiveGraphWorkload(&vanilla);
-  Vm optimized(TimelineVm(OptimizedGc()));
-  RunLiveGraphWorkload(&optimized);
+  constexpr size_t kNodes = 384;
+  const PauseWrites all = CollectLiveNodes(OptimizedGc(), kNodes);
+  const uint64_t regions = all.cycle.regions_flushed_sync + all.cycle.regions_flushed_async;
+  ASSERT_GT(regions, 0u);
+  EXPECT_GT(all.cycle.header_map_installs, 0u);
+  EXPECT_EQ(all.cycle.cache_overflow_bytes, 0u);
+  EXPECT_EQ(all.nvm_write_ops, regions);
 
-  const HeatmapTotals van = vanilla.heap_device().heatmap().Totals();
-  const HeatmapTotals opt = optimized.heap_device().heatmap().Totals();
-  ASSERT_GT(van.write_ops, 0u);
-  ASSERT_GT(opt.write_ops, 0u);
-  EXPECT_GT(opt.contiguous_write_fraction(), van.contiguous_write_fraction());
+  const PauseWrites no_map = CollectLiveNodes(AllOptimizationsOptions(CollectorKind::kG1, 1),
+                                              kNodes);
+  EXPECT_EQ(no_map.cycle.header_map_installs, 0u);
+  EXPECT_EQ(no_map.nvm_write_ops, no_map.cycle.regions_flushed_sync +
+                                      no_map.cycle.regions_flushed_async +
+                                      no_map.cycle.objects_copied);
 
-  // The aggregates surface through the registry after each pause.
-  const auto& gauges = optimized.metrics().gauges();
-  EXPECT_TRUE(gauges.count("device.heap.heatmap.discontiguous_writes"));
-  EXPECT_TRUE(gauges.count("device.heap.heatmap.contiguous_write_permille"));
-  EXPECT_TRUE(gauges.count("device.dram.heatmap.write_ops"));
+  const PauseWrites vanilla = CollectLiveNodes(VanillaOptions(CollectorKind::kG1, 4), kNodes);
+  ASSERT_GT(vanilla.cycle.objects_copied, kNodes);
+  EXPECT_GE(vanilla.nvm_write_ops, 2 * vanilla.cycle.objects_copied);
 }
 
 }  // namespace

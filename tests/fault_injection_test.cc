@@ -3,7 +3,8 @@
 // degraded sync/cache-line-store flushing), and the capstone randomized
 // stress: seeded FaultPlans over multi-cycle GC runs with all three
 // HeapVerifier checks asserted after every cycle — correctness under faults,
-// not just survival.
+// not just survival. The async-flush chain below also checks that durable
+// pauses conserve persist time, with and without async flush.
 
 #include <gtest/gtest.h>
 
@@ -217,17 +218,14 @@ TEST(FaultInjectorTest, StallsAreDeterministicAndBounded) {
   EXPECT_LE(sa.stall_extra_ns, 16u * (500u + 1000u + 2000u));
 }
 
-TEST(FaultInjectorTest, DramPressureGateCountsDenials) {
+TEST(FaultInjectorTest, DramPressureWindowIsHalfOpen) {
   FaultPlan plan;
   plan.AddDramPressure(1000, 2000);
   FaultInjector injector(plan);
-  EXPECT_TRUE(injector.AllowRegionPairAllocation(500));
-  EXPECT_FALSE(injector.AllowRegionPairAllocation(1500));
-  EXPECT_FALSE(injector.AllowRegionPairAllocation(1999));
-  EXPECT_TRUE(injector.AllowRegionPairAllocation(2000));  // End is exclusive.
-  EXPECT_EQ(injector.stats().dram_denials, 2u);
-  EXPECT_TRUE(injector.DramPressureActive(1500));
-  EXPECT_FALSE(injector.DramPressureActive(2500));
+  EXPECT_FALSE(injector.DramPressureActive(500));
+  EXPECT_TRUE(injector.DramPressureActive(1000));
+  EXPECT_TRUE(injector.DramPressureActive(1999));
+  EXPECT_FALSE(injector.DramPressureActive(2000));  // End is exclusive.
 }
 
 TEST(FaultInjectorTest, OverlappingThrottlesCompound) {
@@ -279,6 +277,36 @@ TEST(FaultInjectorTest, RandomizedPlansAreSeedDeterministic) {
 // degraded pause's zero async flushes shows the throttle at work.
 constexpr uint32_t kAsyncFlushThreads = 1;
 constexpr size_t kAsyncFlushNodes = 3000;
+
+// Every durable pause's persist time is exactly its flushed lines and its
+// fences at the device profile's prices, with sync write-back and with async
+// flush, whose write cache fences each region pair it flushes early.
+TEST(DurablePersistTest, PersistTimeIsConservedSyncAndAsync) {
+  const GcOptions durable = DurableOptions(CollectorKind::kG1, kAsyncFlushThreads);
+  for (const GcOptions& gc : {durable, GcOptionsBuilder(durable).AsyncFlush().Build()}) {
+    SCOPED_TRACE(gc.async_flush ? "async flush" : "sync write-back");
+    VmOptions o = FaultVmOptions(kAsyncFlushThreads);
+    o.gc = gc;
+    Vm vm(o);
+    ChainWorkload workload(&vm, 7);
+    workload.Grow(kAsyncFlushNodes);
+    vm.CollectNow();
+    workload.Grow(300);
+    vm.CollectNow();
+    workload.VerifyAll();
+
+    const PersistOrderingLedger& ledger = vm.heap_device().persist();
+    ASSERT_TRUE(ledger.enabled());
+    uint64_t async_regions = 0;
+    for (const GcCycleStats& c : vm.gc_stats().cycles()) {
+      EXPECT_GT(c.persist_fences, 0u);
+      EXPECT_EQ(c.persist_ns, c.persist_flush_lines * ledger.flush_line_ns() +
+                                  c.persist_fences * ledger.fence_ns());
+      async_regions += c.regions_flushed_async;
+    }
+    EXPECT_EQ(async_regions > 0, gc.async_flush);
+  }
+}
 
 TEST(FaultDegradedModeTest, ThrottleDisablesAsyncAndNtStoresThenRecovers) {
   {
@@ -503,9 +531,7 @@ TEST_P(SeededFaultStress, MultiCycleGcStaysCorrectUnderRandomFaults) {
   EXPECT_GE(totals.cache_fault_denials, 1u);
   EXPECT_GE(totals.cache_fallback_workers, 1u);
   EXPECT_GE(totals.cache_fallback_bytes, 1u);
-  const FaultStats stats = injector.stats();
-  EXPECT_GT(stats.perturbed_accesses, 0u);
-  EXPECT_GE(stats.dram_denials, totals.cache_fault_denials);
+  EXPECT_GT(injector.stats().perturbed_accesses, 0u);
 }
 
 // Bounded, deterministic seed matrix (also wired as a dedicated ctest entry;

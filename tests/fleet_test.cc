@@ -20,7 +20,6 @@
 #include "src/fleet/qos.h"
 #include "src/fleet/tenant_workload.h"
 #include "src/nvm/access.h"
-#include "src/nvm/access_heatmap.h"
 #include "src/nvm/bandwidth_ledger.h"
 #include "src/nvm/bandwidth_model.h"
 #include "src/nvm/device_profile.h"
@@ -323,34 +322,6 @@ TEST(PauseSchedulerTest, ZeroWritebackLeavesNoWindow) {
   FleetPauseScheduler sched;
   sched.OnPauseFinished(0, 1'000'000, 1'500'000, 0);
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 1'400'000), 0u);
-}
-
-// --- AccessHeatmap multi-arena (shared fleet device) ---
-
-TEST(AccessHeatmapTest, MultipleArenasGetDisjointSlots) {
-  AccessHeatmap h;
-  h.Configure(0x1000, 0x100, 4);
-  EXPECT_EQ(h.arena_count(), 1u);
-  EXPECT_EQ(h.AddArena(0x10000, 0x100, 4), 4u);  // First slot of arena 2.
-  EXPECT_EQ(h.arena_count(), 2u);
-  EXPECT_EQ(h.regions(), 8u);
-
-  h.Charge(SequentialWrite(0x1000, 64));
-  h.Charge(SequentialWrite(0x10150, 64));  // Arena 2, region 1 -> slot 5.
-  h.Charge(SequentialWrite(0x5000, 64));   // Outside every arena: ignored.
-  const auto snap = h.Snapshot();
-  EXPECT_EQ(snap[0].write_bytes, 64u);
-  EXPECT_EQ(snap[5].write_bytes, 64u);
-  uint64_t total = 0;
-  for (const auto& s : snap) {
-    total += s.write_bytes;
-  }
-  EXPECT_EQ(total, 128u);
-
-  // Configure drops every arena and starts over.
-  h.Configure(0x1000, 0x100, 2);
-  EXPECT_EQ(h.arena_count(), 1u);
-  EXPECT_EQ(h.regions(), 2u);
 }
 
 // --- MetricsRegistry::MergeFrom (satellite: tenant metric prefix) ---

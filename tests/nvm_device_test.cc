@@ -278,18 +278,15 @@ TEST(MemoryDeviceTest, MoreActiveThreadsShrinkPerThreadShare) {
 
 // A seeded stream of about 100k accesses through Access: reads, writes and
 // non-temporal writes, random and sequential, 1-8 active logical threads whose
-// clocks lag one another and jump far enough to recycle ledger slots, two
-// bound tenants (so the contention term is live), and a configured heatmap.
-// The constants were recorded from the charge path that rescanned the ledger
-// window on every sample: a bookkeeping change must not move any of them.
+// clocks lag one another and jump far enough to recycle ledger slots, and two
+// bound tenants (so the contention term is live). The constants were recorded
+// from the charge path that rescanned the ledger window on every sample: a
+// bookkeeping change must not move any of them.
 TEST(MemoryDeviceTest, ChargedNsStreamUnchanged) {
   constexpr uint64_t kBase = uint64_t{1} << 32;
-  constexpr uint64_t kRegionBytes = 64 * 1024;
-  constexpr uint32_t kRegionsPerTenant = 32;
-  constexpr uint64_t kTenantBytes = kRegionBytes * kRegionsPerTenant;
+  constexpr uint64_t kTenantBytes = 2 * 1024 * 1024;
   constexpr uint32_t kThreads = 8;
   MemoryDevice dev(MakeOptaneProfile());
-  dev.heatmap().Configure(kBase, kRegionBytes, 2 * kRegionsPerTenant);
   dev.BindTenantRange(0, kBase, kTenantBytes);
   dev.BindTenantRange(1, kBase + kTenantBytes, kTenantBytes);
   const uint64_t jump_ns = 70 * dev.ledger().bucket_ns();
@@ -353,7 +350,7 @@ TEST(MemoryDeviceTest, ChargedNsStreamUnchanged) {
         break;
       }
       default:
-        // Host memory outside every bound range: tenant 0, no heatmap slot.
+        // Host memory outside every bound range: tenant 0.
         d = RandomWrite(0x1000 + rng.NextBelow(512) * 8, 8);
         break;
     }
@@ -377,12 +374,6 @@ TEST(MemoryDeviceTest, ChargedNsStreamUnchanged) {
   EXPECT_EQ(t1.nt_write_bytes, 2'760'640u);
   EXPECT_EQ(t1.read_ops, 21'592u);
   EXPECT_EQ(t1.write_ops, 21'041u);
-  const HeatmapTotals h = dev.heatmap().Totals();
-  EXPECT_EQ(h.regions_read, 64u);
-  EXPECT_EQ(h.regions_written, 64u);
-  EXPECT_EQ(h.write_ops, 42'384u);
-  EXPECT_EQ(h.discontiguous_writes, 17'147u);
-  EXPECT_EQ(h.max_region_write_bytes, 300'080u);
 }
 
 // Real threads: one binder publishes tenant ranges while readers resolve

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
@@ -297,6 +300,48 @@ TEST(TablePrinterTest, AddRowRequiresMatchingWidth) {
   t.AddRow({"1", "2"});
   EXPECT_EQ(t.row_count(), 1u);
   EXPECT_DEATH(t.AddRow({"only-one"}), "NVMGC_CHECK");
+}
+
+// The cells of one printed row: the text between its pipes.
+std::vector<std::string> SplitCells(const std::string& line) {
+  std::vector<std::string> cells;
+  size_t start = line.find('|');
+  while (start != std::string::npos) {
+    const size_t end = line.find('|', start + 1);
+    if (end == std::string::npos) {
+      break;
+    }
+    cells.push_back(line.substr(start + 1, end - start - 1));
+    start = end;
+  }
+  return cells;
+}
+
+// A printed table pastes as a Markdown table: its separator row has one cell
+// of dashes under each header cell.
+TEST(TablePrinterTest, SeparatorRowIsMarkdown) {
+  TablePrinter t({"app", "gc (ms)", "x"});
+  t.AddRow({"page-rank", "12.5", "3"});
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  t.Print(out);
+  std::rewind(out);
+  std::vector<std::string> lines;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), out) != nullptr) {
+    lines.emplace_back(buf);
+  }
+  std::fclose(out);
+  ASSERT_EQ(lines.size(), 3u);
+  const std::vector<std::string> header = SplitCells(lines[0]);
+  const std::vector<std::string> separator = SplitCells(lines[1]);
+  ASSERT_EQ(header.size(), 3u);
+  ASSERT_EQ(separator.size(), header.size()) << lines[1];
+  for (const std::string& cell : separator) {
+    EXPECT_FALSE(cell.empty()) << lines[1];
+    EXPECT_EQ(cell.find_first_not_of('-'), std::string::npos) << lines[1];
+  }
+  EXPECT_EQ(SplitCells(lines[2]).size(), header.size());
 }
 
 TEST(FormatTest, Helpers) {
