@@ -6,6 +6,7 @@
 // choice DESIGN.md calls out.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -29,26 +30,23 @@ struct AblationCase {
 };
 
 double RunCase(const WorkloadProfile& profile, const AblationCase& c, uint32_t threads) {
-  const int reps = BenchRepetitions();
-  double total = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    GcOptions gc;
-    if (c.adaptive) {
-      gc = AdaptiveOptions(CollectorKind::kG1, threads);
-    } else {
-      gc = VanillaOptions(CollectorKind::kG1, threads);
-      gc.use_write_cache = c.write_cache;
-      gc.use_non_temporal = c.non_temporal;
-      gc.use_header_map = c.header_map;
-      gc.prefetch = c.prefetch;
-      gc.prefetch_header_map = c.header_map && c.prefetch;
-      gc.async_flush = c.async;
-    }
-    WorkloadProfile p = profile;
-    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
-    total += RunSingle(p, DefaultHeap(DeviceKind::kNvm, c.eden_on_dram), gc).gc_seconds();
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm, c.eden_on_dram);
+  if (c.adaptive) {
+    options.gc = AdaptiveOptions(CollectorKind::kG1, threads);
+  } else {
+    options.gc = VanillaOptions(CollectorKind::kG1, threads);
+    options.gc.use_write_cache = c.write_cache;
+    options.gc.use_non_temporal = c.non_temporal;
+    options.gc.use_header_map = c.header_map;
+    options.gc.prefetch = c.prefetch;
+    options.gc.prefetch_header_map = c.header_map && c.prefetch;
+    options.gc.async_flush = c.async;
   }
-  return total / reps;
+  return RunObserved(profile.name + "/" + c.name + "/nvm/g1/t" + std::to_string(threads),
+                     {{"case", c.name}},
+                     options, profile, BenchRepetitions())
+      .gc_seconds();
 }
 
 int Main(BenchContext& ctx) {

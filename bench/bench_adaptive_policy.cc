@@ -71,79 +71,69 @@ struct BenchConfig {
 struct ConfigResult {
   std::array<uint64_t, kPhaseCount> phase_gc_ns{};
   uint64_t total_gc_ns = 0;
-  uint64_t total_ns = 0;
   size_t gc_count = 0;
-  uint64_t bytes_allocated = 0;
   size_t decisions = 0;
   uint64_t retreats = 0;
 };
 
-// Runs all three phases on one VM and returns per-phase GC-time deltas.
-// Observability artifacts are harvested from the first repetition only.
-ConfigResult RunPhases(BenchContext& ctx, const BenchConfig& config, uint64_t seed,
-                       bool observe, const std::string& label) {
+// Runs all three phases on one VM per repetition and returns the per-phase
+// GC-time deltas averaged over the repetitions.
+ConfigResult RunPhases(const BenchConfig& config, const std::string& label) {
   VmOptions options;
   options.heap = DefaultHeap(DeviceKind::kNvm);
   options.gc = config.gc;
-  options.trace_gc = observe && ctx.tracing();
-  Vm vm(options);
-
-  ConfigResult r;
-  const double scale = BenchScale();
-  for (size_t phase = 0; phase < kPhaseCount; ++phase) {
-    WorkloadProfile p = PhaseProfile(phase, seed);
-    p.total_allocation_bytes =
-        static_cast<size_t>(static_cast<double>(p.total_allocation_bytes) * scale);
-    const uint64_t gc_before = vm.gc_time_ns();
-    r.bytes_allocated += SyntheticApp(&vm, p).Run().bytes_allocated;
-    r.phase_gc_ns[phase] = vm.gc_time_ns() - gc_before;
-  }
-  r.total_gc_ns = vm.gc_time_ns();
-  r.total_ns = vm.now_ns();
-  r.gc_count = vm.gc_count();
-  if (vm.policy() != nullptr) {
-    r.decisions = vm.policy()->decisions().size();
-    r.retreats = vm.policy()->retreats();
-  }
-
-  if (observe && ctx.observing()) {
-    BenchRunRecord record;
-    record.label = label;
-    record.workload = "phase-shift";
-    record.config = {{"config", config.name},
-                     {"device", "nvm"},
-                     {"collector", CollectorKindName(config.gc.collector)},
-                     {"threads", std::to_string(config.gc.gc_threads)}};
-    record.result.name = "phase-shift/" + std::string(config.name);
-    record.result.total_ns = r.total_ns;
-    record.result.gc_ns = r.total_gc_ns;
-    record.result.app_ns = r.total_ns - r.total_gc_ns;
-    record.result.gc_count = r.gc_count;
-    record.result.bytes_allocated = r.bytes_allocated;
-    record.result.gc_bandwidth_mbps = GcBandwidthMbps(vm.gc_stats());
-    record.pauses = vm.metrics().pauses();
-    record.counters = vm.metrics().counters();
-    record.gauges = vm.metrics().gauges();
-    record.histograms = vm.metrics().Summaries();
-    if (ctx.timeline_enabled()) {
-      record.timeline = vm.timeline().samples();
-    }
+  WorkloadProfile phase_shift;  // Names the runs and seeds PhaseProfile.
+  phase_shift.name = "phase-shift";
+  const int reps = BenchRepetitions();
+  ConfigResult avg;
+  ConfigResult r;  // The latest repetition's, read by the extras.
+  const auto run = [&](Vm& vm, const WorkloadProfile& seeded) {
+    r = ConfigResult();
+    uint64_t bytes_allocated = 0;
     for (size_t phase = 0; phase < kPhaseCount; ++phase) {
-      record.extra[std::string(kPhaseNames[phase]) + "_gc_ms"] =
+      const uint64_t gc_before = vm.gc_time_ns();
+      bytes_allocated += SyntheticApp(&vm, ScaledProfile(PhaseProfile(phase, seeded.seed)))
+                             .Run()
+                             .bytes_allocated;
+      r.phase_gc_ns[phase] = vm.gc_time_ns() - gc_before;
+      avg.phase_gc_ns[phase] += r.phase_gc_ns[phase];
+    }
+    if (vm.policy() != nullptr) {
+      r.decisions = vm.policy()->decisions().size();
+      r.retreats = vm.policy()->retreats();
+    }
+    avg.decisions += r.decisions;
+    avg.retreats += r.retreats;
+    return bytes_allocated;
+  };
+  const auto extras = [&](Vm&, std::map<std::string, double>* extra) {
+    for (size_t phase = 0; phase < kPhaseCount; ++phase) {
+      (*extra)[std::string(kPhaseNames[phase]) + "_gc_ms"] =
           static_cast<double>(r.phase_gc_ns[phase]) / 1e6;
     }
-    record.extra["policy_decisions"] = static_cast<double>(r.decisions);
-    record.extra["policy_retreats"] = static_cast<double>(r.retreats);
-    ctx.AppendTrace(vm.tracer(), record.label);
-    ctx.RecordRun(std::move(record));
+    (*extra)["policy_decisions"] = static_cast<double>(r.decisions);
+    (*extra)["policy_retreats"] = static_cast<double>(r.retreats);
+  };
+  const WorkloadResult mean =
+      RunObserved(label,
+                  {{"config", config.name},
+                   {"device", "nvm"},
+                   {"collector", CollectorKindName(config.gc.collector)},
+                   {"threads", std::to_string(config.gc.gc_threads)}},
+                  options, phase_shift, reps, run, extras);
+  for (size_t p = 0; p < kPhaseCount; ++p) {
+    avg.phase_gc_ns[p] /= reps;
   }
-  return r;
+  avg.total_gc_ns = mean.gc_ns;
+  avg.gc_count = mean.gc_count;
+  avg.decisions /= reps;
+  avg.retreats /= static_cast<uint64_t>(reps);
+  return avg;
 }
 
 int Main(BenchContext& ctx) {
   const uint32_t threads = ctx.threads(8);
   const CollectorKind collector = ctx.collector(CollectorKind::kG1);
-  const int reps = BenchRepetitions();
 
   std::vector<BenchConfig> configs;
   configs.push_back({"vanilla", VanillaOptions(collector, threads)});
@@ -163,32 +153,11 @@ int Main(BenchContext& ctx) {
               "(phase-shifting workload, %u GC threads, NVM heap) ===\n\n",
               threads);
 
-  std::vector<ConfigResult> results(configs.size());
-  for (size_t i = 0; i < configs.size(); ++i) {
-    const std::string label = "phase-shift/" + std::string(configs[i].name) + "/nvm/" +
-                              CollectorKindName(collector) + "/t" + std::to_string(threads);
-    ConfigResult avg;
-    for (int rep = 0; rep < reps; ++rep) {
-      const ConfigResult r = RunPhases(ctx, configs[i], 1 + static_cast<uint64_t>(rep) * 7919,
-                                       /*observe=*/rep == 0, label);
-      for (size_t p = 0; p < kPhaseCount; ++p) {
-        avg.phase_gc_ns[p] += r.phase_gc_ns[p];
-      }
-      avg.total_gc_ns += r.total_gc_ns;
-      avg.total_ns += r.total_ns;
-      avg.gc_count += r.gc_count;
-      avg.decisions += r.decisions;
-      avg.retreats += r.retreats;
-    }
-    for (size_t p = 0; p < kPhaseCount; ++p) {
-      avg.phase_gc_ns[p] /= reps;
-    }
-    avg.total_gc_ns /= reps;
-    avg.total_ns /= reps;
-    avg.gc_count /= reps;
-    avg.decisions /= reps;
-    avg.retreats /= static_cast<uint64_t>(reps);
-    results[i] = avg;
+  std::vector<ConfigResult> results;
+  for (const BenchConfig& config : configs) {
+    results.push_back(RunPhases(config, "phase-shift/" + std::string(config.name) + "/nvm/" +
+                                            CollectorKindName(collector) + "/t" +
+                                            std::to_string(threads)));
   }
 
   TablePrinter table({"configuration", "alloc (ms)", "survivor (ms)", "steal (ms)",

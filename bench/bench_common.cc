@@ -277,4 +277,81 @@ WorkloadResult RunOnce(const WorkloadProfile& profile, DeviceKind device, GcVari
   return avg;
 }
 
+void HarvestVm(Vm& vm, uint64_t bytes_allocated, BenchRunRecord* record) {
+  record->result.name = record->workload;
+  record->result.total_ns = vm.now_ns();
+  record->result.gc_ns = vm.gc_time_ns();
+  record->result.app_ns = vm.app_time_ns();
+  record->result.gc_count = vm.gc_count();
+  record->result.bytes_allocated = bytes_allocated;
+  record->result.gc_bandwidth_mbps = GcBandwidthMbps(vm.gc_stats());
+  BenchContext* ctx = CurrentBenchContext();
+  if (ctx == nullptr) {
+    return;
+  }
+  if (ctx->observing()) {
+    record->pauses = vm.metrics().pauses();
+    record->counters = vm.metrics().counters();
+    record->gauges = vm.metrics().gauges();
+    record->histograms = vm.metrics().Summaries();
+    if (ctx->timeline_enabled()) {
+      record->timeline = vm.timeline().samples();
+    }
+    ctx->AppendTrace(vm.tracer(), record->label);
+  }
+  if (ctx->flight_recording()) {
+    // Every flight-recorded run ships at least one incident file, even when
+    // no anomaly trigger fired.
+    vm.DumpFlightRecord();
+  }
+}
+
+WorkloadResult RunObserved(const std::string& label,
+                           const std::map<std::string, std::string>& config,
+                           const VmOptions& options, const WorkloadProfile& profile, int reps,
+                           const RepetitionFn& run, const ExtrasFn& extras) {
+  BenchContext* ctx = CurrentBenchContext();
+  const bool observing = ctx != nullptr && (ctx->observing() || ctx->flight_recording());
+  WorkloadResult mean;
+  mean.name = profile.name;
+  for (int rep = 0; rep < reps; ++rep) {
+    const bool observed = observing && rep == 0;
+    VmOptions rep_options = options;
+    rep_options.trace_gc = observed && ctx->tracing();
+    if (!observed) {
+      rep_options.flight_recorder.dump_dir.clear();
+    } else if (rep_options.flight_recorder.dump_dir.empty()) {
+      ApplyFlightRecorder(*ctx, label, &rep_options);
+    }
+    WorkloadProfile p = ScaledProfile(profile);
+    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
+    Vm vm(rep_options);
+    const uint64_t bytes_allocated = run ? run(vm, p) : SyntheticApp(&vm, p).Run().bytes_allocated;
+    mean.total_ns += vm.now_ns();
+    mean.gc_ns += vm.gc_time_ns();
+    mean.app_ns += vm.app_time_ns();
+    mean.gc_count += vm.gc_count();
+    mean.bytes_allocated += bytes_allocated;
+    mean.gc_bandwidth_mbps += GcBandwidthMbps(vm.gc_stats());
+    if (observed) {
+      BenchRunRecord record;
+      record.label = label;
+      record.workload = profile.name;
+      record.config = config;
+      HarvestVm(vm, bytes_allocated, &record);
+      if (extras) {
+        extras(vm, &record.extra);
+      }
+      ctx->RecordRun(std::move(record));
+    }
+  }
+  mean.total_ns /= reps;
+  mean.gc_ns /= reps;
+  mean.app_ns /= reps;
+  mean.gc_count /= reps;
+  mean.bytes_allocated /= reps;
+  mean.gc_bandwidth_mbps /= reps;
+  return mean;
+}
+
 }  // namespace nvmgc

@@ -8,8 +8,12 @@
 #ifndef NVMGC_BENCH_BENCH_COMMON_H_
 #define NVMGC_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 
+#include "bench/bench_runner.h"
 #include "src/gc/gc_options.h"
 #include "src/heap/heap.h"
 #include "src/workloads/synthetic_app.h"
@@ -49,6 +53,38 @@ WorkloadResult RunOnce(const WorkloadProfile& profile, DeviceKind device, GcVari
 // Single unaveraged run with explicit options (building block for sweeps).
 WorkloadResult RunSingle(const WorkloadProfile& profile, const HeapConfig& heap,
                          const GcOptions& gc);
+
+// --- The observed-run path of every bench that drives its own Vm ---
+//
+// Fills `record` from a finished Vm: the result times, gc_bandwidth_mbps
+// (GcBandwidthMbps) and `bytes_allocated`, which only the workload knows.
+// Under --json/--trace it also copies the Vm's metrics, histograms and
+// --timeline samples and appends its trace as a process named by the label;
+// under --flight-record it then writes one explicit end-of-run incident.
+// The caller records it with BenchContext::RecordRun. RunOnce and RunSingle
+// keep frozen copies of these steps.
+void HarvestVm(Vm& vm, uint64_t bytes_allocated, BenchRunRecord* record);
+
+// Drives one repetition on a fresh Vm and returns the bytes it allocated.
+// `profile` is the data point's, scaled by BenchScale() and seeded for the
+// repetition.
+using RepetitionFn = std::function<uint64_t(Vm& vm, const WorkloadProfile& profile)>;
+// Adds bench-specific scalars read from the observed repetition's Vm; runs
+// after HarvestVm, so it sees the end-of-run incident too.
+using ExtrasFn = std::function<void(Vm& vm, std::map<std::string, double>* extra)>;
+
+// Runs one data point `reps` times, each on a fresh Vm built from `options`;
+// repetition `rep` gets the seed `profile.seed + rep * 7919`. `run` drives
+// each repetition (default: SyntheticApp over `profile`). Repetition 0 is
+// the observed one: under --json, --trace or --flight-record only its Vm is
+// traced and flight-recorded (in a per-label subdirectory of --flight-record
+// unless `options` names a dump directory), and it alone is recorded, as
+// workload `profile.name` under `label` and `config`, by HarvestVm plus
+// `extras`. Returns the result times averaged over the repetitions.
+WorkloadResult RunObserved(const std::string& label,
+                           const std::map<std::string, std::string>& config,
+                           const VmOptions& options, const WorkloadProfile& profile, int reps,
+                           const RepetitionFn& run = nullptr, const ExtrasFn& extras = nullptr);
 
 // Repetitions per data point: --repeat flag > NVMGC_BENCH_REPS env > 2.
 int BenchRepetitions();

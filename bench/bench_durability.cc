@@ -15,6 +15,7 @@
 //     work whenever a pause ran.
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -32,76 +33,48 @@ struct DurabilityRunResult {
   double persist_seconds = 0.0;
   double flush_lines = 0.0;
   double fences = 0.0;
-  double redo_entries = 0.0;
   double commit_bytes = 0.0;
   size_t gc_count = 0;
   size_t commits_sealed = 0;
 };
 
-DurabilityRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
-                              uint32_t threads, bool durable, const std::string& label) {
+DurabilityRunResult RunConfig(const WorkloadProfile& profile, uint32_t threads, bool durable,
+                              const std::string& label) {
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm);
+  options.gc = durable ? DurableOptions(CollectorKind::kG1, threads)
+                       : AllOptimizationsOptions(CollectorKind::kG1, threads);
   const int reps = BenchRepetitions();
   DurabilityRunResult result;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool observe = rep == 0;
-    VmOptions options;
-    options.heap = DefaultHeap(DeviceKind::kNvm);
-    options.gc = durable ? DurableOptions(CollectorKind::kG1, threads)
-                         : AllOptimizationsOptions(CollectorKind::kG1, threads);
-    options.trace_gc = observe && ctx.tracing();
-    WorkloadProfile p = ScaledProfile(profile);
-    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
-    Vm vm(options);
-    SyntheticApp app(&vm, p);
-    const WorkloadResult run = app.Run();
+  const auto run = [&](Vm& vm, const WorkloadProfile& p) {
+    const uint64_t bytes_allocated = SyntheticApp(&vm, p).Run().bytes_allocated;
     const GcCycleStats totals = vm.gc_stats().Totals();
     result.gc_seconds += static_cast<double>(vm.gc_time_ns()) / 1e9;
     result.persist_seconds += static_cast<double>(totals.persist_ns) / 1e9;
     result.flush_lines += static_cast<double>(totals.persist_flush_lines);
     result.fences += static_cast<double>(totals.persist_fences);
-    result.redo_entries += static_cast<double>(totals.persist_redo_entries);
     result.commit_bytes += static_cast<double>(totals.persist_commit_bytes);
-    result.gc_count += vm.gc_count();
     result.commits_sealed += vm.collector().commit_instants().size();
-
-    if (observe && ctx.observing()) {
-      BenchRunRecord record;
-      record.label = label;
-      record.workload = profile.name;
-      record.config = {{"config", durable ? "durable" : "all"},
-                       {"device", "nvm"},
-                       {"collector", CollectorKindName(CollectorKind::kG1)},
-                       {"threads", std::to_string(threads)}};
-      record.result.name = "durability/" + std::string(durable ? "on" : "off") + "/" +
-                           profile.name;
-      record.result.total_ns = vm.now_ns();
-      record.result.gc_ns = vm.gc_time_ns();
-      record.result.app_ns = vm.now_ns() - vm.gc_time_ns();
-      record.result.gc_count = vm.gc_count();
-      record.result.bytes_allocated = run.bytes_allocated;
-      record.result.gc_bandwidth_mbps = run.gc_bandwidth_mbps;
-      record.pauses = vm.metrics().pauses();
-      record.counters = vm.metrics().counters();
-      record.gauges = vm.metrics().gauges();
-      record.histograms = vm.metrics().Summaries();
-      if (ctx.timeline_enabled()) {
-        record.timeline = vm.timeline().samples();
-      }
-      record.extra["persist_ms"] = static_cast<double>(totals.persist_ns) / 1e6;
-      record.extra["persist_fences"] = static_cast<double>(totals.persist_fences);
-      record.extra["commits_sealed"] =
-          static_cast<double>(vm.collector().commit_instants().size());
-      ctx.AppendTrace(vm.tracer(), record.label);
-      ctx.RecordRun(std::move(record));
-    }
-  }
+    return bytes_allocated;
+  };
+  const auto extras = [](Vm& vm, std::map<std::string, double>* extra) {
+    const GcCycleStats totals = vm.gc_stats().Totals();
+    (*extra)["persist_ms"] = static_cast<double>(totals.persist_ns) / 1e6;
+    (*extra)["persist_fences"] = static_cast<double>(totals.persist_fences);
+    (*extra)["commits_sealed"] = static_cast<double>(vm.collector().commit_instants().size());
+  };
+  result.gc_count = RunObserved(label,
+                                {{"config", durable ? "durable" : "all"},
+                                 {"device", "nvm"},
+                                 {"collector", CollectorKindName(CollectorKind::kG1)},
+                                 {"threads", std::to_string(threads)}},
+                                options, profile, reps, run, extras)
+                        .gc_count;
   result.gc_seconds /= reps;
   result.persist_seconds /= reps;
   result.flush_lines /= reps;
   result.fences /= reps;
-  result.redo_entries /= reps;
   result.commit_bytes /= reps;
-  result.gc_count /= static_cast<size_t>(reps);
   result.commits_sealed /= static_cast<size_t>(reps);
   return result;
 }
@@ -118,9 +91,9 @@ int Main(BenchContext& ctx) {
     const std::string base = "durability/" + std::string(profile.name) + "/nvm/g1/t" +
                              std::to_string(threads);
     const DurabilityRunResult off =
-        RunConfig(ctx, profile, threads, /*durable=*/false, base + "/off");
+        RunConfig(profile, threads, /*durable=*/false, base + "/off");
     const DurabilityRunResult on =
-        RunConfig(ctx, profile, threads, /*durable=*/true, base + "/on");
+        RunConfig(profile, threads, /*durable=*/true, base + "/on");
 
     // Invariant: the mode is free when disabled.
     if (off.persist_seconds != 0.0 || off.flush_lines != 0.0 || off.fences != 0.0 ||

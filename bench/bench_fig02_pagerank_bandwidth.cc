@@ -9,6 +9,7 @@
 //           keeps scaling.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -34,17 +35,7 @@ std::vector<DeviceCounters> BinnedSeries(const MemoryDevice& device) {
   return bins;
 }
 
-void RunSeries(DeviceKind device, const char* title) {
-  VmOptions options;
-  options.heap = DefaultHeap(device);
-  options.gc = MakeGcOptions(GcVariant::kVanilla, 20);
-  Vm vm(options);
-  WorkloadProfile profile = ScaledProfile(RenaissanceProfile("page-rank"));
-  profile.total_allocation_bytes /= 2;  // A shorter trace keeps the plot readable.
-  vm.heap_device().StartRecording();
-  SyntheticApp app(&vm, profile);
-  app.Run();
-
+void PrintSeries(Vm& vm, const char* title) {
   const std::vector<DeviceCounters> bins = BinnedSeries(vm.heap_device());
   const uint64_t bin_ns = kEpochsPerBin * vm.heap_device().ledger().bucket_ns();
   // 1 MB/s == 1e6 bytes / 1e9 ns.
@@ -96,6 +87,25 @@ void RunSeries(DeviceKind device, const char* title) {
                 gc_total / gc_n > app_total / app_n ? "GC raises bandwidth"
                                                     : "GC collapses bandwidth");
   }
+}
+
+void RunSeries(DeviceKind device, const char* title) {
+  VmOptions options;
+  options.heap = DefaultHeap(device);
+  options.gc = MakeGcOptions(GcVariant::kVanilla, 20);
+  // One run per device: a bandwidth series is not averaged. RunScalability's
+  // t20 point runs the same configuration at full volume.
+  RunObserved(std::string("page-rank/vanilla/") + DeviceKindShortName(device) + "/g1/t20/series",
+              {{"device", DeviceKindShortName(device)}},
+              options, RenaissanceProfile("page-rank"), /*reps=*/1,
+              [&](Vm& vm, const WorkloadProfile& p) {
+                WorkloadProfile half = p;
+                half.total_allocation_bytes /= 2;  // A shorter trace keeps the plot readable.
+                vm.heap_device().StartRecording();
+                const uint64_t bytes_allocated = SyntheticApp(&vm, half).Run().bytes_allocated;
+                PrintSeries(vm, title);
+                return bytes_allocated;
+              });
 }
 
 void RunScalability(DeviceKind device, const char* title) {

@@ -6,6 +6,7 @@
 // move to NVM (Section 2.3).
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -31,19 +32,9 @@ std::vector<DeviceCounters> BinnedSeries(const MemoryDevice& device) {
   return bins;
 }
 
-// Prints one device's series; returns the number of bins that overlap a GC
-// pause.
-size_t RunSeries(DeviceKind device, const char* title) {
-  VmOptions options;
-  options.heap = DefaultHeap(device);
-  options.gc = MakeGcOptions(GcVariant::kVanilla, 20);
-  Vm vm(options);
-  WorkloadProfile profile = ScaledProfile(RenaissanceProfile("als"));
-  profile.total_allocation_bytes /= 2;
-  vm.heap_device().StartRecording();
-  SyntheticApp app(&vm, profile);
-  app.Run();
-
+// Prints the finished run's series; returns the number of bins that overlap
+// a GC pause.
+size_t PrintSeries(Vm& vm, const char* title) {
   std::vector<std::pair<uint64_t, uint64_t>> pauses;
   for (const auto& c : vm.gc_stats().cycles()) {
     pauses.emplace_back(c.start_ns, c.start_ns + c.pause_ns);
@@ -89,6 +80,28 @@ size_t RunSeries(DeviceKind device, const char* title) {
                 app_total / app_n);
   }
   return gc_n;
+}
+
+// Runs als on one device and prints its series; returns the number of bins
+// that overlap a GC pause.
+size_t RunSeries(DeviceKind device, const char* title) {
+  VmOptions options;
+  options.heap = DefaultHeap(device);
+  options.gc = MakeGcOptions(GcVariant::kVanilla, 20);
+  size_t gc_bins = 0;
+  // One run per device: a bandwidth series is not averaged.
+  RunObserved(std::string("als/vanilla/") + DeviceKindShortName(device) + "/g1/t20",
+              {{"device", DeviceKindShortName(device)}},
+              options, RenaissanceProfile("als"), /*reps=*/1,
+              [&](Vm& vm, const WorkloadProfile& p) {
+                WorkloadProfile half = p;
+                half.total_allocation_bytes /= 2;
+                vm.heap_device().StartRecording();
+                const uint64_t bytes_allocated = SyntheticApp(&vm, half).Run().bytes_allocated;
+                gc_bins = PrintSeries(vm, title);
+                return bytes_allocated;
+              });
+  return gc_bins;
 }
 
 int Main(BenchContext&) {

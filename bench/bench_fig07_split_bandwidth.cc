@@ -23,15 +23,7 @@
 namespace nvmgc {
 namespace {
 
-void RunCase(const std::string& app, GcVariant variant) {
-  VmOptions options;
-  options.heap = DefaultHeap(DeviceKind::kNvm);
-  options.gc = MakeGcOptions(variant, 20);
-  Vm vm(options);
-  WorkloadProfile profile = ScaledProfile(RenaissanceProfile(app));
-  SyntheticApp sapp(&vm, profile);
-  sapp.Run();
-
+void PrintLongestPause(const Vm& vm, const std::string& app, GcVariant variant) {
   // Pick the longest pause and print the bandwidth inside it.
   const GcCycleStats* longest = nullptr;
   for (const auto& c : vm.gc_stats().cycles()) {
@@ -68,6 +60,21 @@ void RunCase(const std::string& app, GcVariant variant) {
   }
   table.Print();
   std::printf("peak read %.0f MB/s, peak write %.0f MB/s\n\n", peak_read, peak_write);
+}
+
+void RunCase(const std::string& app, GcVariant variant) {
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm);
+  options.gc = MakeGcOptions(variant, 20);
+  // One run per case: the figure shows a single pause, not an average.
+  RunObserved(app + "/" + GcVariantName(variant) + "/nvm/g1/t20",
+              {{"variant", GcVariantName(variant)}},
+              options, RenaissanceProfile(app), /*reps=*/1,
+              [&](Vm& vm, const WorkloadProfile& p) {
+                const uint64_t bytes_allocated = SyntheticApp(&vm, p).Run().bytes_allocated;
+                PrintLongestPause(vm, app, variant);
+                return bytes_allocated;
+              });
 }
 
 int Main(BenchContext&) {

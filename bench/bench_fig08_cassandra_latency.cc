@@ -6,6 +6,8 @@
 // shorter GC pauses shorten the worst-case queueing delay.
 
 #include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -22,55 +24,44 @@ struct Curve {
   std::vector<LatencyResult> reads;
 };
 
-void AddPhaseExtras(BenchRunRecord* record, const char* phase, const LatencyResult& r) {
+void AddPhaseExtras(std::map<std::string, double>* extra, const char* phase,
+                    const LatencyResult& r) {
   const std::string p(phase);
-  record->extra[p + "_p50_ms"] = r.p50_ms;
-  record->extra[p + "_p95_ms"] = r.p95_ms;
-  record->extra[p + "_p99_ms"] = r.p99_ms;
-  record->extra[p + "_mean_ms"] = r.mean_ms;
+  (*extra)[p + "_p50_ms"] = r.p50_ms;
+  (*extra)[p + "_p95_ms"] = r.p95_ms;
+  (*extra)[p + "_p99_ms"] = r.p99_ms;
+  (*extra)[p + "_mean_ms"] = r.mean_ms;
 }
 
-Curve RunCurve(BenchContext& ctx, GcVariant variant, uint32_t threads,
-               const std::vector<double>& offered_kqps) {
+Curve RunCurve(GcVariant variant, uint32_t threads, const std::vector<double>& offered_kqps) {
   Curve curve;
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm);
+  options.gc = MakeGcOptions(variant, threads);
+  WorkloadProfile cassandra;  // Names the runs; the service seeds itself.
+  cassandra.name = "cassandra";
   for (double kqps : offered_kqps) {
-    VmOptions options;
-    options.heap = DefaultHeap(DeviceKind::kNvm);
-    options.gc = MakeGcOptions(variant, threads);
-    options.trace_gc = ctx.tracing();
-    Vm vm(options);
-    CassandraService service(&vm, CassandraConfig{});
-    // cassandra-stress: a write-only phase followed by a read-only phase.
-    const uint64_t requests = static_cast<uint64_t>(kqps * 1000.0);  // ~1 sim-second each.
-    curve.writes.push_back(service.RunPhase(requests, kqps, 1.0));
-    curve.reads.push_back(service.RunPhase(requests, kqps, 0.0));
-    if (ctx.observing()) {
-      BenchRunRecord record;
-      record.workload = "cassandra";
-      record.config = {{"variant", GcVariantName(variant)},
-                       {"device", "nvm"},
-                       {"collector", "g1"},
-                       {"threads", std::to_string(threads)},
-                       {"offered_kqps", FormatDouble(kqps, 0)}};
-      record.label = std::string("cassandra/") + GcVariantName(variant) + "/nvm/g1/t" +
-                     std::to_string(threads) + "/" + FormatDouble(kqps, 0) + "kqps";
-      record.result.name = "cassandra";
-      record.result.total_ns = vm.now_ns();
-      record.result.gc_ns = vm.gc_time_ns();
-      record.result.app_ns = vm.app_time_ns();
-      record.result.gc_count = vm.gc_count();
-      AddPhaseExtras(&record, "write", curve.writes.back());
-      AddPhaseExtras(&record, "read", curve.reads.back());
-      record.pauses = vm.metrics().pauses();
-      record.counters = vm.metrics().counters();
-      record.gauges = vm.metrics().gauges();
-      record.histograms = vm.metrics().Summaries();
-      if (ctx.timeline_enabled()) {
-        record.timeline = vm.timeline().samples();
-      }
-      ctx.AppendTrace(vm.tracer(), record.label);
-      ctx.RecordRun(std::move(record));
-    }
+    const auto run = [&](Vm& vm, const WorkloadProfile&) {
+      CassandraService service(&vm, CassandraConfig{});
+      // cassandra-stress: a write-only phase followed by a read-only phase.
+      const uint64_t requests = static_cast<uint64_t>(kqps * 1000.0);  // ~1 sim-second each.
+      curve.writes.push_back(service.RunPhase(requests, kqps, 1.0));
+      curve.reads.push_back(service.RunPhase(requests, kqps, 0.0));
+      return uint64_t{0};  // The service does not count its allocation.
+    };
+    const auto extras = [&](Vm&, std::map<std::string, double>* extra) {
+      AddPhaseExtras(extra, "write", curve.writes.back());
+      AddPhaseExtras(extra, "read", curve.reads.back());
+    };
+    // One run per point: latency percentiles are not averaged.
+    RunObserved(std::string("cassandra/") + GcVariantName(variant) + "/nvm/g1/t" +
+                    std::to_string(threads) + "/" + FormatDouble(kqps, 0) + "kqps",
+                {{"variant", GcVariantName(variant)},
+                 {"device", "nvm"},
+                 {"collector", "g1"},
+                 {"threads", std::to_string(threads)},
+                 {"offered_kqps", FormatDouble(kqps, 0)}},
+                options, cassandra, /*reps=*/1, run, extras);
   }
   return curve;
 }
@@ -98,8 +89,8 @@ int Main(BenchContext& ctx) {
   const uint32_t gc_threads = ctx.threads(20);
   std::printf("=== Figure 8: Cassandra tail latency (opt vs vanilla G1, NVM heap) ===\n\n");
   const std::vector<double> offered_kqps = {30, 50, 70, 90, 110, 130};
-  const Curve opt = RunCurve(ctx, GcVariant::kAll, gc_threads, offered_kqps);
-  const Curve van = RunCurve(ctx, GcVariant::kVanilla, gc_threads, offered_kqps);
+  const Curve opt = RunCurve(GcVariant::kAll, gc_threads, offered_kqps);
+  const Curve van = RunCurve(GcVariant::kVanilla, gc_threads, offered_kqps);
   PrintPhase("write", offered_kqps, opt.writes, van.writes);
   PrintPhase("read", offered_kqps, opt.reads, van.reads);
   std::printf("paper (130 kQPS): read p95/p99 gains 5.09x/4.88x, write 2.74x/2.54x\n");

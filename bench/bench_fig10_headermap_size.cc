@@ -6,7 +6,9 @@
 // Renaissance saturates at the smallest setting (~3.3% further gain) while
 // Spark — whose occupancy is near 100% — gains ~21%.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -23,29 +25,27 @@ struct SizedResult {
 };
 
 SizedResult RunWithHeaderMapBytes(const WorkloadProfile& profile, uint32_t threads,
-                                  size_t map_bytes) {
+                                  const char* cap_name, size_t map_bytes) {
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm);
+  options.gc =
+      GcOptionsBuilder(MakeGcOptions(GcVariant::kAll, threads)).HeaderMapBytes(map_bytes).Build();
   SizedResult out;
-  const int reps = BenchRepetitions();
-  for (int rep = 0; rep < reps; ++rep) {
-    VmOptions options;
-    options.heap = DefaultHeap(DeviceKind::kNvm);
-    options.gc = GcOptionsBuilder(MakeGcOptions(GcVariant::kAll, threads))
-                     .HeaderMapBytes(map_bytes)
-                     .Build();
-    Vm vm(options);
-    WorkloadProfile p = ScaledProfile(profile);
-    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
-    SyntheticApp app(&vm, p);
-    app.Run();
-    out.gc_seconds += static_cast<double>(vm.gc_time_ns()) / 1e9;
+  const auto run = [&](Vm& vm, const WorkloadProfile& p) {
+    const uint64_t bytes_allocated = SyntheticApp(&vm, p).Run().bytes_allocated;
     const size_t capacity = vm.collector().header_map()->capacity();
     for (const auto& c : vm.gc_stats().cycles()) {
       out.peak_occupancy =
           std::max(out.peak_occupancy,
                    static_cast<double>(c.header_map_installs) / static_cast<double>(capacity));
     }
-  }
-  out.gc_seconds /= reps;
+    return bytes_allocated;
+  };
+  out.gc_seconds = RunObserved(profile.name + "/hm-" + cap_name + "/nvm/g1/t" +
+                                   std::to_string(threads),
+                               {{"header_map", cap_name}},
+                               options, profile, BenchRepetitions(), run)
+                       .gc_seconds();
   return out;
 }
 
@@ -71,9 +71,9 @@ int Main(BenchContext& ctx) {
   int spark_n = 0;
   const auto spark = SparkProfiles();
   for (const auto& profile : AllApplicationProfiles()) {
-    const SizedResult small = RunWithHeaderMapBytes(profile, gc_threads, cap32);
-    const SizedResult mid = RunWithHeaderMapBytes(profile, gc_threads, cap16);
-    const SizedResult big = RunWithHeaderMapBytes(profile, gc_threads, cap8);
+    const SizedResult small = RunWithHeaderMapBytes(profile, gc_threads, "512M-eq", cap32);
+    const SizedResult mid = RunWithHeaderMapBytes(profile, gc_threads, "1G-eq", cap16);
+    const SizedResult big = RunWithHeaderMapBytes(profile, gc_threads, "2G-eq", cap8);
     std::string gain_cell = "n/a";
     if (small.gc_seconds > 0) {
       const double gain = (small.gc_seconds - big.gc_seconds) / small.gc_seconds * 100.0;

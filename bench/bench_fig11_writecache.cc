@@ -10,6 +10,7 @@
 // average while reclaiming DRAM early.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -22,26 +23,23 @@ namespace {
 
 double RunVariantGcSeconds(const WorkloadProfile& profile, uint32_t threads, bool unlimited,
                            bool async, DeviceKind device) {
-  const int reps = BenchRepetitions();
-  double total = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    VmOptions options;
-    options.heap = DefaultHeap(device);
-    options.gc = GcOptionsBuilder(MakeGcOptions(GcVariant::kAll, threads))
-                     .UnlimitedWriteCache(unlimited)
-                     .AsyncFlush(async)
-                     .Build();
-    if (device == DeviceKind::kDram) {
-      options.gc = MakeGcOptions(GcVariant::kVanilla, threads);
-    }
-    WorkloadProfile p = ScaledProfile(profile);
-    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
-    Vm vm(options);
-    SyntheticApp app(&vm, p);
-    app.Run();
-    total += static_cast<double>(vm.gc_time_ns()) / 1e9;
+  const char* setting = device == DeviceKind::kDram ? "dram"
+                        : async                     ? "async"
+                        : unlimited                 ? "sync-unlimited"
+                                                    : "sync";
+  VmOptions options;
+  options.heap = DefaultHeap(device);
+  options.gc = GcOptionsBuilder(MakeGcOptions(GcVariant::kAll, threads))
+                   .UnlimitedWriteCache(unlimited)
+                   .AsyncFlush(async)
+                   .Build();
+  if (device == DeviceKind::kDram) {
+    options.gc = MakeGcOptions(GcVariant::kVanilla, threads);
   }
-  return total / reps;
+  return RunObserved(profile.name + "/" + setting + "/g1/t" + std::to_string(threads),
+                     {{"setting", setting}},
+                     options, profile, BenchRepetitions())
+      .gc_seconds();
 }
 
 int Main(BenchContext& ctx) {

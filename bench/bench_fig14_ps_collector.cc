@@ -7,6 +7,7 @@
 // prefetching worth ~4.8% on average.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -18,19 +19,20 @@ namespace {
 
 double RunPs(const WorkloadProfile& profile, uint32_t threads, GcVariant variant,
              bool prefetch) {
-  const int reps = BenchRepetitions();
-  double total = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    GcOptions base = MakeGcOptions(variant, threads, CollectorKind::kParallelScavenge);
-    const GcOptions gc = GcOptionsBuilder(base)
-                             .Prefetch(prefetch)
-                             .PrefetchHeaderMap(prefetch && base.use_header_map)
-                             .Build();
-    WorkloadProfile p = profile;
-    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
-    total += RunSingle(p, DefaultHeap(DeviceKind::kNvm), gc).gc_seconds();
-  }
-  return total / reps;
+  const GcOptions base = MakeGcOptions(variant, threads, CollectorKind::kParallelScavenge);
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm);
+  options.gc = GcOptionsBuilder(base)
+                   .Prefetch(prefetch)
+                   .PrefetchHeaderMap(prefetch && base.use_header_map)
+                   .Build();
+  return RunObserved(profile.name + "/" + GcVariantName(variant) +
+                         (prefetch ? "" : "-no-prefetch") + "/nvm/ps/t" +
+                         std::to_string(threads),
+                     {{"variant", GcVariantName(variant)},
+                      {"prefetch", prefetch ? "true" : "false"}},
+                     options, profile, BenchRepetitions())
+      .gc_seconds();
 }
 
 int Main(BenchContext& ctx) {

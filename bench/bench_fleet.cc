@@ -148,20 +148,11 @@ FleetPoint RunFleet(BenchContext& ctx, bool coordinated, uint32_t threads) {
                 {"device", "nvm"},
                 {"collector", "g1"},
                 {"threads", std::to_string(threads)}};
-    r.result.name = r.label;
-    r.result.total_ns = vm.now_ns();
-    r.result.gc_ns = vm.gc_time_ns();
-    r.result.app_ns = vm.app_time_ns();
-    r.result.gc_count = vm.gc_count();
-    r.result.bytes_allocated = id == s   ? serving_alloc
-                               : id == b ? batch_alloc
-                                         : background->allocated_bytes();
-    const GcCycleStats totals = vm.gc_stats().Totals();
-    const uint64_t gc_device_bytes = totals.device_read_bytes + totals.device_write_bytes;
-    r.result.gc_bandwidth_mbps =
-        vm.gc_time_ns() > 0
-            ? static_cast<double>(gc_device_bytes) * 1000.0 / static_cast<double>(vm.gc_time_ns())
-            : 0.0;
+    HarvestVm(vm,
+              id == s   ? serving_alloc
+              : id == b ? batch_alloc
+                        : background->allocated_bytes(),
+              &r);
 
     r.extra["throttle_windows"] = static_cast<double>(t.throttle_windows);
     r.extra["stall_ms"] = static_cast<double>(t.stall_ns) / 1e6;
@@ -180,20 +171,6 @@ FleetPoint RunFleet(BenchContext& ctx, bool coordinated, uint32_t threads) {
       r.extra["tasks_per_s"] = t.tasks_per_s;
     } else {
       r.extra["alloc_mb"] = static_cast<double>(background->allocated_bytes()) / (1024.0 * 1024.0);
-    }
-
-    if (ctx.observing()) {
-      r.pauses = vm.metrics().pauses();
-      r.counters = vm.metrics().counters();
-      r.gauges = vm.metrics().gauges();
-      r.histograms = vm.metrics().Summaries();
-      if (ctx.timeline_enabled()) {
-        r.timeline = vm.timeline().samples();
-      }
-      ctx.AppendTrace(vm.tracer(), r.label);
-    }
-    if (ctx.flight_recording()) {
-      vm.DumpFlightRecord();
     }
     point.tenants.push_back(std::move(t));
   }

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,6 @@ Point RunPoint(BenchContext& ctx, const WorkloadProfile& profile, uint32_t threa
   VmOptions options;
   options.heap = DefaultHeap(DeviceKind::kNvm);
   options.gc = MakeGcOptions(GcVariant::kVanilla, threads);
-  options.trace_gc = ctx.tracing();
   options.flight_recorder.enabled = fr_on;
   if (fr_on) {
     if (ctx.fr_threshold_ns() > 0) {
@@ -52,41 +52,32 @@ Point RunPoint(BenchContext& ctx, const WorkloadProfile& profile, uint32_t threa
     }
   }
 
-  BenchRunRecord record;
-  record.workload = profile.name;
-  record.config = {{"variant", "vanilla"},
-                   {"device", "nvm"},
-                   {"collector", "g1"},
-                   {"threads", std::to_string(threads)},
-                   {"recorder", fr_on ? "on" : "off"}};
-  record.label = profile.name + std::string(fr_on ? "/fr-on" : "/fr-off") +
-                 "/nvm/g1/t" + std::to_string(threads);
-
   Point point;
   const auto wall_start = std::chrono::steady_clock::now();
-  point.result = RunWorkload(ScaledProfile(profile), options, [&](Vm& vm) {
-    record.pauses = vm.metrics().pauses();
-    record.counters = vm.metrics().counters();
-    record.gauges = vm.metrics().gauges();
-    record.histograms = vm.metrics().Summaries();
-    if (ctx.timeline_enabled()) {
-      record.timeline = vm.timeline().samples();
-    }
-    ctx.AppendTrace(vm.tracer(), record.label);
-    if (fr_on) {
-      if (!vm.options().flight_recorder.dump_dir.empty()) {
-        vm.DumpFlightRecord();
-      }
-      point.incidents = vm.flight_recorder().incidents();
-    }
-  });
-  point.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
-  record.result = point.result;
-  record.extra["wall_ms"] = point.wall_ms;
-  record.extra["incidents"] = static_cast<double>(point.incidents);
-  ctx.RecordRun(std::move(record));
+  const auto run = [&](Vm& vm, const WorkloadProfile& p) {
+    point.result = SyntheticApp(&vm, p).Run();
+    // Host cost of building the Vm and running the workload, the recorder's
+    // per-pause bookkeeping included.
+    point.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - wall_start)
+                        .count();
+    return point.result.bytes_allocated;
+  };
+  // Only an observed run has a dump directory, so only it writes incidents;
+  // the count includes the end-of-run dump.
+  const auto extras = [&](Vm& vm, std::map<std::string, double>* extra) {
+    point.incidents = vm.flight_recorder().incidents();
+    (*extra)["wall_ms"] = point.wall_ms;
+    (*extra)["incidents"] = static_cast<double>(point.incidents);
+  };
+  RunObserved(profile.name + (fr_on ? "/fr-on" : "/fr-off") + "/nvm/g1/t" +
+                  std::to_string(threads),
+              {{"variant", "vanilla"},
+               {"device", "nvm"},
+               {"collector", "g1"},
+               {"threads", std::to_string(threads)},
+               {"recorder", fr_on ? "on" : "off"}},
+              options, profile, /*reps=*/1, run, extras);
   return point;
 }
 

@@ -21,6 +21,7 @@
 // exists even when old-generation pressure alone would not trigger one.
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,6 @@ WorkloadProfile SurvivorHeavyPhase() {
 
 struct GenRunResult {
   double nvm_write_bytes = 0.0;
-  double gc_seconds = 0.0;
-  double pause_mean_ns = 0.0;
   double major_pause_mean_ns = 0.0;
   // Pause nanoseconds per byte evacuated — the size-independent pause cost
   // (a major moves the whole heap in one pause, so raw pause times are not
@@ -63,50 +62,37 @@ struct GenRunResult {
   double copy_cost_ns_per_byte = 0.0;
   double major_copy_cost_ns_per_byte = 0.0;
   double bytes_promoted = 0.0;
-  double survivor_overflow_bytes = 0.0;
   size_t major_count = 0;
-  size_t gc_count = 0;
 };
 
-GenRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
-                       uint32_t threads, bool generational, const std::string& label) {
+GenRunResult RunConfig(const WorkloadProfile& profile, uint32_t threads, bool generational,
+                       const std::string& label) {
+  VmOptions options;
+  options.heap = DefaultHeap(DeviceKind::kNvm);
+  options.gc = generational ? GenerationalGcOptions(CollectorKind::kG1, threads)
+                            : AllOptimizationsOptions(CollectorKind::kG1, threads);
   const int reps = BenchRepetitions();
   GenRunResult result;
   double pause_ns_sum = 0.0, major_ns_sum = 0.0;
   double copied_sum = 0.0, major_copied_sum = 0.0;
-  size_t pause_n = 0, major_n = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool observe = rep == 0;
-    VmOptions options;
-    options.heap = DefaultHeap(DeviceKind::kNvm);
-    options.gc = generational ? GenerationalGcOptions(CollectorKind::kG1, threads)
-                              : AllOptimizationsOptions(CollectorKind::kG1, threads);
-    options.trace_gc = observe && ctx.tracing();
-    WorkloadProfile p = ScaledProfile(profile);
-    p.seed = profile.seed + static_cast<uint64_t>(rep) * 7919;
-    Vm vm(options);
-    uint64_t bytes_allocated = 0;
-    {
-      SyntheticApp app(&vm, p);
-      bytes_allocated = app.Run().bytes_allocated;
-      if (generational) {
-        // Guarantee at least one full-heap cycle per run: the major-pause
-        // invariant needs data even when old-gen pressure stays low.
-        vm.CollectNow(GcKind::kMajor);
-      }
+  size_t major_n = 0;
+  size_t rep_majors = 0;  // The latest repetition's, read by the extras.
+  const auto run = [&](Vm& vm, const WorkloadProfile& p) {
+    SyntheticApp app(&vm, p);
+    const uint64_t bytes_allocated = app.Run().bytes_allocated;
+    if (generational) {
+      // Guarantee at least one full-heap cycle per run: the major-pause
+      // invariant needs data even when old-gen pressure stays low.
+      vm.CollectNow(GcKind::kMajor);
     }
     const GcCycleStats totals = vm.gc_stats().Totals();
     result.nvm_write_bytes +=
         static_cast<double>(vm.heap().heap_device()->counters().write_bytes);
-    result.gc_seconds += static_cast<double>(vm.gc_time_ns()) / 1e9;
     result.bytes_promoted += static_cast<double>(totals.bytes_promoted);
-    result.survivor_overflow_bytes += static_cast<double>(totals.survivor_overflow_bytes);
-    result.gc_count += vm.gc_count();
-    size_t rep_majors = 0;
+    rep_majors = 0;
     for (const GcCycleStats& cycle : vm.gc_stats().cycles()) {
       pause_ns_sum += static_cast<double>(cycle.pause_ns);
       copied_sum += static_cast<double>(cycle.bytes_copied);
-      ++pause_n;
       if (cycle.is_major != 0) {
         major_ns_sum += static_cast<double>(cycle.pause_ns);
         major_copied_sum += static_cast<double>(cycle.bytes_copied);
@@ -115,48 +101,25 @@ GenRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
       }
     }
     result.major_count += rep_majors;
-
-    if (observe && ctx.observing()) {
-      BenchRunRecord record;
-      record.label = label;
-      record.workload = profile.name;
-      record.config = {{"config", generational ? "gen" : "all"},
-                       {"device", "nvm"},
-                       {"collector", CollectorKindName(CollectorKind::kG1)},
-                       {"threads", std::to_string(threads)}};
-      record.result.name = "generational/" + std::string(generational ? "gen" : "all") +
-                           "/" + profile.name;
-      record.result.total_ns = vm.now_ns();
-      record.result.gc_ns = vm.gc_time_ns();
-      record.result.app_ns = vm.now_ns() - vm.gc_time_ns();
-      record.result.gc_count = vm.gc_count();
-      record.result.bytes_allocated = bytes_allocated;
-      // Over every pause, the forced major included, like gc_ns.
-      record.result.gc_bandwidth_mbps = GcBandwidthMbps(vm.gc_stats());
-      record.pauses = vm.metrics().pauses();
-      record.counters = vm.metrics().counters();
-      record.gauges = vm.metrics().gauges();
-      record.histograms = vm.metrics().Summaries();
-      if (ctx.timeline_enabled()) {
-        record.timeline = vm.timeline().samples();
-      }
-      record.extra["nvm_write_mb"] =
-          static_cast<double>(vm.heap().heap_device()->counters().write_bytes) / 1e6;
-      record.extra["bytes_promoted_mb"] = static_cast<double>(totals.bytes_promoted) / 1e6;
-      record.extra["survivor_overflow_mb"] =
-          static_cast<double>(totals.survivor_overflow_bytes) / 1e6;
-      record.extra["major_pauses"] = static_cast<double>(rep_majors);
-      ctx.AppendTrace(vm.tracer(), record.label);
-      ctx.RecordRun(std::move(record));
-    }
-  }
+    return bytes_allocated;
+  };
+  const auto extras = [&](Vm& vm, std::map<std::string, double>* extra) {
+    const GcCycleStats totals = vm.gc_stats().Totals();
+    (*extra)["nvm_write_mb"] =
+        static_cast<double>(vm.heap().heap_device()->counters().write_bytes) / 1e6;
+    (*extra)["bytes_promoted_mb"] = static_cast<double>(totals.bytes_promoted) / 1e6;
+    (*extra)["survivor_overflow_mb"] = static_cast<double>(totals.survivor_overflow_bytes) / 1e6;
+    (*extra)["major_pauses"] = static_cast<double>(rep_majors);
+  };
+  RunObserved(label,
+              {{"config", generational ? "gen" : "all"},
+               {"device", "nvm"},
+               {"collector", CollectorKindName(CollectorKind::kG1)},
+               {"threads", std::to_string(threads)}},
+              options, profile, reps, run, extras);
   result.nvm_write_bytes /= reps;
-  result.gc_seconds /= reps;
   result.bytes_promoted /= reps;
-  result.survivor_overflow_bytes /= reps;
-  result.gc_count /= static_cast<size_t>(reps);
   result.major_count /= static_cast<size_t>(reps);
-  result.pause_mean_ns = pause_n > 0 ? pause_ns_sum / static_cast<double>(pause_n) : 0.0;
   result.major_pause_mean_ns =
       major_n > 0 ? major_ns_sum / static_cast<double>(major_n) : 0.0;
   result.copy_cost_ns_per_byte = copied_sum > 0.0 ? pause_ns_sum / copied_sum : 0.0;
@@ -178,9 +141,9 @@ int Main(BenchContext& ctx) {
     const std::string base = "generational/" + profile.name + "/nvm/g1/t" +
                              std::to_string(threads);
     const GenRunResult all =
-        RunConfig(ctx, profile, threads, /*generational=*/false, base + "/all");
+        RunConfig(profile, threads, /*generational=*/false, base + "/all");
     const GenRunResult gen =
-        RunConfig(ctx, profile, threads, /*generational=*/true, base + "/gen");
+        RunConfig(profile, threads, /*generational=*/true, base + "/gen");
 
     const double reduction =
         all.nvm_write_bytes > 0.0

@@ -2,9 +2,9 @@
 """Validate the artifacts a bench writes with --json / --trace.
 
 Checks that the result JSON follows schema nvmgc.bench.v2 (required keys,
-well-formed runs, per-pause snapshots keyed by the stable dotted metric
-names, histogram percentile digests, extra scalars and optional per-run
-bandwidth timelines) and that the trace file is a loadable
+well-formed runs with unique labels, per-pause snapshots keyed by the
+stable dotted metric names, histogram percentile digests, extra scalars and
+optional per-run bandwidth timelines) and that the trace file is a loadable
 Chrome-trace JSON with nested GC phase spans. Used by CI after the smoke
 bench; exits nonzero with a message on the first violation.
 
@@ -100,10 +100,16 @@ def check_json(path, require_pauses, require_timeline):
         fail(f"{path}: runs[] is empty")
     total_pauses = 0
     total_samples = 0
+    first_run_of = {}
     for i, run in enumerate(doc["runs"]):
         missing = RUN_KEYS - run.keys()
         if missing:
             fail(f"{path}: runs[{i}] missing keys {sorted(missing)}")
+        # bench_gate.py and bench_diff.py key runs by label: a duplicate
+        # would silently drop a run.
+        first = first_run_of.setdefault(run["label"], i)
+        if first != i:
+            fail(f"{path}: runs[{first}] and runs[{i}] share label {run['label']!r}")
         missing = set(RESULT_METRICS) - run["result"].keys()
         if missing:
             fail(f"{path}: runs[{i}].result missing keys {sorted(missing)}")

@@ -113,7 +113,7 @@ inline size_t SizeOf(const Klass& klass, uint64_t array_length) {
     case KlassKind::kByteArray:
       return kArrayElementsOffset + AlignUp8(array_length);
   }
-  NVMGC_CHECK(false);
+  CheckFailed(__FILE__, __LINE__, "false", "unknown klass kind");
 }
 
 // Size of an allocated object read back from the heap.
@@ -144,7 +144,7 @@ inline size_t RefSlotCount(Address a, const Klass& klass) {
     case KlassKind::kByteArray:
       return 0;
   }
-  NVMGC_CHECK(false);
+  CheckFailed(__FILE__, __LINE__, "false", "unknown klass kind");
 }
 
 inline Address LoadRef(Address slot) {

@@ -38,7 +38,6 @@ void Region::ResetForType(RegionType type) {
   in_cset_ = false;
   remset_.Clear();
   cache_twin_.store(nullptr, std::memory_order_relaxed);
-  last_tracked_ref_ = kNullAddress;
   flush_ready_.store(false, std::memory_order_relaxed);
   steal_tainted_.store(false, std::memory_order_relaxed);
   flushed_.store(false, std::memory_order_relaxed);

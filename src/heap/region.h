@@ -49,7 +49,6 @@ class Region {
   }
 
   // Prepares the region for (re)use as `type`.
-  void Retire(RegionType type) { type_ = type; }
   void ResetForType(RegionType type);
 
   bool Contains(Address a) const { return a >= bottom_ && a < end_; }
@@ -88,12 +87,6 @@ class Region {
   void set_cache_twin(Region* twin) { cache_twin_.store(twin, std::memory_order_release); }
 
   // --- Asynchronous-flush tracking (paper Figure 4) ---
-  // `last_tracked_ref` memorizes the slot that will (in LIFO order) be the
-  // final one processed among the objects copied into this region so far.
-  Address last_tracked_ref() const { return last_tracked_ref_; }
-  void set_last_tracked_ref(Address slot) { last_tracked_ref_ = slot; }
-  bool flush_ready() const { return flush_ready_.load(std::memory_order_acquire); }
-  void set_flush_ready(bool ready) { flush_ready_.store(ready, std::memory_order_release); }
   // One-shot claim of the flush; returns true for exactly one caller.
   bool ClaimFlush() { return !flush_ready_.exchange(true, std::memory_order_acq_rel); }
   // Work stealing breaks the LIFO order; a tainted region falls back to the
@@ -132,7 +125,6 @@ class Region {
   RememberedSet remset_;
 
   std::atomic<Region*> cache_twin_{nullptr};
-  Address last_tracked_ref_ = kNullAddress;
   std::atomic<bool> flush_ready_{false};
   std::atomic<bool> steal_tainted_{false};
   std::atomic<bool> flushed_{false};

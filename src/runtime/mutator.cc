@@ -50,7 +50,7 @@ Address Mutator::AllocateSmall(const Klass& klass, uint64_t array_length, size_t
       ++gcs_triggered_;
     }
   }
-  NVMGC_CHECK(false);  // Heap exhausted: allocation failed even after GC.
+  CheckFailed(__FILE__, __LINE__, "false", "heap exhausted: allocation failed even after GC");
 }
 
 Address Mutator::AllocateHumongous(const Klass& klass, uint64_t array_length, size_t size,
@@ -67,7 +67,7 @@ Address Mutator::AllocateHumongous(const Klass& klass, uint64_t array_length, si
     vm_->CollectNow();
     ++gcs_triggered_;
   }
-  NVMGC_CHECK(false);  // No region available for a humongous allocation.
+  CheckFailed(__FILE__, __LINE__, "false", "no region available for a humongous allocation");
 }
 
 Address Mutator::AllocateLargeObject(const Klass& klass, uint64_t array_length, size_t size,
@@ -85,7 +85,7 @@ Address Mutator::AllocateLargeObject(const Klass& klass, uint64_t array_length, 
     vm_->CollectNow();
     ++gcs_triggered_;
   }
-  NVMGC_CHECK(false);  // No region available for a large-object allocation.
+  CheckFailed(__FILE__, __LINE__, "false", "no region available for a large-object allocation");
 }
 
 void Mutator::WriteRef(Address object, size_t slot_index, Address value) {

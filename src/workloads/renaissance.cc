@@ -307,7 +307,7 @@ WorkloadProfile RenaissanceProfile(const std::string& name) {
       return p;
     }
   }
-  NVMGC_CHECK(false);  // Unknown workload name.
+  CheckFailed(__FILE__, __LINE__, "false", ("unknown workload name: " + name).c_str());
 }
 
 }  // namespace nvmgc
