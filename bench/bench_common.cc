@@ -306,6 +306,42 @@ void HarvestVm(Vm& vm, uint64_t bytes_allocated, BenchRunRecord* record) {
   }
 }
 
+double BandwidthSeries::Mbps(uint64_t bytes) const {
+  // 1 MB/s == 1e6 bytes / 1e9 ns.
+  return static_cast<double>(bytes) * 1000.0 / bin_ns;
+}
+
+BandwidthSeries RecordedBandwidthSeries(Vm& vm) {
+  constexpr size_t kEpochsPerBin = BandwidthSeries::kEpochsPerBin;
+  BandwidthSeries series;
+  MemoryDevice& device = vm.heap_device();
+  series.bin_ns = kEpochsPerBin * device.ledger().bucket_ns();
+  const std::vector<DeviceCounters> epochs = device.RecordedSeries();
+  series.bins.resize((epochs.size() + kEpochsPerBin - 1) / kEpochsPerBin);
+  for (size_t i = 0; i < epochs.size(); ++i) {
+    series.bins[i / kEpochsPerBin] += epochs[i];
+  }
+  series.in_gc.resize(series.bins.size());
+  for (size_t i = 0; i < series.bins.size(); ++i) {
+    const uint64_t t0 = i * series.bin_ns;
+    for (const GcCycleStats& c : vm.gc_stats().cycles()) {
+      if (c.start_ns < t0 + series.bin_ns && c.start_ns + c.pause_ns > t0) {
+        series.in_gc[i] = true;
+        break;
+      }
+    }
+    const double total = series.Mbps(series.bins[i].total_bytes());
+    if (series.in_gc[i]) {
+      series.gc_total_mbps += total;
+      ++series.gc_bins;
+    } else if (total > 1.0) {
+      series.app_total_mbps += total;
+      ++series.app_bins;
+    }
+  }
+  return series;
+}
+
 WorkloadResult RunObserved(const std::string& label,
                            const std::map<std::string, std::string>& config,
                            const VmOptions& options, const WorkloadProfile& profile, int reps,

@@ -12,10 +12,12 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench/bench_runner.h"
 #include "src/gc/gc_options.h"
 #include "src/heap/heap.h"
+#include "src/nvm/bandwidth_ledger.h"
 #include "src/workloads/synthetic_app.h"
 
 namespace nvmgc {
@@ -85,6 +87,31 @@ WorkloadResult RunObserved(const std::string& label,
                            const std::map<std::string, std::string>& config,
                            const VmOptions& options, const WorkloadProfile& profile, int reps,
                            const RepetitionFn& run = nullptr, const ExtrasFn& extras = nullptr);
+
+// --- Bandwidth over time (Figures 2 and 3) ---
+//
+// A finished Vm's heap-device series: the ledger epochs recorded since
+// MemoryDevice::StartRecording, summed kEpochsPerBin at a time, each bin
+// flagged when it overlaps one of the Vm's GC pauses.
+struct BandwidthSeries {
+  // Plot bins: whole 150 us ledger epochs, 14 of them = 2.1 ms.
+  static constexpr size_t kEpochsPerBin = 14;
+
+  uint64_t bin_ns = 0;
+  std::vector<DeviceCounters> bins;
+  std::vector<bool> in_gc;
+  // Summed total bandwidth of the GC bins, and of the app bins that moved
+  // more than 1 MB/s, with how many bins each sum covers.
+  double gc_total_mbps = 0.0;
+  size_t gc_bins = 0;
+  double app_total_mbps = 0.0;
+  size_t app_bins = 0;
+
+  // `bytes` moved within one bin, in MB/s.
+  double Mbps(uint64_t bytes) const;
+};
+
+BandwidthSeries RecordedBandwidthSeries(Vm& vm);
 
 // Repetitions per data point: --repeat flag > NVMGC_BENCH_REPS env > 2.
 int BenchRepetitions();

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -22,70 +21,28 @@
 namespace nvmgc {
 namespace {
 
-// Plot bins: whole 150 us ledger epochs, 14 of them = 2.1 ms.
-constexpr size_t kEpochsPerBin = 14;
-
-// The recorded per-epoch series summed into kEpochsPerBin-epoch bins.
-std::vector<DeviceCounters> BinnedSeries(const MemoryDevice& device) {
-  const std::vector<DeviceCounters> epochs = device.RecordedSeries();
-  std::vector<DeviceCounters> bins((epochs.size() + kEpochsPerBin - 1) / kEpochsPerBin);
-  for (size_t i = 0; i < epochs.size(); ++i) {
-    bins[i / kEpochsPerBin] += epochs[i];
-  }
-  return bins;
-}
-
 void PrintSeries(Vm& vm, const char* title) {
-  const std::vector<DeviceCounters> bins = BinnedSeries(vm.heap_device());
-  const uint64_t bin_ns = kEpochsPerBin * vm.heap_device().ledger().bucket_ns();
-  // 1 MB/s == 1e6 bytes / 1e9 ns.
-  auto mbps = [bin_ns](uint64_t bytes) { return static_cast<double>(bytes) * 1000.0 / bin_ns; };
-  // Mark bins that overlap a GC pause.
-  std::vector<std::pair<uint64_t, uint64_t>> pauses;
-  for (const auto& c : vm.gc_stats().cycles()) {
-    pauses.emplace_back(c.start_ns, c.start_ns + c.pause_ns);
-  }
-  auto in_gc = [&](size_t bin) {
-    const uint64_t t0 = bin * bin_ns;
-    for (const auto& [start, end] : pauses) {
-      if (start < t0 + bin_ns && end > t0) {
-        return true;
-      }
-    }
-    return false;
-  };
+  const BandwidthSeries series = RecordedBandwidthSeries(vm);
   std::printf("--- %s: bandwidth over time (%.1f ms bins) ---\n", title,
-              static_cast<double>(bin_ns) / 1e6);
+              static_cast<double>(series.bin_ns) / 1e6);
   TablePrinter table({"t (ms)", "read (MB/s)", "write (MB/s)", "total (MB/s)", "phase"});
-  const size_t stride = bins.size() > 48 ? bins.size() / 48 : 1;
-  for (size_t i = 0; i < bins.size(); i += stride) {
-    const DeviceCounters& b = bins[i];
-    table.AddRow({FormatDouble(static_cast<double>(i * bin_ns) / 1e6, 1),
-                  FormatDouble(mbps(b.read_bytes), 0), FormatDouble(mbps(b.write_bytes), 0),
-                  FormatDouble(mbps(b.total_bytes()), 0), in_gc(i) ? "GC" : "app"});
+  const size_t stride = series.bins.size() > 48 ? series.bins.size() / 48 : 1;
+  for (size_t i = 0; i < series.bins.size(); i += stride) {
+    const DeviceCounters& b = series.bins[i];
+    table.AddRow({FormatDouble(static_cast<double>(i * series.bin_ns) / 1e6, 1),
+                  FormatDouble(series.Mbps(b.read_bytes), 0),
+                  FormatDouble(series.Mbps(b.write_bytes), 0),
+                  FormatDouble(series.Mbps(b.total_bytes()), 0),
+                  series.in_gc[i] ? "GC" : "app"});
   }
   table.Print();
 
   // Summary: bandwidth inside vs outside GC.
-  double gc_total = 0.0;
-  double app_total = 0.0;
-  size_t gc_n = 0;
-  size_t app_n = 0;
-  for (size_t i = 0; i < bins.size(); ++i) {
-    const double total = mbps(bins[i].total_bytes());
-    if (in_gc(i)) {
-      gc_total += total;
-      ++gc_n;
-    } else if (total > 1.0) {
-      app_total += total;
-      ++app_n;
-    }
-  }
-  if (gc_n > 0 && app_n > 0) {
-    std::printf("mean total bandwidth: GC %.0f MB/s vs app %.0f MB/s (%s)\n\n",
-                gc_total / gc_n, app_total / app_n,
-                gc_total / gc_n > app_total / app_n ? "GC raises bandwidth"
-                                                    : "GC collapses bandwidth");
+  if (series.gc_bins > 0 && series.app_bins > 0) {
+    const double gc_mean = series.gc_total_mbps / series.gc_bins;
+    const double app_mean = series.app_total_mbps / series.app_bins;
+    std::printf("mean total bandwidth: GC %.0f MB/s vs app %.0f MB/s (%s)\n\n", gc_mean,
+                app_mean, gc_mean > app_mean ? "GC raises bandwidth" : "GC collapses bandwidth");
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_runner.h"
@@ -19,67 +18,27 @@
 namespace nvmgc {
 namespace {
 
-// Plot bins: whole 150 us ledger epochs, 14 of them = 2.1 ms.
-constexpr size_t kEpochsPerBin = 14;
-
-// The recorded per-epoch series summed into kEpochsPerBin-epoch bins.
-std::vector<DeviceCounters> BinnedSeries(const MemoryDevice& device) {
-  const std::vector<DeviceCounters> epochs = device.RecordedSeries();
-  std::vector<DeviceCounters> bins((epochs.size() + kEpochsPerBin - 1) / kEpochsPerBin);
-  for (size_t i = 0; i < epochs.size(); ++i) {
-    bins[i / kEpochsPerBin] += epochs[i];
-  }
-  return bins;
-}
-
 // Prints the finished run's series; returns the number of bins that overlap
 // a GC pause.
 size_t PrintSeries(Vm& vm, const char* title) {
-  std::vector<std::pair<uint64_t, uint64_t>> pauses;
-  for (const auto& c : vm.gc_stats().cycles()) {
-    pauses.emplace_back(c.start_ns, c.start_ns + c.pause_ns);
-  }
-  const std::vector<DeviceCounters> bins = BinnedSeries(vm.heap_device());
-  const uint64_t bin_ns = kEpochsPerBin * vm.heap_device().ledger().bucket_ns();
-  // 1 MB/s == 1e6 bytes / 1e9 ns.
-  auto mbps = [bin_ns](uint64_t bytes) { return static_cast<double>(bytes) * 1000.0 / bin_ns; };
-  double gc_total = 0.0;
-  double app_total = 0.0;
-  size_t gc_n = 0;
-  size_t app_n = 0;
-  std::printf("--- %s (%.1f ms bins) ---\n", title, static_cast<double>(bin_ns) / 1e6);
+  const BandwidthSeries series = RecordedBandwidthSeries(vm);
+  std::printf("--- %s (%.1f ms bins) ---\n", title, static_cast<double>(series.bin_ns) / 1e6);
   TablePrinter table({"t (ms)", "read (MB/s)", "write (MB/s)", "total (MB/s)", "phase"});
-  const size_t stride = bins.size() > 40 ? bins.size() / 40 : 1;
-  for (size_t i = 0; i < bins.size(); ++i) {
-    const DeviceCounters& b = bins[i];
-    const uint64_t t0 = i * bin_ns;
-    bool in_gc = false;
-    for (const auto& [start, end] : pauses) {
-      if (start < t0 + bin_ns && end > t0) {
-        in_gc = true;
-        break;
-      }
-    }
-    const double total = mbps(b.total_bytes());
-    if (i % stride == 0) {
-      table.AddRow({FormatDouble(static_cast<double>(t0) / 1e6, 1),
-                    FormatDouble(mbps(b.read_bytes), 0), FormatDouble(mbps(b.write_bytes), 0),
-                    FormatDouble(total, 0), in_gc ? "GC" : "app"});
-    }
-    if (in_gc) {
-      gc_total += total;
-      ++gc_n;
-    } else if (total > 1.0) {
-      app_total += total;
-      ++app_n;
-    }
+  const size_t stride = series.bins.size() > 40 ? series.bins.size() / 40 : 1;
+  for (size_t i = 0; i < series.bins.size(); i += stride) {
+    const DeviceCounters& b = series.bins[i];
+    table.AddRow({FormatDouble(static_cast<double>(i * series.bin_ns) / 1e6, 1),
+                  FormatDouble(series.Mbps(b.read_bytes), 0),
+                  FormatDouble(series.Mbps(b.write_bytes), 0),
+                  FormatDouble(series.Mbps(b.total_bytes()), 0),
+                  series.in_gc[i] ? "GC" : "app"});
   }
   table.Print();
-  if (gc_n > 0 && app_n > 0) {
-    std::printf("mean total bandwidth: GC %.0f MB/s vs app %.0f MB/s\n\n", gc_total / gc_n,
-                app_total / app_n);
+  if (series.gc_bins > 0 && series.app_bins > 0) {
+    std::printf("mean total bandwidth: GC %.0f MB/s vs app %.0f MB/s\n\n",
+                series.gc_total_mbps / series.gc_bins, series.app_total_mbps / series.app_bins);
   }
-  return gc_n;
+  return series.gc_bins;
 }
 
 // Runs als on one device and prints its series; returns the number of bins

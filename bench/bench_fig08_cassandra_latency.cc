@@ -47,7 +47,7 @@ Curve RunCurve(GcVariant variant, uint32_t threads, const std::vector<double>& o
       const uint64_t requests = static_cast<uint64_t>(kqps * 1000.0);  // ~1 sim-second each.
       curve.writes.push_back(service.RunPhase(requests, kqps, 1.0));
       curve.reads.push_back(service.RunPhase(requests, kqps, 0.0));
-      return uint64_t{0};  // The service does not count its allocation.
+      return service.bytes_allocated();
     };
     const auto extras = [&](Vm&, std::map<std::string, double>* extra) {
       AddPhaseExtras(extra, "write", curve.writes.back());

@@ -131,7 +131,7 @@ FleetPoint RunFleet(BenchContext& ctx, bool coordinated, uint32_t threads) {
 
   FleetPoint point;
   point.pauses_deferred = fleet.pauses_deferred();
-  point.pause_defer_ns = fleet.pause_scheduler().total_defer_ns();
+  point.pause_defer_ns = fleet.pause_defer_ns();
   for (uint32_t id : {s, b, g}) {
     Vm& vm = fleet.vm(id);
     TenantPoint t;

@@ -31,12 +31,6 @@ uint64_t BandwidthArbiter::BudgetBytesPerWindow(uint32_t tenant) const {
 
 std::vector<uint64_t> BandwidthArbiter::EndWindow(const std::vector<uint64_t>& bytes) {
   NVMGC_CHECK(bytes.size() == tenants_.size());
-  ++windows_closed_;
-
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    tenants_[i].stats.total_bytes += bytes[i];
-  }
-
   std::vector<uint64_t> stalls(tenants_.size(), 0);
   for (size_t i = 0; i < tenants_.size(); ++i) {
     Tenant& t = tenants_[i];

@@ -25,7 +25,6 @@
 #ifndef NVMGC_SRC_FLEET_BANDWIDTH_ARBITER_H_
 #define NVMGC_SRC_FLEET_BANDWIDTH_ARBITER_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,7 +35,6 @@ namespace nvmgc {
 struct ArbiterTenantStats {
   uint64_t windows_throttled = 0;
   uint64_t total_stall_ns = 0;
-  uint64_t total_bytes = 0;
 };
 
 class BandwidthArbiter {
@@ -60,10 +58,7 @@ class BandwidthArbiter {
   // during it. Returns the per-tenant stall in simulated ns.
   std::vector<uint64_t> EndWindow(const std::vector<uint64_t>& bytes);
 
-  size_t tenant_count() const { return tenants_.size(); }
-  uint64_t windows_closed() const { return windows_closed_; }
   const ArbiterTenantStats& stats(uint32_t tenant) const { return tenants_[tenant].stats; }
-  QosTier tier(uint32_t tenant) const { return tenants_[tenant].tier; }
   double budget_mbps(uint32_t tenant) const { return tenants_[tenant].budget_mbps; }
 
   // Budget converted to bytes per window (what EndWindow compares against).
@@ -77,7 +72,6 @@ class BandwidthArbiter {
   };
 
   std::vector<Tenant> tenants_;
-  uint64_t windows_closed_ = 0;
 };
 
 }  // namespace nvmgc

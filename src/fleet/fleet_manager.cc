@@ -1,7 +1,6 @@
 #include "src/fleet/fleet_manager.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "src/util/check.h"
 
@@ -112,8 +111,6 @@ void FleetManager::CloseWindowsUpTo(uint64_t fleet_now_ns) {
         // it may issue more traffic.
         tenants_[i].vm->clock().Advance(stalls[i]);
         tenants_[i].vm->NoteFleetStall(stalls[i]);
-        tenants_[i].vm->metrics().AddCounter("fleet.throttle_stall_ns", stalls[i]);
-        tenants_[i].vm->metrics().AddCounter("fleet.throttle_windows", 1);
       }
     }
     window_start_ns_ += BandwidthArbiter::kWindowNs;
@@ -136,42 +133,6 @@ void FleetManager::OnPauseFinished(uint32_t tenant, GcKind kind, uint64_t start_
                                    uint64_t end_ns, uint64_t writeback_ns) {
   (void)kind;
   pause_scheduler_.OnPauseFinished(tenant, start_ns, end_ns, writeback_ns);
-}
-
-void FleetManager::ExportMetrics(MetricsRegistry* out) const {
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    out->MergeFrom(tenants_[i].vm->metrics(), "tenant." + std::to_string(i) + ".");
-  }
-  out->SetGauge("fleet.tenants", tenants_.size());
-  out->SetGauge("fleet.pauses_deferred", pauses_deferred_);
-  out->SetGauge("fleet.pause_defer_ns", pause_defer_ns_);
-  out->SetGauge("fleet.arbiter.windows", arbiter_.windows_closed());
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    const ArbiterTenantStats& s = arbiter_.stats(static_cast<uint32_t>(i));
-    const std::string prefix = "fleet.tenant." + std::to_string(i) + ".";
-    out->SetGauge(prefix + "stall_ns", s.total_stall_ns);
-    out->SetGauge(prefix + "windows_throttled", s.windows_throttled);
-    out->SetGauge(prefix + "device_bytes", s.total_bytes);
-  }
-}
-
-bool FleetManager::WriteChromeTrace(const std::string& path) const {
-  std::string events;
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (!events.empty()) {
-      events += ',';
-    }
-    // pid 0 renders oddly in some viewers; tenants start at pid 1.
-    tenants_[i].vm->tracer().AppendChromeEvents(
-        &events, static_cast<uint32_t>(i + 1),
-        std::to_string(i) + "." + tenants_[i].name);
-  }
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << "{\"traceEvents\":[" << events << "]}";
-  return out.good();
 }
 
 }  // namespace nvmgc

@@ -22,10 +22,10 @@
 //                           pause inside a co-tenant's drain is deferred
 //                           (see pause_scheduler.h).
 //
-// Observability: ExportMetrics merges every tenant's registry under
-// "tenant.<id>." plus fleet-level gauges; WriteChromeTrace emits one Chrome
-// trace process per tenant (pid = tenant id + 1), so Perfetto renders one
-// track group per Vm including its nvm.*/policy.*/persist.* counter tracks.
+// Observability: each tenant Vm keeps its own registry, tracer and flight
+// recorder. The fleet-level numbers have one owner each: the arbiter's
+// per-tenant stats (stall ns, throttled windows) and this manager's pause
+// deferral totals (pauses_deferred, pause_defer_ns).
 
 #ifndef NVMGC_SRC_FLEET_FLEET_MANAGER_H_
 #define NVMGC_SRC_FLEET_FLEET_MANAGER_H_
@@ -40,7 +40,6 @@
 #include "src/fleet/tenant_workload.h"
 #include "src/nvm/device_profile.h"
 #include "src/nvm/memory_device.h"
-#include "src/obs/metrics.h"
 #include "src/runtime/gc_coordinator.h"
 #include "src/runtime/vm.h"
 
@@ -100,21 +99,10 @@ class FleetManager : public GcCoordinator {
   QosTier tenant_tier(uint32_t tenant) const { return tenants_[tenant].tier; }
   MemoryDevice& device() { return *device_; }
   const BandwidthArbiter& arbiter() const { return arbiter_; }
-  const FleetPauseScheduler& pause_scheduler() const { return pause_scheduler_; }
   const FleetOptions& options() const { return options_; }
+  // Pauses the scheduler deferred, and the simulated ns they were deferred by.
   uint64_t pauses_deferred() const { return pauses_deferred_; }
-
-  // --- Fleet observability ---
-  // Merges each tenant's registry into `out` under "tenant.<id>." and
-  // publishes fleet gauges: fleet.tenants, fleet.pauses_deferred,
-  // fleet.pause_defer_ns, fleet.arbiter.windows, and per tenant
-  // fleet.tenant.<id>.{stall_ns,windows_throttled,device_bytes}.
-  void ExportMetrics(MetricsRegistry* out) const;
-
-  // Writes one Chrome trace with each tenant as its own process
-  // (pid = tenant id + 1, named "<id>.<name>"). Tenants must have been run
-  // with vm.trace_gc enabled to contribute spans.
-  bool WriteChromeTrace(const std::string& path) const;
+  uint64_t pause_defer_ns() const { return pause_defer_ns_; }
 
  private:
   struct Tenant {

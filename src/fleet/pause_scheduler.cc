@@ -30,12 +30,7 @@ uint64_t FleetPauseScheduler::DeferNs(uint32_t tenant, GcKind kind, uint64_t now
       defer = std::max(defer, w.end_ns - now_ns);
     }
   }
-  defer = std::min(defer, kMaxDeferNs);
-  if (defer > 0) {
-    ++deferrals_;
-    total_defer_ns_ += defer;
-  }
-  return defer;
+  return std::min(defer, kMaxDeferNs);
 }
 
 }  // namespace nvmgc

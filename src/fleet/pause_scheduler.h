@@ -43,9 +43,6 @@ class FleetPauseScheduler {
   // `now_ns` (0 = clear to pause). Never counts the tenant's own windows.
   uint64_t DeferNs(uint32_t tenant, GcKind kind, uint64_t now_ns) const;
 
-  uint64_t deferrals() const { return deferrals_; }
-  uint64_t total_defer_ns() const { return total_defer_ns_; }
-
  private:
   struct DrainWindow {
     uint64_t start_ns = 0;
@@ -53,10 +50,6 @@ class FleetPauseScheduler {
   };
 
   std::map<uint32_t, DrainWindow> last_drain_;
-  // Mutated by DeferNs through the manager path; kept simple with mutable
-  // counters since the scheduler is single-threaded by construction.
-  mutable uint64_t deferrals_ = 0;
-  mutable uint64_t total_defer_ns_ = 0;
 };
 
 }  // namespace nvmgc

@@ -67,13 +67,14 @@ void ServingDriver::Step() {
     }
     vm_->clock().Advance(config_.request_cpu_ns);
     const uint64_t latency_ns = vm_->now_ns() - arrival;
-    latencies_.Record(latency_ns);
     vm_->metrics().RecordHistogram("serving.op_latency_ns", latency_ns);
     ++served_;
   }
 }
 
-HistogramSummary ServingDriver::LatencySummary() const { return Summarize(latencies_); }
+HistogramSummary ServingDriver::LatencySummary() const {
+  return vm_->metrics().Summary("serving.op_latency_ns");
+}
 
 // --- BatchDriver ---
 

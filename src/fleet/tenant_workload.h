@@ -26,10 +26,10 @@
 #include <memory>
 #include <utility>
 
+#include "src/obs/metrics.h"
 #include "src/runtime/global_root.h"
 #include "src/runtime/mutator.h"
 #include "src/runtime/vm.h"
-#include "src/util/histogram.h"
 #include "src/util/random.h"
 #include "src/workloads/spark.h"
 
@@ -68,7 +68,7 @@ class ServingDriver : public TenantDriver {
   void Step() override;
   bool Done() const override { return served_ >= config_.total_requests; }
 
-  // Digest of the op-latency histogram (simulated ns).
+  // Digest of the Vm's serving.op_latency_ns histogram (simulated ns).
   HistogramSummary LatencySummary() const;
   uint64_t served() const { return served_; }
 
@@ -84,7 +84,6 @@ class ServingDriver : public TenantDriver {
   KlassId row_klass_ = 0;
   KlassId request_klass_ = 0;
   std::unique_ptr<ManagedTable> table_;
-  Histogram latencies_;
   uint64_t served_ = 0;
   uint64_t first_arrival_ns_ = 0;
   bool started_ = false;

@@ -21,10 +21,6 @@ uint64_t MetricsRegistry::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-bool MetricsRegistry::has_counter(const std::string& name) const {
-  return counters_.find(name) != counters_.end();
-}
-
 const Histogram* MetricsRegistry::histogram(const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
@@ -55,39 +51,6 @@ std::map<std::string, HistogramSummary> MetricsRegistry::Summaries() const {
     out[name] = Summarize(hist);
   }
   return out;
-}
-
-std::vector<std::string> MetricsRegistry::CounterNames() const {
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    names.push_back(name);
-  }
-  return names;  // std::map iteration is already sorted.
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& src, const std::string& prefix) {
-  for (const auto& [name, value] : src.counters_) {
-    AddCounter(prefix + name, value);
-  }
-  for (const auto& [name, value] : src.gauges_) {
-    SetGauge(prefix + name, value);
-  }
-  for (const auto& [name, histogram] : src.histograms_) {
-    histograms_[prefix + name].Merge(histogram);
-  }
-  for (const PauseSnapshot& pause : src.pauses_) {
-    PauseSnapshot prefixed;
-    prefixed.id = pause.id;
-    prefixed.start_ns = pause.start_ns;
-    for (const auto& [name, value] : pause.values) {
-      prefixed.values[prefix + name] = value;
-    }
-    // Appended directly (not via RecordPause): the merged counters above
-    // already carry these values, and double-adding would break the
-    // snapshot-vs-aggregate consistency MergeFrom preserves.
-    pauses_.push_back(std::move(prefixed));
-  }
 }
 
 void MetricsRegistry::RecordPause(PauseSnapshot snapshot) {

@@ -56,22 +56,10 @@ class MetricsRegistry {
   // Returns 0 / nullptr when the name was never recorded.
   uint64_t counter(const std::string& name) const;
   const Histogram* histogram(const std::string& name) const;
-  bool has_counter(const std::string& name) const;
   // Percentile digest of the named histogram (zero digest when absent).
   HistogramSummary Summary(const std::string& name) const;
   // Digests of every recorded histogram, keyed by name.
   std::map<std::string, HistogramSummary> Summaries() const;
-
-  // Stable (sorted) name lists.
-  std::vector<std::string> CounterNames() const;
-
-  // Merges `src` into this registry with every name prefixed — the fleet
-  // roll-up: FleetManager merges each tenant Vm's registry under
-  // "tenant.<id>.". Counters add, gauges last-write-wins, histograms merge,
-  // and pause snapshots are appended with prefixed value keys (ids and start
-  // times kept, so per-tenant pause streams stay distinguishable and
-  // correctly timestamped).
-  void MergeFrom(const MetricsRegistry& src, const std::string& prefix);
 
   // --- Per-pause snapshots ---
   // Records one pause: every snapshot value is also added to the lifetime

@@ -166,22 +166,4 @@ void GcTracer::AppendChromeEvents(std::string* out, uint32_t pid,
   }
 }
 
-bool GcTracer::WriteChromeTrace(const std::string& path,
-                                const std::string& process_name) const {
-  std::string body;
-  body.append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-  AppendChromeEvents(&body, /*pid=*/1, process_name);
-  body.append("\n]}\n");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = written == body.size() && std::fclose(f) == 0;
-  if (written != body.size()) {
-    std::fclose(f);
-  }
-  return ok;
-}
-
 }  // namespace nvmgc

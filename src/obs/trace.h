@@ -12,7 +12,7 @@
 // into that ring. While tracing is enabled, the collector rebinds before every
 // worker step (a disabled tracer emits nothing, so it skips that). When the
 // ring wraps, the oldest events are overwritten and counted as dropped.
-// Export (SortedEvents / WriteChromeTrace) must only run between pauses.
+// Export (SortedEvents / AppendChromeEvents) must only run between pauses.
 
 #ifndef NVMGC_SRC_OBS_TRACE_H_
 #define NVMGC_SRC_OBS_TRACE_H_
@@ -92,10 +92,6 @@ class GcTracer {
   // process_name metadata record labeled `process_name` is prepended.
   void AppendChromeEvents(std::string* out, uint32_t pid,
                           const std::string& process_name) const;
-
-  // Writes a complete, self-contained Chrome-trace JSON file that loads in
-  // chrome://tracing and Perfetto. Returns false on I/O failure.
-  bool WriteChromeTrace(const std::string& path, const std::string& process_name) const;
 
  private:
   struct Ring {

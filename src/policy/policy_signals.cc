@@ -8,12 +8,6 @@ double Ratio(uint64_t num, uint64_t den) {
 }
 }  // namespace
 
-double PolicySignals::steal_rate() const { return Ratio(cycle.steals, cycle.refs_processed); }
-
-double PolicySignals::flush_stall_fraction() const {
-  return Ratio(cycle.writeback_phase_ns, cycle.pause_ns);
-}
-
 double PolicySignals::cache_overflow_fraction() const {
   return Ratio(cycle.cache_overflow_bytes,
                cycle.cache_bytes_staged + cycle.cache_overflow_bytes);

@@ -39,10 +39,6 @@ struct PolicySignals {
   double read_model_mbps = 0.0;   // Model ceiling under the observed mix.
 
   // --- Derived rates (all guard against zero denominators) ---
-  // Stolen references per processed reference.
-  double steal_rate() const;
-  // Share of the pause spent in the write-only flush/clear sub-phase.
-  double flush_stall_fraction() const;
   // Survivor bytes that missed the cache: overflow / (staged + overflow).
   double cache_overflow_fraction() const;
   // Flushed-region share whose LIFO readiness was broken by stealing.

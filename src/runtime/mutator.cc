@@ -47,7 +47,6 @@ Address Mutator::AllocateSmall(const Klass& klass, uint64_t array_length, size_t
     if (tlab_ == nullptr) {
       // Eden quota exhausted: young GC, then retry with a fresh TLAB.
       vm_->CollectNow();
-      ++gcs_triggered_;
     }
   }
   CheckFailed(__FILE__, __LINE__, "false", "heap exhausted: allocation failed even after GC");
@@ -65,7 +64,6 @@ Address Mutator::AllocateHumongous(const Klass& klass, uint64_t array_length, si
       return Initialize(addr, klass, array_length, size, site);
     }
     vm_->CollectNow();
-    ++gcs_triggered_;
   }
   CheckFailed(__FILE__, __LINE__, "false", "no region available for a humongous allocation");
 }
@@ -83,7 +81,6 @@ Address Mutator::AllocateLargeObject(const Klass& klass, uint64_t array_length, 
     // Free-list exhausted: CollectNow escalates to a major cycle when the
     // heap is this full, which is what frees old regions.
     vm_->CollectNow();
-    ++gcs_triggered_;
   }
   CheckFailed(__FILE__, __LINE__, "false", "no region available for a large-object allocation");
 }

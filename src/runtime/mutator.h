@@ -49,9 +49,6 @@ class Mutator {
   void ReadPayload(Address object, uint32_t bytes);
   void WritePayload(Address object, uint32_t bytes);
 
-  // Number of GCs this mutator's allocations have triggered.
-  uint64_t gcs_triggered() const { return gcs_triggered_; }
-
   // Called by the VM after every pause: eden regions were reclaimed, so the
   // current TLAB is stale.
   void ResetTlab() { tlab_ = nullptr; }
@@ -67,7 +64,6 @@ class Mutator {
 
   Vm* vm_;
   Region* tlab_ = nullptr;
-  uint64_t gcs_triggered_ = 0;
 };
 
 }  // namespace nvmgc

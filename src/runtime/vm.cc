@@ -184,8 +184,6 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
         coordinator_->OnPauseRequested(options_.tenant_id, kind, clock_.now_ns());
     if (defer_ns > 0) {
       clock_.Advance(defer_ns);
-      metrics_.AddCounter("fleet.pauses_deferred", 1);
-      metrics_.AddCounter("fleet.pause_defer_ns", defer_ns);
     }
   }
   const uint64_t pause_start_ns = clock_.now_ns();
@@ -215,8 +213,7 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
     signals.fleet_interval_ns =
         pause_start_ns > last_pause_end_ns_ ? pause_start_ns - last_pause_end_ns_ : 0;
     fleet_stall_seen_ = fleet_stall_accum_;
-    const size_t made = policy_->OnPauseEnd(signals);
-    metrics_.AddCounter("policy.decisions", made);
+    policy_->OnPauseEnd(signals);
     policy_->ExportMetrics(&metrics_);
     if (tracer_->enabled()) {
       tracer_->BindThread(tracer_->control_tid());
@@ -242,9 +239,7 @@ GcCycleStats Vm::CollectNow(GcKind kind) {
                            samples.end());
     record.sites = site_profiler_->last_cycle();
     const FrTrigger fired = flight_rec_->RecordPause(std::move(record));
-    metrics_.AddCounter("fr.pauses_recorded", 1);
     if (fired != FrTrigger::kNone) {
-      metrics_.AddCounter("fr.triggers", 1);
       metrics_.AddCounter(std::string("fr.trigger.") + FrTriggerName(fired), 1);
     }
     metrics_.SetGauge("fr.incidents", flight_rec_->incidents());

@@ -50,21 +50,6 @@ void Histogram::RecordMany(uint64_t value, uint64_t count) {
   }
 }
 
-void Histogram::Merge(const Histogram& other) {
-  NVMGC_CHECK(buckets_.size() == other.buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.min_ < min_) {
-    min_ = other.min_;
-  }
-  if (other.max_ > max_) {
-    max_ = other.max_;
-  }
-}
-
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;

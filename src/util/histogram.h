@@ -9,15 +9,13 @@
 namespace nvmgc {
 
 // Records non-negative 64-bit values (typically nanoseconds) with ~3% relative
-// error per bucket, supporting percentile queries. Not thread-safe; each thread
-// records into its own histogram and histograms are merged afterwards.
+// error per bucket, supporting percentile queries. Not thread-safe.
 class Histogram {
  public:
   Histogram();
 
   void Record(uint64_t value);
   void RecordMany(uint64_t value, uint64_t count);
-  void Merge(const Histogram& other);
   void Reset();
 
   uint64_t count() const { return count_; }

@@ -8,6 +8,8 @@ namespace {
 // Request-handling CPU cost outside heap accesses: protocol parsing,
 // serialization, coordination.
 constexpr uint64_t kRequestCpuNs = 3500;
+// Payload of the protocol object every request allocates.
+constexpr uint32_t kRequestPayloadBytes = 48;
 }  // namespace
 
 CassandraService::CassandraService(Vm* vm, const CassandraConfig& config)
@@ -18,11 +20,12 @@ CassandraService::CassandraService(Vm* vm, const CassandraConfig& config)
       zipf_(config.rows, config.zipf_theta, config.seed ^ 0x5a5a) {
   KlassTable& klasses = vm->heap().klasses();
   row_klass_ = klasses.RegisterByteArray("cassandra.Row");
-  request_klass_ = klasses.RegisterRegular("cassandra.Request", 1, 48);
+  request_klass_ = klasses.RegisterRegular("cassandra.Request", 1, kRequestPayloadBytes);
   table_ = std::make_unique<ManagedTable>(vm, mutator_, config.rows);
   for (uint64_t i = 0; i < config.rows; ++i) {
     table_->Set(i, mutator_->Allocate({row_klass_, config.row_bytes}));
   }
+  bytes_allocated_ = static_cast<uint64_t>(config.rows) * config.row_bytes;
 }
 
 void CassandraService::ServeRead(uint64_t row) {
@@ -68,6 +71,7 @@ LatencyResult CassandraService::RunPhase(uint64_t requests, double offered_kqps,
     // percentile table and in bench JSON histogram digests.
     vm_->metrics().RecordHistogram("cassandra.op_latency_ns", latency_ns);
   }
+  bytes_allocated_ += requests * (config_.row_bytes + kRequestPayloadBytes);
   LatencyResult result;
   result.offered_kqps = offered_kqps;
   result.requests = requests;

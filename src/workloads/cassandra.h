@@ -46,6 +46,11 @@ class CassandraService {
   // runs a write-only phase then a read-only phase).
   LatencyResult RunPhase(uint64_t requests, double offered_kqps, double write_fraction);
 
+  // Payload bytes allocated so far: the preloaded rows, then per request a
+  // request object (48 bytes) plus one row (a response buffer or a
+  // replacement row).
+  uint64_t bytes_allocated() const { return bytes_allocated_; }
+
  private:
   void ServeRead(uint64_t row);
   void ServeWrite(uint64_t row);
@@ -58,6 +63,7 @@ class CassandraService {
   std::unique_ptr<ManagedTable> table_;
   Random rng_;
   ZipfGenerator zipf_;
+  uint64_t bytes_allocated_ = 0;
 };
 
 }  // namespace nvmgc

@@ -280,10 +280,8 @@ TEST(BandwidthArbiterTest, StatsAccumulate) {
   arb.EndWindow({1000, 210'000});
   arb.EndWindow({1000, 210'000});
   arb.EndWindow({1000, 50'000});
-  EXPECT_EQ(arb.windows_closed(), 3u);
   EXPECT_EQ(arb.stats(batch).windows_throttled, 2u);
   EXPECT_EQ(arb.stats(batch).total_stall_ns, 2'000'000u);
-  EXPECT_EQ(arb.stats(batch).total_bytes, 470'000u);
 }
 
 // --- FleetPauseScheduler ---
@@ -306,8 +304,6 @@ TEST(PauseSchedulerTest, MajorDefersOutOfCoTenantDrain) {
   EXPECT_EQ(sched.DeferNs(0, GcKind::kMajor, 1'350'000), 0u);
   // Minor pauses are never deferred.
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMinor, 1'350'000), 0u);
-  EXPECT_EQ(sched.deferrals(), 2u);
-  EXPECT_EQ(sched.total_defer_ns(), 400'000u);
 }
 
 TEST(PauseSchedulerTest, DeferralIsBounded) {
@@ -322,36 +318,6 @@ TEST(PauseSchedulerTest, ZeroWritebackLeavesNoWindow) {
   FleetPauseScheduler sched;
   sched.OnPauseFinished(0, 1'000'000, 1'500'000, 0);
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 1'400'000), 0u);
-}
-
-// --- MetricsRegistry::MergeFrom (satellite: tenant metric prefix) ---
-
-TEST(MetricsMergeTest, MergeFromPrefixesEveryName) {
-  MetricsRegistry src;
-  src.AddCounter("alloc.bytes", 5);
-  src.SetGauge("heap.free_regions", 7);
-  src.RecordHistogram("serving.op_latency_ns", 100);
-  src.RecordHistogram("serving.op_latency_ns", 300);
-  PauseSnapshot ps;
-  ps.id = 3;
-  ps.start_ns = 42;
-  ps.values["gc.pause_ns"] = 11;
-  src.RecordPause(ps);
-
-  MetricsRegistry dst;
-  dst.AddCounter("tenant.1.alloc.bytes", 2);
-  dst.MergeFrom(src, "tenant.1.");
-
-  EXPECT_EQ(dst.counter("tenant.1.alloc.bytes"), 7u);  // Counters add.
-  EXPECT_EQ(dst.gauges().at("tenant.1.heap.free_regions"), 7u);
-  EXPECT_EQ(dst.Summary("tenant.1.serving.op_latency_ns").count, 2u);
-  // RecordPause mirrored the value into src's lifetime counters; the merge
-  // carries it over exactly once.
-  EXPECT_EQ(dst.counter("tenant.1.gc.pause_ns"), 11u);
-  ASSERT_EQ(dst.pauses().size(), 1u);
-  EXPECT_EQ(dst.pauses()[0].id, 3u);
-  EXPECT_EQ(dst.pauses()[0].start_ns, 42u);
-  EXPECT_EQ(dst.pauses()[0].values.at("tenant.1.gc.pause_ns"), 11u);
 }
 
 // --- Flight recorder tenant tagging (satellite) ---
@@ -442,88 +408,109 @@ TEST(SharedDeviceVmTest, FlightRecorderTenantAutoFilled) {
 
 // --- FleetManager end-to-end ---
 
-TEST(FleetManagerTest, MixedFleetRunsAndExportsTenantObservability) {
-  FleetOptions fleet_options;
-  FleetManager fleet(fleet_options);
-
-  FleetTenantSpec serving;
-  serving.name = "serving";
-  serving.tier = QosTier::kServing;
-  serving.bandwidth_budget_mbps = 800.0;
-  serving.vm = SmallTenantVm();
-  serving.vm.trace_gc = true;
-
-  FleetTenantSpec batch;
-  batch.name = "batch";
-  batch.tier = QosTier::kBatch;
-  batch.bandwidth_budget_mbps = 300.0;
-  batch.vm = SmallTenantVm();
-  batch.vm.trace_gc = true;
-
-  FleetTenantSpec background;
-  background.name = "background";
-  background.tier = QosTier::kBackground;
-  background.bandwidth_budget_mbps = 150.0;
-  background.vm = SmallTenantVm();
-  background.vm.trace_gc = true;
-
-  const uint32_t s = fleet.AddTenant(serving);
-  const uint32_t b = fleet.AddTenant(batch);
-  const uint32_t g = fleet.AddTenant(background);
-  ASSERT_EQ(fleet.tenant_count(), 3u);
-
+// The coordinated serving + batch + background fleet of bench_fleet, at test
+// size. The manager is neither copyable nor movable, so the run lives on the
+// heap.
+struct MixedFleet {
+  FleetManager fleet{FleetOptions{}};
   ServingConfig sc;
-  sc.rows = 2048;
-  sc.row_bytes = 128;
-  sc.total_requests = 4000;
-  sc.offered_kqps = 80.0;
-  auto serving_driver = std::make_unique<ServingDriver>(&fleet.vm(s), sc);
-  ServingDriver* serving_ptr = serving_driver.get();
-
   BatchConfig bc;
-  bc.rows = 4096;
-  bc.row_bytes = 256;
-  bc.total_tasks = 60;
-  auto batch_driver = std::make_unique<BatchDriver>(&fleet.vm(b), bc);
-  BatchDriver* batch_ptr = batch_driver.get();
-
   BackgroundConfig gc_cfg;
-  gc_cfg.total_allocation_bytes = 6 * 1024 * 1024;
-  gc_cfg.live_window_bytes = 512 * 1024;
-  auto background_driver = std::make_unique<BackgroundDriver>(&fleet.vm(g), gc_cfg);
-  BackgroundDriver* background_ptr = background_driver.get();
+  ServingDriver* serving = nullptr;
+  BatchDriver* batch = nullptr;
+  BackgroundDriver* background = nullptr;
+};
+
+std::unique_ptr<MixedFleet> RunMixedFleet(bool adaptive) {
+  auto mixed = std::make_unique<MixedFleet>();
+  FleetManager& fleet = mixed->fleet;
+  VmOptions vm = SmallTenantVm();
+  vm.gc.adaptive_policy = adaptive;
+  const uint32_t s = fleet.AddTenant({"serving", QosTier::kServing, 800.0, vm});
+  const uint32_t b = fleet.AddTenant({"batch", QosTier::kBatch, 300.0, vm});
+  const uint32_t g = fleet.AddTenant({"background", QosTier::kBackground, 150.0, vm});
+
+  mixed->sc.rows = 2048;
+  mixed->sc.row_bytes = 128;
+  mixed->sc.total_requests = 4000;
+  mixed->sc.offered_kqps = 80.0;
+  auto serving_driver = std::make_unique<ServingDriver>(&fleet.vm(s), mixed->sc);
+  mixed->serving = serving_driver.get();
+
+  mixed->bc.rows = 4096;
+  mixed->bc.row_bytes = 256;
+  mixed->bc.total_tasks = 60;
+  auto batch_driver = std::make_unique<BatchDriver>(&fleet.vm(b), mixed->bc);
+  mixed->batch = batch_driver.get();
+
+  mixed->gc_cfg.total_allocation_bytes = 6 * 1024 * 1024;
+  mixed->gc_cfg.live_window_bytes = 512 * 1024;
+  auto background_driver = std::make_unique<BackgroundDriver>(&fleet.vm(g), mixed->gc_cfg);
+  mixed->background = background_driver.get();
 
   fleet.SetDriver(s, std::move(serving_driver));
   fleet.SetDriver(b, std::move(batch_driver));
   fleet.SetDriver(g, std::move(background_driver));
   fleet.Run();
+  return mixed;
+}
 
-  EXPECT_EQ(serving_ptr->served(), sc.total_requests);
-  EXPECT_EQ(batch_ptr->tasks_done(), bc.total_tasks);
-  EXPECT_GE(background_ptr->allocated_bytes(), gc_cfg.total_allocation_bytes);
-  EXPECT_TRUE(fleet.device().multi_tenant());
-  EXPECT_GT(fleet.arbiter().windows_closed(), 0u);
+TEST(FleetManagerTest, MixedFleetRunsWithPerTenantObservability) {
+  const std::unique_ptr<MixedFleet> mixed = RunMixedFleet(/*adaptive=*/false);
+  const FleetManager& fleet = mixed->fleet;
+  ASSERT_EQ(fleet.tenant_count(), 3u);
 
-  // Tenant-prefixed metrics roll-up.
-  MetricsRegistry out;
-  fleet.ExportMetrics(&out);
-  EXPECT_EQ(out.gauges().at("fleet.tenants"), 3u);
-  EXPECT_EQ(out.Summary("tenant.0.serving.op_latency_ns").count, sc.total_requests);
-  EXPECT_GT(out.gauges().at("fleet.tenant.2.device_bytes"), 0u);
+  EXPECT_EQ(mixed->serving->served(), mixed->sc.total_requests);
+  EXPECT_EQ(mixed->batch->tasks_done(), mixed->bc.total_tasks);
+  EXPECT_GE(mixed->background->allocated_bytes(), mixed->gc_cfg.total_allocation_bytes);
+  EXPECT_TRUE(mixed->fleet.device().multi_tenant());
+
+  // Each tenant's numbers live in its own Vm and in its device attribution.
+  EXPECT_EQ(fleet.vm(0).metrics().Summary("serving.op_latency_ns").count,
+            mixed->sc.total_requests);
+  EXPECT_GT(mixed->fleet.device().tenant_counters(2).total_bytes(), 0u);
   // The background tenant churned 6 MB through a 2 MB eden: it must have
-  // collected, and its pause stream must appear under its tenant prefix.
-  EXPECT_GT(fleet.vm(g).gc_count(), 0u);
-  EXPECT_GT(out.counter("tenant.2.gc.pause_ns"), 0u);
+  // collected, and its pauses are in its own registry.
+  EXPECT_GT(fleet.vm(2).gc_count(), 0u);
+  EXPECT_GT(fleet.vm(2).metrics().counter("gc.pause_ns"), 0u);
+}
 
-  // One Chrome-trace process per tenant.
-  const std::string trace_path = ::testing::TempDir() + "/fleet_trace.json";
-  ASSERT_TRUE(fleet.WriteChromeTrace(trace_path));
-  const std::string trace = ReadFile(trace_path);
-  EXPECT_NE(trace.find("\"pid\":1"), std::string::npos);
-  EXPECT_NE(trace.find("\"pid\":2"), std::string::npos);
-  EXPECT_NE(trace.find("\"pid\":3"), std::string::npos);
-  EXPECT_NE(trace.find("0.serving"), std::string::npos);
-  EXPECT_NE(trace.find("2.background"), std::string::npos);
+TEST(FleetManagerTest, EachFleetNumberHasOneOwner) {
+  const std::unique_ptr<MixedFleet> mixed = RunMixedFleet(/*adaptive=*/true);
+  const FleetManager& fleet = mixed->fleet;
+
+  // Throttle stalls and pause deferrals are counted by the arbiter and the
+  // manager; policy decisions by the policy.decisions_total gauge; recorded
+  // pauses and triggers by the flight recorder and fr.trigger.<kind>. No
+  // tenant registry mirrors them.
+  uint64_t vm_stall_ns = 0;
+  uint64_t arbiter_stall_ns = 0;
+  for (uint32_t id = 0; id < fleet.tenant_count(); ++id) {
+    const MetricsRegistry& m = fleet.vm(id).metrics();
+    for (const auto& [name, value] : m.counters()) {
+      EXPECT_NE(name.rfind("fleet.", 0), 0u) << "tenant " << id << " counts " << name;
+    }
+    for (const char* name : {"policy.decisions", "fr.pauses_recorded", "fr.triggers"}) {
+      EXPECT_EQ(m.counters().count(name), 0u) << "tenant " << id << " counts " << name;
+    }
+    EXPECT_EQ(m.gauges().count("policy.decisions_total"), 1u) << "tenant " << id;
+    EXPECT_EQ(fleet.vm(id).flight_recorder().pauses_recorded(), fleet.vm(id).gc_count());
+    vm_stall_ns += fleet.vm(id).fleet_stall_ns();
+    arbiter_stall_ns += fleet.arbiter().stats(id).total_stall_ns;
+  }
+  EXPECT_GT(arbiter_stall_ns, 0u);
+  EXPECT_EQ(vm_stall_ns, arbiter_stall_ns);
+
+  // The serving latency digest is the serving Vm's histogram.
+  const HistogramSummary served = mixed->serving->LatencySummary();
+  const HistogramSummary recorded = fleet.vm(0).metrics().Summary("serving.op_latency_ns");
+  EXPECT_EQ(served.count, mixed->sc.total_requests);
+  EXPECT_EQ(served.count, recorded.count);
+  EXPECT_EQ(served.p50, recorded.p50);
+  EXPECT_EQ(served.p95, recorded.p95);
+  EXPECT_EQ(served.p99, recorded.p99);
+  EXPECT_EQ(served.max, recorded.max);
+  EXPECT_DOUBLE_EQ(served.mean, recorded.mean);
 }
 
 TEST(FleetManagerTest, ArbitrationRestoresStarvedServingTenant) {

@@ -163,7 +163,7 @@ TEST_P(GcIntegrationTest, GarbageIsReclaimed) {
   for (int i = 0; i < 200000; ++i) {
     g.NewNode();
   }
-  EXPECT_GT(g.mutator()->gcs_triggered(), 0u);
+  EXPECT_GT(vm.gc_count(), 0u);
   vm.CollectNow();
   g.VerifyFrom(vm.GetRoot(root));
   // After a final collection nearly all regions should be free again.

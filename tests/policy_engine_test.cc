@@ -80,8 +80,6 @@ TEST(PolicySignalsTest, DerivedRatesComeFromTheCycle) {
   const PolicySignals s = CollectPolicySignals(cycle, 7, /*timeline=*/nullptr);
   EXPECT_EQ(s.pause_id, 7u);
   EXPECT_EQ(s.cycle.header_map_installs, 90u);
-  EXPECT_DOUBLE_EQ(s.steal_rate(), 30.0 / 120.0);
-  EXPECT_DOUBLE_EQ(s.flush_stall_fraction(), 250.0 / 1000.0);
   EXPECT_DOUBLE_EQ(s.persist_stall_fraction(), 100.0 / 1000.0);
   EXPECT_DOUBLE_EQ(s.cache_overflow_fraction(), 100.0 / 400.0);
   EXPECT_DOUBLE_EQ(s.steal_taint_fraction(), 2.0 / 8.0);

@@ -122,8 +122,7 @@ TEST(MutatorTest, AllocationTriggersGcWhenEdenExhausted) {
   for (int i = 0; i < 20000; ++i) {
     m->Allocate({node});
   }
-  EXPECT_GT(m->gcs_triggered(), 0u);
-  EXPECT_EQ(vm.gc_count(), m->gcs_triggered());
+  EXPECT_GT(vm.gc_count(), 0u);
 }
 
 TEST(GcReportTest, FormatsCycleAndSummary) {

@@ -153,17 +153,6 @@ TEST(HistogramTest, PercentilesOrdered) {
   EXPECT_NEAR(p99, 990'000, 40'000);
 }
 
-TEST(HistogramTest, MergeCombinesCounts) {
-  Histogram a;
-  Histogram b;
-  a.Record(10);
-  b.Record(1000000);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.min(), 10u);
-  EXPECT_EQ(a.max(), 1000000u);
-}
-
 TEST(HistogramTest, LargeValuesBucketedWithBoundedError) {
   Histogram h;
   const uint64_t value = 123'456'789'000ULL;
@@ -189,48 +178,6 @@ TEST(HistogramTest, ResetThenRecordBehavesLikeFresh) {
   EXPECT_EQ(h.min(), 42u);
   EXPECT_EQ(h.max(), 42u);
   EXPECT_NEAR(h.Percentile(50), 42, 42 * 0.07);
-}
-
-TEST(HistogramTest, MergeDisjointRangesPreservesCountSumAndExtremes) {
-  Histogram low;
-  Histogram high;
-  double expected_sum = 0;
-  for (int i = 0; i < 100; ++i) {
-    low.Record(100 + i);  // [100, 199]
-    high.Record(1'000'000 + i * 1000);  // [1e6, ~1.1e6]
-    expected_sum += (100 + i) + (1'000'000 + i * 1000);
-  }
-  low.Merge(high);
-  EXPECT_EQ(low.count(), 200u);
-  EXPECT_EQ(low.min(), 100u);
-  EXPECT_EQ(low.max(), 1'099'000u);
-  EXPECT_NEAR(low.Mean() * low.count(), expected_sum, expected_sum * 0.07);
-  // The merged median sits in the gap boundary: half the mass is low-range.
-  EXPECT_LE(low.Percentile(49), 250u);
-  EXPECT_GE(low.Percentile(51), 900'000u);
-}
-
-TEST(HistogramTest, MergeOverlappingRangesMatchesDirectRecording) {
-  Histogram merged;
-  Histogram other;
-  Histogram direct;
-  Random r(17);
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t a = r.NextBelow(10'000);
-    const uint64_t b = 5'000 + r.NextBelow(10'000);
-    merged.Record(a);
-    other.Record(b);
-    direct.Record(a);
-    direct.Record(b);
-  }
-  merged.Merge(other);
-  EXPECT_EQ(merged.count(), direct.count());
-  EXPECT_EQ(merged.min(), direct.min());
-  EXPECT_EQ(merged.max(), direct.max());
-  EXPECT_DOUBLE_EQ(merged.Mean(), direct.Mean());
-  for (int p : {1, 10, 25, 50, 75, 90, 99, 100}) {
-    EXPECT_EQ(merged.Percentile(p), direct.Percentile(p)) << "p" << p;
-  }
 }
 
 TEST(HistogramTest, PercentileEdgesBracketTheDistribution) {

@@ -175,6 +175,21 @@ TEST(CassandraTest, GcPausesInflateTailNotMedian) {
   EXPECT_GT(r.p99_ms, 4.0 * r.p50_ms);
 }
 
+TEST(CassandraTest, CountsPayloadBytesOfRowsAndRequests) {
+  Vm vm(TestVm());
+  CassandraConfig config;
+  config.rows = 2000;
+  config.row_bytes = 256;
+  CassandraService service(&vm, config);
+  EXPECT_EQ(service.bytes_allocated(), 2000u * 256u);
+  // A write phase then a read phase: each request allocates a 48-byte
+  // request object plus one row.
+  service.RunPhase(3000, 50.0, 1.0);
+  EXPECT_EQ(service.bytes_allocated(), 2000u * 256u + 3000u * (256u + 48u));
+  service.RunPhase(1000, 50.0, 0.0);
+  EXPECT_EQ(service.bytes_allocated(), 2000u * 256u + 4000u * (256u + 48u));
+}
+
 TEST(PrefetchMicroTest, PrefetchingHelpsNvmMoreThanDram) {
   constexpr uint64_t kAccesses = 200000;
   const double dram_gain = RunPrefetchMicro(DeviceKind::kDram, false, kAccesses).seconds /
